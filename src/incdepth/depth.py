@@ -27,12 +27,6 @@ from dataclasses import dataclass
 from . import bigraph, charpoly
 from .exactmat import IntMatrix, MatrixError, SupportMatrix, dominance_q
 
-# Support sequences are monotone and stabilize well below this cap (the
-# spectral bound gives d <= 2*min(r,s) - 1); hitting it means a bug.
-def _cap(rows: int, cols: int) -> int:
-    return 2 * (rows + cols) + 2
-
-
 class InclusionMatrix:
     """Nonnegative integer matrix with no zero row and no zero column."""
 
@@ -79,46 +73,59 @@ def bracketed_power(m: InclusionMatrix, n: int) -> IntMatrix:
     if n < 0:
         raise MatrixError(f"bracketed power needs n >= 0, got {n}")
     mat = m.matrix
-    gram = mat * mat.transpose()
-    acc = IntMatrix.identity(mat.rows)
-    for _ in range(n // 2):
-        acc = acc * gram
+    power = None  # (M M^t)^(n // 2) by repeated squaring; None stands for I
+    square = mat * mat.transpose() if n >= 2 else None
+    k = n // 2
+    while k:
+        if k & 1:
+            power = square if power is None else power * square
+        k >>= 1
+        if k:
+            square = square * square
     if n % 2:
-        acc = acc * mat
-    return acc
+        return mat if power is None else power * mat
+    return IntMatrix.identity(mat.rows) if power is None else power
 
 
 def has_depth(m: InclusionMatrix, n: int) -> int | None:
     """Minimal witness q with M^[n+1] <= q M^[n-1], or None if M lacks depth n."""
     if n < 1:
         raise MatrixError(f"depth is defined for n >= 1, got {n}")
-    return dominance_q(bracketed_power(m, n + 1), bracketed_power(m, n - 1))
+    low = bracketed_power(m, n - 1)
+    gram = m.matrix * m.matrix.transpose()
+    return dominance_q(gram * low, low)  # M^[n+1] = (M M^t) M^[n-1]
+
+
+def _stabilize(factors: tuple[SupportMatrix, ...], gap: int) -> int:
+    """Least n >= 1 with X_(n-1+gap) == X_(n-1) in the support chain
+
+        X_0 = I,   X_(k+1) = X_k * factors[k % len(factors)].
+
+    Supports in the chain only grow, and stabilize well below the cap (the
+    spectral bound gives d <= 2*min(r,s) - 1); hitting it means a bug.
+    """
+    first = factors[0]
+    cap = 2 * (first.rows + first.cols) + 2
+    chain = [SupportMatrix.identity(first.rows)]
+    for k in range(cap + gap - 1):
+        chain.append(chain[-1] * factors[k % len(factors)])  # X_(k+1)
+        if len(chain) > gap:
+            if chain[-1] == chain[0]:
+                return k + 2 - gap
+            del chain[0]
+    raise AssertionError("support stabilization exceeded its iteration cap")
 
 
 def min_depth(m: InclusionMatrix) -> int:
-    """Minimum depth d(M), found by support stabilization of bracketed powers."""
+    """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
     supp = m.matrix.support()
-    supp_t = supp.transpose()
-    prev = SupportMatrix.identity(m.rows)  # supp(M^[0])
-    cur = supp                             # supp(M^[1])
-    for n in range(1, _cap(m.rows, m.cols) + 1):
-        nxt = cur * (supp_t if n % 2 else supp)  # supp(M^[n+1])
-        if nxt == prev:
-            return n
-        prev, cur = cur, nxt
-    raise AssertionError("depth support stabilization exceeded its iteration cap")
+    return _stabilize((supp, supp.transpose()), 2)
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
     """Minimum H-depth, the least odd 2n-1 with S^n <= q S^{n-1} for S = M^t M."""
-    supp_s = (m.matrix.transpose() * m.matrix).support()
-    prev = SupportMatrix.identity(m.cols)  # supp(S^0)
-    cur = supp_s                           # supp(S^1)
-    for n in range(1, _cap(m.rows, m.cols) + 1):
-        if cur == prev:
-            return 2 * n - 1
-        prev, cur = cur, cur * supp_s
-    raise AssertionError("H-depth support stabilization exceeded its iteration cap")
+    supp = m.matrix.support()
+    return 2 * _stabilize((supp.transpose() * supp,), 1) - 1
 
 
 def min_odd_depth_symmetric(sym: IntMatrix) -> int:
@@ -135,14 +142,7 @@ def min_odd_depth_symmetric(sym: IntMatrix) -> int:
     for i in range(sym.rows):
         if sym.entries[i][i] <= 0:
             raise MatrixError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
-    supp = sym.support()
-    prev = SupportMatrix.identity(sym.rows)  # supp(sym^0)
-    cur = supp                               # supp(sym^1)
-    for n in range(0, _cap(sym.rows, sym.cols) + 1):
-        if cur == prev:
-            return 2 * n + 1
-        prev, cur = cur, cur * supp
-    raise AssertionError("odd-depth support stabilization exceeded its iteration cap")
+    return 2 * _stabilize((sym.support(),), 1) - 1
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     """Compute d, d(M^t), H-depth, graph values, the spectral bound and witness q.
 
     The mutual inequalities between the invariants are theorems, so they are
-    asserted before the report is returned; a failure indicates a bug, not a
+    checked before the report is returned; a failure indicates a bug, not a
     bad input. Agreement between the matrix and graph methods, and the parity
     rule tying H-depth to d(M^t), are recorded as flags.
     """
@@ -181,13 +181,18 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     graph_h = bigraph.min_hdepth_graph(graph)
     bound = charpoly.depth_upper_bound(m)
     q = has_depth(m, d)
-    assert q is not None, f"no dominance witness at minimum depth {d}"
-    assert d >= 1 and d_h >= 1, f"depths must be positive: d={d}, d_H={d_h}"
-    assert d_h % 2 == 1, f"H-depth must be odd: {d_h}"
-    assert abs(d - d_h) <= 2, f"|d - d_H| > 2: d={d}, d_H={d_h}"
-    assert abs(d_t - d) <= 1, f"|d(M^t) - d| > 1: d(M^t)={d_t}, d={d}"
-    assert 0 <= d_h - d_t <= 1, f"d_H - d(M^t) out of [0,1]: d_H={d_h}, d(M^t)={d_t}"
-    assert d <= bound, f"d={d} exceeds spectral bound {bound}"
+    # Explicit raises, not asserts, so the checks also run under python -O.
+    for holds, message in (
+        (q is not None, f"no dominance witness at minimum depth {d}"),
+        (d >= 1 and d_h >= 1, f"depths must be positive: d={d}, d_H={d_h}"),
+        (d_h % 2 == 1, f"H-depth must be odd: {d_h}"),
+        (abs(d - d_h) <= 2, f"|d - d_H| > 2: d={d}, d_H={d_h}"),
+        (abs(d_t - d) <= 1, f"|d(M^t) - d| > 1: d(M^t)={d_t}, d={d}"),
+        (0 <= d_h - d_t <= 1, f"d_H - d(M^t) out of [0,1]: d_H={d_h}, d(M^t)={d_t}"),
+        (d <= bound, f"d={d} exceeds spectral bound {bound}"),
+    ):
+        if not holds:
+            raise AssertionError(message)
     return DepthReport(
         rows=m.rows,
         cols=m.cols,

@@ -101,14 +101,18 @@ class IntMatrix:
 
     def support(self) -> "SupportMatrix":
         """Zero pattern as a SupportMatrix; only defined for nonnegative input."""
+        masks = []
         for i, row in enumerate(self.entries):
+            mask = 0
             for j, e in enumerate(row):
-                if e < 0:
-                    raise MatrixError(
-                        f"negative entry {e} at ({i + 1},{j + 1}); "
-                        "support needs a nonnegative matrix")
-        return SupportMatrix(tuple(tuple(e > 0 for e in row)
-                                   for row in self.entries))
+                if e:
+                    if e < 0:
+                        raise MatrixError(
+                            f"negative entry {e} at ({i + 1},{j + 1}); "
+                            "support needs a nonnegative matrix")
+                    mask |= 1 << j
+            masks.append(mask)
+        return SupportMatrix._from_masks(masks, self.cols)
 
     def zero_count(self) -> int:
         """Number of entries equal to zero."""
@@ -130,12 +134,17 @@ class IntMatrix:
 
 
 class SupportMatrix:
-    """Boolean zero-pattern of a nonnegative matrix; True marks a nonzero cell."""
+    """Boolean zero-pattern of a nonnegative matrix; True marks a nonzero cell.
 
-    __slots__ = ("rows", "cols", "bits")
+    Row i is stored as one int bitset, `masks[i]`, with bit j set when cell
+    (i, j) is nonzero, so a boolean product ORs together the right-hand rows
+    that a left row's set bits select.
+    """
+
+    __slots__ = ("rows", "cols", "masks")
 
     def __init__(self, bits):
-        data = tuple(tuple(bool(b) for b in row) for row in bits)
+        data = tuple(tuple(row) for row in bits)
         if not data or not data[0]:
             raise MatrixError("support matrix needs at least one row and one column")
         width = len(data[0])
@@ -145,11 +154,29 @@ class SupportMatrix:
                     f"row {i + 1} has {len(row)} entries, expected {width}")
         self.rows = len(data)
         self.cols = width
-        self.bits = data
+        self.masks = tuple(sum(1 << j for j, b in enumerate(row) if b)
+                           for row in data)
+
+    @classmethod
+    def _from_masks(cls, masks, cols: int) -> "SupportMatrix":
+        """Wrap row bitsets that are already known to fit `cols` columns."""
+        out = cls.__new__(cls)
+        out.rows = len(masks)
+        out.cols = cols
+        out.masks = tuple(masks)
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "SupportMatrix":
-        return cls(tuple(tuple(i == j for j in range(n)) for i in range(n)))
+        if n < 1:
+            raise MatrixError("support matrix needs at least one row and one column")
+        return cls._from_masks([1 << i for i in range(n)], n)
+
+    @property
+    def bits(self) -> tuple[tuple[bool, ...], ...]:
+        """Row-major tuple-of-bool view of the pattern."""
+        return tuple(tuple(bool(mask >> j & 1) for j in range(self.cols))
+                     for mask in self.masks)
 
     def __mul__(self, other: "SupportMatrix"):
         """OR-AND product over the boolean semiring."""
@@ -159,13 +186,26 @@ class SupportMatrix:
             raise MatrixError(
                 f"cannot multiply {self.rows}x{self.cols} "
                 f"by {other.rows}x{other.cols}")
-        cols = tuple(zip(*other.bits))
-        return SupportMatrix(tuple(
-            tuple(any(x and y for x, y in zip(row, col)) for col in cols)
-            for row in self.bits))
+        right = other.masks
+        out = []
+        for mask in self.masks:
+            acc = 0
+            while mask:
+                low = mask & -mask
+                acc |= right[low.bit_length() - 1]
+                mask ^= low
+            out.append(acc)
+        return SupportMatrix._from_masks(out, other.cols)
 
     def transpose(self) -> "SupportMatrix":
-        return SupportMatrix(tuple(zip(*self.bits)))
+        cols = [0] * self.cols
+        for i, mask in enumerate(self.masks):
+            bit = 1 << i
+            while mask:
+                low = mask & -mask
+                cols[low.bit_length() - 1] |= bit
+                mask ^= low
+        return SupportMatrix._from_masks(cols, self.rows)
 
     def as_int_matrix(self) -> IntMatrix:
         """The 0/1 matrix with this zero pattern."""
@@ -173,10 +213,11 @@ class SupportMatrix:
                                for row in self.bits))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SupportMatrix) and self.bits == other.bits
+        return (isinstance(other, SupportMatrix) and self.cols == other.cols
+                and self.masks == other.masks)
 
     def __hash__(self) -> int:
-        return hash(self.bits)
+        return hash((self.cols, self.masks))
 
     def __repr__(self) -> str:
         return f"SupportMatrix({[[int(b) for b in row] for row in self.bits]!r})"

@@ -22,6 +22,18 @@ def naive_multiply(a, b):
             for i in range(rows)]
 
 
+def naive_bracketed_powers(m: InclusionMatrix, top: int) -> list[IntMatrix]:
+    """M^[0], ..., M^[top], each one naive product on from the one before."""
+    cells = [list(r) for r in m.matrix.entries]
+    factors = (cells, [list(c) for c in zip(*cells)])
+    power = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    powers = [IntMatrix(power)]
+    for n in range(top):
+        power = naive_multiply(power, factors[n % 2])
+        powers.append(IntMatrix(power))
+    return powers
+
+
 def det_cofactor(rows):
     """Determinant by cofactor expansion along the first row."""
     n = len(rows)

@@ -161,6 +161,22 @@ class TestComputeCommand:
         assert proc.returncode == 0
         assert "depth: 2" in proc.stdout
 
+    def test_invariant_checks_survive_optimize_flag(self):
+        # python -O strips assert statements; the report's checks must stay.
+        import subprocess
+        import sys
+        script = (
+            "import sys\n"
+            "import incdepth.depth\n"
+            "from incdepth import fixture_path\n"
+            "from incdepth.cli import main\n"
+            "incdepth.depth.has_depth = lambda m, n: None\n"
+            "sys.exit(main(['compute', '--matrix', str(fixture_path('s3s4.mat'))]))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "internal error: no dominance witness" in proc.stderr
+
 
 class TestGraphCommand:
     def test_s3s4(self, capsys):

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, bracketed_power,
-                      depth_report, dominance_q, has_depth, min_depth,
-                      min_hdepth, min_odd_depth_symmetric)
+                      branching_matrix, depth_report, dominance_q, has_depth,
+                      min_depth, min_hdepth, min_odd_depth_symmetric)
 
-from _oracles import min_depth_exact, min_hdepth_exact, random_inclusion
+from _oracles import (min_depth_exact, min_hdepth_exact, naive_bracketed_powers,
+                      random_inclusion)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
@@ -73,6 +74,19 @@ class TestHasDepth:
         for r in (1, 2, 4):
             ident = InclusionMatrix(IntMatrix.identity(r))
             assert has_depth(ident, 1) == 1
+
+    def test_matches_naive_powers(self):
+        # no witness below d, and the same minimal q from d on
+        rng = random.Random(12)
+        cases = [branching_matrix(n) for n in range(4, 9)]
+        cases += [random_inclusion(rng, max_dim=6) for _ in range(40)]
+        for m in cases:
+            d = min_depth(m)
+            powers = naive_bracketed_powers(m, d + 2)
+            for n in range(1, d + 2):
+                expected = dominance_q(powers[n + 1], powers[n - 1])
+                assert (expected is None) == (n < d)
+                assert has_depth(m, n) == expected
 
 
 class TestMinDepth:

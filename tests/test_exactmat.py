@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from incdepth import IntMatrix, MatrixError, SupportMatrix, dominance_q
 
@@ -8,6 +10,23 @@ from _oracles import naive_multiply
 S3S4 = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 H8_MMT = IntMatrix([[5, 1, 1, 1, 0], [1, 5, 1, 1, 0], [1, 1, 5, 1, 0],
                     [1, 1, 1, 5, 0], [0, 0, 0, 0, 8]])
+
+
+def sparse_matrix(rng, rows, cols):
+    """Seeded nonnegative matrix with about one cell in twenty nonzero."""
+    return IntMatrix([[rng.randint(1, 3) if rng.random() < 0.05 else 0
+                       for _ in range(cols)] for _ in range(rows)])
+
+
+def wide_pairs():
+    """Conformable pairs whose dimensions sit on either side of a 64-bit word,
+    so support bitsets span one, two and three machine words."""
+    rng = random.Random(64)
+    return [(sparse_matrix(rng, r, k), sparse_matrix(rng, k, c))
+            for r, k, c in [(1, 64, 130), (63, 65, 64), (130, 63, 1), (65, 130, 63)]]
+
+
+WIDE_PAIRS = wide_pairs()
 
 
 def matrices(max_dim=4, min_value=-5, max_value=5):
@@ -122,6 +141,8 @@ class TestSupport:
             IntMatrix([[1, -1]]).support()
 
     @given(matrices(min_value=0, max_value=4))
+    @example(WIDE_PAIRS[0][1])
+    @example(WIDE_PAIRS[2][0])
     def test_idempotent_extraction(self, m):
         s = m.support()
         assert s.as_int_matrix().support() == s
@@ -193,6 +214,17 @@ class TestBoolMultiply:
             S3S4.support() * S3S4.support()
 
     @given(chained_matrices(2, min_value=0, max_value=3))
+    @example(WIDE_PAIRS[0])
+    @example(WIDE_PAIRS[1])
+    @example(WIDE_PAIRS[2])
+    @example(WIDE_PAIRS[3])
     def test_support_homomorphism(self, pair):
         a, b = pair
         assert (a * b).support() == a.support() * b.support()
+
+    @pytest.mark.parametrize("m", [m for pair in WIDE_PAIRS for m in pair])
+    def test_wide_transpose_and_bits_round_trip(self, m):
+        s = m.support()
+        assert s.transpose() == m.transpose().support()
+        assert s.bits == tuple(tuple(e > 0 for e in row) for row in m.entries)
+        assert SupportMatrix(s.bits) == s

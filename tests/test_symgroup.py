@@ -1,7 +1,9 @@
 import pytest
 
-from incdepth import (InclusionMatrix, Partition, branching_matrix, min_depth,
-                      min_hdepth, partitions, tower_matrix)
+from incdepth import (InclusionMatrix, Partition, branching_matrix, build_graph,
+                      depth_upper_bound, min_depth, min_even_depth_graph,
+                      min_hdepth, min_hdepth_graph, min_odd_depth_graph,
+                      partitions, tower_matrix)
 
 from _oracles import count_partitions, dim_irreducible
 
@@ -138,3 +140,17 @@ def test_branching_n4_depths():
     m = branching_matrix(4)
     assert min_depth(m) == 5
     assert min_hdepth(m) == 7
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_branching_closed_form_depths(n):
+    # d(S_{n-1} <= S_n) = 2n-3 (Burciu, Kadison and Kuelshammer, "On subgroup
+    # depth", IEJA 2011); the spectral bound is sharp on this family.
+    m = branching_matrix(n)
+    d = min_depth(m)
+    assert (d, min_depth(m.transposed()), min_hdepth(m)) == (2 * n - 3, 2 * n - 2, 2 * n - 1)
+    graph = build_graph(m)
+    assert min(min_odd_depth_graph(graph), min_even_depth_graph(graph)) == d
+    assert min_hdepth_graph(graph) == 2 * n - 1
+    if n <= 10:
+        assert depth_upper_bound(m) == d
