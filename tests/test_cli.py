@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -281,3 +282,153 @@ class TestCheckCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["all_pass"] is True
         assert len(rep["checks"]) == 6
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+S3S4_TEXT = """\
+rows: 3
+cols: 5
+depth: 5
+depth_transpose: 6
+h_depth: 7
+min_odd_depth: 5
+min_even_depth: 6
+q_witness: 7
+spectral_bound: 5
+methods_agree: graph_depth=yes graph_hdepth=yes transpose_parity=yes
+"""
+
+S3S4_GRAPH = """\
+rows: 3
+cols: 5
+min_odd_depth: 5
+min_even_depth: 6
+h_depth: 7
+"""
+
+S3S4_CHECK = """\
+PASS  |d - d_H| <= 2             (d=5 d_H=7)
+PASS  |d(Mt) - d(M)| <= 1        (d(Mt)=6 d=5)
+PASS  0 <= d_H - d(Mt) <= 1      (d_H=7 d(Mt)=6)
+PASS  d <= spectral bound        (d=5 bound=5)
+PASS  d_H is odd                 (d_H=7)
+PASS  graph agrees with matrix   (graph_depth=yes graph_hdepth=yes transpose_parity=yes)
+"""
+
+S3S4_CHECK_JSON = """\
+{
+  "checks": [
+    {
+      "name": "|d - d_H| <= 2",
+      "passed": true,
+      "detail": "d=5 d_H=7"
+    },
+    {
+      "name": "|d(Mt) - d(M)| <= 1",
+      "passed": true,
+      "detail": "d(Mt)=6 d=5"
+    },
+    {
+      "name": "0 <= d_H - d(Mt) <= 1",
+      "passed": true,
+      "detail": "d_H=7 d(Mt)=6"
+    },
+    {
+      "name": "d <= spectral bound",
+      "passed": true,
+      "detail": "d=5 bound=5"
+    },
+    {
+      "name": "d_H is odd",
+      "passed": true,
+      "detail": "d_H=7"
+    },
+    {
+      "name": "graph agrees with matrix",
+      "passed": true,
+      "detail": "graph_depth=yes graph_hdepth=yes transpose_parity=yes"
+    }
+  ],
+  "all_pass": true
+}
+"""
+
+
+def _readme_json_report() -> str:
+    section = README.read_text().split("### JSON report", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("argv, fixture, expected", [
+    (["compute"], "s3s4.mat", S3S4_TEXT),
+    (["compute", "--json"], "s3s4.mat", _readme_json_report()),
+    (["graph"], "s3s4.mat", S3S4_GRAPH),
+    (["check"], "s3s4.mat", S3S4_CHECK),
+    (["check", "--json"], "s3s4.mat", S3S4_CHECK_JSON),
+    (["compute", "--symmetric-odd"], "h8_mmt.mat", "min_odd_depth: 3\n"),
+])
+def test_stdout_bytes(argv, fixture, expected, capsys):
+    assert main(argv + ["--matrix", str(fixture_path(fixture))]) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert err == ""
+
+
+def test_disagreement_flag_bytes(capsys, monkeypatch):
+    import dataclasses
+
+    import incdepth.cli as cli_mod
+
+    real = cli_mod.depth_report
+
+    def parity_off(m):
+        rep = real(m)
+        return dataclasses.replace(
+            rep, methods_agree={**rep.methods_agree, "transpose_parity": False})
+
+    monkeypatch.setattr(cli_mod, "depth_report", parity_off)
+    path = str(fixture_path("s3s4.mat"))
+    flags = "graph_depth=yes graph_hdepth=yes transpose_parity=NO"
+    assert main(["compute", "--matrix", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"methods_agree: {flags}"
+    assert main(["check", "--matrix", path]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"FAIL  graph agrees with matrix   ({flags})"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty input: expected a 'rows cols' header"),
+    ("# only a comment\n\n", "empty input: expected a 'rows cols' header"),
+    ("3\n1 1 1\n", "line 1: malformed header, expected 'rows cols'"),
+    ("a b\n", "line 1: malformed header, expected 'rows cols'"),
+    ("1 2 3\n1 1\n", "line 1: malformed header, expected 'rows cols'"),
+    ("# c\n2 x\n", "line 2: malformed header, expected 'rows cols'"),
+    ("0 2\n", "line 1: header dimensions must be positive, got 0 2"),
+    ("2 -1\n", "line 1: header dimensions must be positive, got 2 -1"),
+    ("1 3\n1 1\n", "line 2: row 1 has 2 entries, expected 3"),
+    ("2 1\n1\nx\n", "line 3: entry (2,1) is not an integer: 'x'"),
+    ("1 2\n1 -2\n", "line 2: negative entry -2 at (1,2)"),
+    ("3 1\n1\n", "unexpected end of input: expected 3 rows, found 1"),
+    ("1 1\n1\n1\n", "line 3: unexpected content after 1 matrix rows"),
+    ("1 1\n0\n", "line 2: zero row 1"),
+    ("2 2\n1 0\n0 0\n", "line 3: zero row 2"),
+    ("# c\n\n2 2\n0 0\n1 1\n", "line 4: zero row 1"),
+    ("2 2\n0 0\n1 0\n", "line 2: zero row 1"),
+    ("2 2\n1 0\n1 0\n", "zero column 2"),
+    ("2 3\n# mid\n0 1 0\n\n1 1 0\n", "zero column 3"),
+])
+def test_parse_diagnostics(text, message):
+    with pytest.raises(MatrixParseError) as info:
+        parse_matrix(text)
+    assert type(info.value) is MatrixParseError
+    assert str(info.value) == message
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.mat"
+    bad.write_bytes(b"\xff\xfe1 1\n1\n")
+    assert main(["compute", "--matrix", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode")
