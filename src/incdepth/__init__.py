@@ -22,38 +22,20 @@ from .cli import (MatrixParseError, fixture_path, parse_int_matrix,
 
 __version__ = "0.1.0"
 
+# The API that README.md documents; the other imports above stay reachable
+# as attributes of the package.
 __all__ = [
-    "BipartiteGraph",
     "DepthReport",
     "InclusionMatrix",
-    "IntMatrix",
-    "IntPolynomial",
     "MatrixError",
     "MatrixParseError",
-    "Partition",
-    "SupportMatrix",
-    "black_diameter",
-    "bracketed_power",
-    "branching_matrix",
     "build_graph",
-    "char_poly",
     "depth_report",
-    "depth_upper_bound",
-    "dominance_q",
     "fixture_path",
-    "has_depth",
     "min_depth",
-    "min_even_depth_graph",
     "min_hdepth",
-    "min_hdepth_graph",
     "min_odd_depth_graph",
-    "min_odd_depth_symmetric",
-    "minpoly_degree",
-    "parse_int_matrix",
     "parse_matrix",
-    "partitions",
-    "poly_gcd",
     "render_matrix",
-    "to_dot",
     "tower_matrix",
 ]

@@ -49,9 +49,6 @@ class BipartiteGraph:
             adj[black_count + w].append(b)
         self._adj = tuple(tuple(vs) for vs in adj)
 
-    def blacks_adjacent_to(self, w: int) -> tuple[int, ...]:
-        return tuple(v for v in self._adj[self.black_count + w])
-
     def distances_from(self, vertex: int) -> list[int]:
         """BFS edge distances from a unified vertex id; -1 = unreachable."""
         dist = [-1] * len(self._adj)
@@ -88,19 +85,27 @@ def build_graph(m: "InclusionMatrix") -> BipartiteGraph:
     return BipartiteGraph(mat.rows, mat.cols, edges)
 
 
+def _diameter(g: BipartiteGraph, first: int, count: int) -> int:
+    """Largest edge distance between two of the vertices first..first+count-1.
+
+    Pairs in different components are skipped; 0 when no pair shares one.
+    """
+    diam = 0
+    for i in range(first, first + count):
+        dist = g.distances_from(i)
+        for j in range(i + 1, first + count):
+            if dist[j] > diam:
+                diam = dist[j]
+    return diam
+
+
 def black_diameter(g: BipartiteGraph) -> int:
     """Largest edge distance between two blacks in a common component.
 
     Always even (two blacks are an even number of edges apart); 0 when
     there is a single black or no two blacks share a component.
     """
-    diam = 0
-    for i in range(g.black_count):
-        dist = g.distances_from(i)
-        for j in range(i + 1, g.black_count):
-            if dist[j] > diam:
-                diam = dist[j]
-    return diam
+    return _diameter(g, 0, g.black_count)
 
 
 def min_odd_depth_graph(g: BipartiteGraph) -> int:
@@ -119,7 +124,7 @@ def min_even_depth_graph(g: BipartiteGraph) -> int:
     for i in range(g.black_count):
         dist = g.distances_from(i)
         for w in range(g.white_count):
-            reachable = [dist[k] for k in g.blacks_adjacent_to(w) if dist[k] >= 0]
+            reachable = [dist[k] for k in g._adj[g.black_count + w] if dist[k] >= 0]
             if reachable:
                 near = min(reachable)
                 if near > worst:
@@ -129,14 +134,7 @@ def min_even_depth_graph(g: BipartiteGraph) -> int:
 
 def min_hdepth_graph(g: BipartiteGraph) -> int:
     """Minimum H-depth: 1 plus the white-row diameter."""
-    diam = 0
-    r = g.black_count
-    for i in range(g.white_count):
-        dist = g.distances_from(r + i)
-        for j in range(i + 1, g.white_count):
-            if dist[r + j] > diam:
-                diam = dist[r + j]
-    return 1 + diam
+    return 1 + _diameter(g, g.black_count, g.white_count)
 
 
 def to_dot(g: BipartiteGraph) -> str:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 from .bigraph import (build_graph, min_even_depth_graph, min_hdepth_graph,
                       min_odd_depth_graph, to_dot)
-from .depth import (DepthReport, InclusionMatrix, depth_report,
-                    min_odd_depth_symmetric)
+from .depth import InclusionMatrix, depth_report, min_odd_depth_symmetric
 from .exactmat import IntMatrix, MatrixError
 from .symgroup import tower_matrix
 
@@ -42,11 +42,8 @@ def _parse_grid(text: str):
     if header is None:
         raise MatrixParseError("empty input: expected a 'rows cols' header")
     line_no, tokens = header
-    if len(tokens) != 2:
-        raise MatrixParseError(
-            f"line {line_no}: malformed header, expected 'rows cols'")
     try:
-        rows, cols = int(tokens[0]), int(tokens[1])
+        rows, cols = map(int, tokens)
     except ValueError:
         raise MatrixParseError(
             f"line {line_no}: malformed header, expected 'rows cols'") from None
@@ -95,13 +92,11 @@ def parse_int_matrix(text: str) -> IntMatrix:
 def parse_matrix(text: str) -> InclusionMatrix:
     """Parse matrix text into a validated InclusionMatrix."""
     matrix, row_lines = _parse_grid(text)
-    for i, row in enumerate(matrix.entries):
-        if not any(row):
-            raise MatrixParseError(f"line {row_lines[i]}: zero row {i + 1}")
-    for j in range(matrix.cols):
-        if not any(row[j] for row in matrix.entries):
-            raise MatrixParseError(f"zero column {j + 1}")
-    return InclusionMatrix(matrix)
+    try:
+        return InclusionMatrix(matrix)
+    except MatrixError as exc:
+        where = "" if exc.row is None else f"line {row_lines[exc.row]}: "
+        raise MatrixParseError(f"{where}{exc}") from None
 
 
 def render_matrix(m) -> str:
@@ -126,48 +121,32 @@ def _read_matrix_text(source: str) -> str:
         raise MatrixError(f"cannot read {source}: {exc}") from None
 
 
-def _report_dict(rep: DepthReport) -> dict:
-    return {
-        "rows": rep.rows,
-        "cols": rep.cols,
-        "depth": rep.depth,
-        "depth_transpose": rep.depth_transpose,
-        "h_depth": rep.h_depth,
-        "min_odd_depth": rep.min_odd_depth,
-        "min_even_depth": rep.min_even_depth,
-        "q_witness": rep.q_witness,
-        "spectral_bound": rep.spectral_bound,
-        "methods_agree": dict(rep.methods_agree),
-    }
+def _emit(values: dict, as_json: bool) -> None:
+    """Print values as indented JSON, or as one 'key: value' line each."""
+    if as_json:
+        print(json.dumps(values, indent=2))
+    else:
+        for key, value in values.items():
+            print(f"{key}: {value}")
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _flags(methods_agree: dict[str, bool]) -> str:
+    return " ".join(f"{k}={'yes' if v else 'NO'}" for k, v in methods_agree.items())
 
 
 def cmd_compute(args) -> int:
     text = _read_matrix_text(args.matrix)
     if args.symmetric_odd:
-        value = min_odd_depth_symmetric(parse_int_matrix(text))
-        if args.json:
-            _emit_json({"min_odd_depth": value})
-        else:
-            print(f"min_odd_depth: {value}")
+        _emit({"min_odd_depth": min_odd_depth_symmetric(parse_int_matrix(text))},
+              args.json)
         return 0
     m = parse_matrix(text)
     if args.transpose:
         m = m.transposed()
-    rep = depth_report(m)
-    if args.json:
-        _emit_json(_report_dict(rep))
-    else:
-        for key, value in _report_dict(rep).items():
-            if key == "methods_agree":
-                flags = " ".join(f"{k}={'yes' if v else 'NO'}"
-                                 for k, v in value.items())
-                print(f"{key}: {flags}")
-            else:
-                print(f"{key}: {value}")
+    values = asdict(depth_report(m))
+    if not args.json:
+        values["methods_agree"] = _flags(values["methods_agree"])
+    _emit(values, args.json)
     return 0
 
 
@@ -187,11 +166,7 @@ def cmd_graph(args) -> int:
             sys.stdout.write(dot)
         else:
             Path(args.dot).write_text(dot)
-    if args.json:
-        _emit_json(values)
-    else:
-        for key, value in values.items():
-            print(f"{key}: {value}")
+    _emit(values, args.json)
     return 0
 
 
@@ -204,8 +179,8 @@ def cmd_sym(args) -> int:
         raise MatrixError(f"--k must satisfy 1 <= k < n, got k={k}, n={n}")
     m = tower_matrix(k, n)
     if args.json:
-        _emit_json({"rows": m.rows, "cols": m.cols,
-                    "entries": [list(row) for row in m.matrix.entries]})
+        _emit({"rows": m.rows, "cols": m.cols,
+               "entries": [list(row) for row in m.matrix.entries]}, True)
     else:
         sys.stdout.write(render_matrix(m))
     return 0
@@ -232,15 +207,14 @@ def cmd_check(args) -> int:
          f"d_H={rep.h_depth}"),
         ("graph agrees with matrix",
          rep.all_methods_agree(),
-         " ".join(f"{k}={'yes' if v else 'NO'}"
-                  for k, v in rep.methods_agree.items())),
+         _flags(rep.methods_agree)),
     ]
     if args.json:
-        _emit_json({
+        _emit({
             "checks": [{"name": name, "passed": passed, "detail": detail}
                        for name, passed, detail in checks],
             "all_pass": all(passed for _, passed, _ in checks),
-        })
+        }, True)
     else:
         for name, passed, detail in checks:
             print(f"{'PASS' if passed else 'FAIL'}  {name:<26} ({detail})")
@@ -295,10 +269,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # MatrixError, and UnicodeDecodeError from read_text
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -41,7 +41,7 @@ class InclusionMatrix:
                     raise MatrixError(f"negative entry {e} at ({i + 1},{j + 1})")
         for i, row in enumerate(matrix.entries):
             if not any(row):
-                raise MatrixError(f"zero row {i + 1}")
+                raise MatrixError(f"zero row {i + 1}", row=i)
         for j in range(matrix.cols):
             if not any(row[j] for row in matrix.entries):
                 raise MatrixError(f"zero column {j + 1}")

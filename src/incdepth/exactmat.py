@@ -11,7 +11,14 @@ from __future__ import annotations
 
 
 class MatrixError(ValueError):
-    """Rejected input: bad shape, bad entry, or a violated precondition."""
+    """Rejected input: bad shape, bad entry, or a violated precondition.
+
+    `row` is the 0-based index of the matrix row at fault, when there is one.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class IntMatrix:
@@ -59,16 +66,6 @@ class IntMatrix:
     def __str__(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._require_same_shape(other, "add")
-        return IntMatrix(tuple(tuple(x + y for x, y in zip(ra, rb))
-                               for ra, rb in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._require_same_shape(other, "subtract")
-        return IntMatrix(tuple(tuple(x - y for x, y in zip(ra, rb))
-                               for ra, rb in zip(self.entries, other.entries)))
-
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
@@ -91,7 +88,10 @@ class IntMatrix:
 
     def __le__(self, other: "IntMatrix") -> bool:
         """Entrywise order: every (i,j) entry of self is <= the one of other."""
-        self._require_same_shape(other, "compare")
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise MatrixError(
+                f"cannot compare {self.rows}x{self.cols} "
+                f"and {other.rows}x{other.cols}")
         return all(x <= y
                    for ra, rb in zip(self.entries, other.entries)
                    for x, y in zip(ra, rb))
@@ -114,10 +114,6 @@ class IntMatrix:
             masks.append(mask)
         return SupportMatrix._from_masks(masks, self.cols)
 
-    def zero_count(self) -> int:
-        """Number of entries equal to zero."""
-        return sum(1 for row in self.entries for e in row if e == 0)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -125,12 +121,6 @@ class IntMatrix:
         return self.is_square() and all(
             self.entries[i][j] == self.entries[j][i]
             for i in range(self.rows) for j in range(i))
-
-    def _require_same_shape(self, other: "IntMatrix", verb: str) -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise MatrixError(
-                f"cannot {verb} {self.rows}x{self.cols} "
-                f"and {other.rows}x{other.cols}")
 
 
 class SupportMatrix:
@@ -206,11 +196,6 @@ class SupportMatrix:
                 cols[low.bit_length() - 1] |= bit
                 mask ^= low
         return SupportMatrix._from_masks(cols, self.rows)
-
-    def as_int_matrix(self) -> IntMatrix:
-        """The 0/1 matrix with this zero pattern."""
-        return IntMatrix(tuple(tuple(1 if b else 0 for b in row)
-                               for row in self.bits))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SupportMatrix) and self.cols == other.cols

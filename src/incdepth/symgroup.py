@@ -40,9 +40,6 @@ class Partition:
         out.append(Partition(self.parts + (1,)))
         return tuple(out)
 
-    def distinct_part_sizes(self) -> int:
-        return len(set(self.parts))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
 

@@ -34,6 +34,27 @@ def naive_bracketed_powers(m: InclusionMatrix, top: int) -> list[IntMatrix]:
     return powers
 
 
+def zero_count(m: IntMatrix) -> int:
+    """Number of entries of m equal to zero."""
+    return sum(1 for row in m.entries for e in row if e == 0)
+
+
+def support_as_int_matrix(s) -> IntMatrix:
+    """The 0/1 matrix with the zero pattern of a SupportMatrix."""
+    return IntMatrix([[1 if b else 0 for b in row] for row in s.bits])
+
+
+def poly_at_matrix(p, m: IntMatrix) -> IntMatrix:
+    """p(m) by Horner's rule, adding each coefficient on the diagonal."""
+    acc = IntMatrix.identity(m.rows) * 0
+    for c in reversed(p.coeffs):
+        cells = [list(row) for row in (acc * m).entries]
+        for i in range(m.rows):
+            cells[i][i] += c
+        acc = IntMatrix(cells)
+    return acc
+
+
 def det_cofactor(rows):
     """Determinant by cofactor expansion along the first row."""
     n = len(rows)

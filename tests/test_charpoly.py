@@ -6,17 +6,9 @@ from incdepth import (InclusionMatrix, IntMatrix, IntPolynomial, MatrixError,
                       char_poly, depth_upper_bound, min_depth, minpoly_degree,
                       poly_gcd)
 
-from _oracles import char_poly_value, random_inclusion
+from _oracles import char_poly_value, poly_at_matrix, random_inclusion
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
-
-
-def poly_at_matrix(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
-    zero = IntMatrix.identity(m.rows) * 0
-    acc = zero
-    for c in reversed(p.coeffs):
-        acc = acc * m + c * IntMatrix.identity(m.rows)
-    return acc
 
 
 class TestIntPolynomial:
@@ -25,7 +17,7 @@ class TestIntPolynomial:
 
     def test_degree_of_zero(self):
         assert IntPolynomial([]).degree == -1
-        assert IntPolynomial([0, 0]).is_zero()
+        assert IntPolynomial([0, 0]).coeffs == ()
 
     def test_derivative(self):
         # x^3 - 7x^2 + 14x - 8  ->  3x^2 - 14x + 14

@@ -1,9 +1,12 @@
 import json
+import os
 import random
+import re
 from pathlib import Path
 
 import pytest
 
+import incdepth
 from incdepth import (InclusionMatrix, MatrixParseError, fixture_path,
                       parse_int_matrix, parse_matrix, render_matrix)
 from incdepth.cli import main
@@ -11,6 +14,16 @@ from incdepth.cli import main
 from _oracles import random_inclusion
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
+
+
+def _subprocess_env() -> dict[str, str]:
+    """Environment whose PYTHONPATH starts with the directory holding the
+    imported incdepth, so a child process imports the code under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(incdepth.__file__).parent.parent),
+                      env.get("PYTHONPATH")]))
+    return env
 
 
 class TestParse:
@@ -158,7 +171,7 @@ class TestComputeCommand:
         proc = subprocess.run(
             [sys.executable, "-m", "incdepth.cli", "compute",
              "--matrix", str(fixture_path("c2m2.mat"))],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_subprocess_env())
         assert proc.returncode == 0
         assert "depth: 2" in proc.stdout
 
@@ -174,7 +187,8 @@ class TestComputeCommand:
             "incdepth.depth.has_depth = lambda m, n: None\n"
             "sys.exit(main(['compute', '--matrix', str(fixture_path('s3s4.mat'))]))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=_subprocess_env())
         assert proc.returncode == 3
         assert "internal error: no dominance witness" in proc.stderr
 
@@ -432,3 +446,10 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_all_names_documented_in_readme():
+    text = README.read_text()
+    assert [name for name in incdepth.__all__
+            if not re.search(rf"\b{name}\b", text)] == []
+    assert all(hasattr(incdepth, name) for name in incdepth.__all__)

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from incdepth import IntMatrix, MatrixError, SupportMatrix, dominance_q
 
-from _oracles import naive_multiply
+from _oracles import naive_multiply, support_as_int_matrix, zero_count
 
 S3S4 = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 H8_MMT = IntMatrix([[5, 1, 1, 1, 0], [1, 5, 1, 1, 0], [1, 1, 5, 1, 0],
@@ -128,7 +128,7 @@ class TestSupport:
         assert s.bits == ((True, False), (False, True))
 
     def test_s3s4_already_01(self):
-        assert S3S4.support().as_int_matrix() == S3S4
+        assert support_as_int_matrix(S3S4.support()) == S3S4
 
     def test_h8_zero_cells(self):
         bits = H8_MMT.support().bits
@@ -145,19 +145,19 @@ class TestSupport:
     @example(WIDE_PAIRS[2][0])
     def test_idempotent_extraction(self, m):
         s = m.support()
-        assert s.as_int_matrix().support() == s
+        assert support_as_int_matrix(s).support() == s
 
 
 class TestZeroCount:
     def test_identity(self):
-        assert IntMatrix.identity(3).zero_count() == 6
+        assert zero_count(IntMatrix.identity(3)) == 6
 
     def test_s3s4(self):
         # 15 entries, 7 ones (the graph's seven edges), so 8 zeros
-        assert S3S4.zero_count() == 8
+        assert zero_count(S3S4) == 8
 
     def test_h8(self):
-        assert H8_MMT.zero_count() == 8
+        assert zero_count(H8_MMT) == 8
 
 
 class TestDominance:

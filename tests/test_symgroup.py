@@ -82,9 +82,9 @@ class TestBranchingMatrix:
         for n in range(2, 9):
             m = branching_matrix(n).matrix
             for p, row in zip(partitions(n - 1), m.entries):
-                assert sum(row) == p.distinct_part_sizes() + 1
+                assert sum(row) == len(set(p.parts)) + 1
             for j, p in enumerate(partitions(n)):
-                assert sum(row[j] for row in m.entries) == p.distinct_part_sizes()
+                assert sum(row[j] for row in m.entries) == len(set(p.parts))
 
     def test_entries_are_01(self):
         for n in range(2, 8):
