@@ -8,9 +8,10 @@ M M^t, and generates symmetric-group inclusion matrices from the Young
 branching rule. All arithmetic is exact.
 """
 
-from .exactmat import IntMatrix, MatrixError, SupportMatrix, dominance_q
-from .depth import (DepthReport, InclusionMatrix, bracketed_power, depth_report,
-                    has_depth, min_depth, min_hdepth, min_odd_depth_symmetric)
+from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
+                       dominance_q)
+from .depth import (DepthReport, bracketed_power, depth_report, has_depth,
+                    min_depth, min_hdepth, min_odd_depth_symmetric)
 from .bigraph import (BipartiteGraph, black_diameter, build_graph,
                       min_even_depth_graph, min_hdepth_graph,
                       min_odd_depth_graph, to_dot)

@@ -19,12 +19,8 @@ matrix method forces on block-diagonal inputs).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
 
-from .exactmat import MatrixError
-
-if TYPE_CHECKING:
-    from .depth import InclusionMatrix
+from .exactmat import InclusionMatrix, MatrixError
 
 
 class BipartiteGraph:
@@ -76,13 +72,13 @@ class BipartiteGraph:
                 f"{sorted(self.edges)!r})")
 
 
-def build_graph(m: "InclusionMatrix") -> BipartiteGraph:
+def build_graph(m: InclusionMatrix) -> BipartiteGraph:
     """Incidence graph of an inclusion matrix: edge (i,j) iff entry > 0."""
-    mat = m.matrix
+    supp = m.support
     edges = [(i, j)
-             for i, row in enumerate(mat.entries)
-             for j, e in enumerate(row) if e > 0]
-    return BipartiteGraph(mat.rows, mat.cols, edges)
+             for i, mask in enumerate(supp.masks)
+             for j in range(supp.cols) if mask >> j & 1]
+    return BipartiteGraph(supp.rows, supp.cols, edges)
 
 
 def _diameter(g: BipartiteGraph, first: int, count: int) -> int:

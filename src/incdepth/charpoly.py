@@ -11,12 +11,8 @@ primitive-part-normalized pseudo-remainder sequence.
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING
 
-from .exactmat import IntMatrix, MatrixError
-
-if TYPE_CHECKING:
-    from .depth import InclusionMatrix
+from .exactmat import InclusionMatrix, IntMatrix, MatrixError
 
 
 class IntPolynomial:
@@ -151,7 +147,7 @@ def minpoly_degree(sym: IntMatrix) -> int:
     return p.degree - poly_gcd(p, p.derivative()).degree
 
 
-def depth_upper_bound(m: "InclusionMatrix") -> int:
+def depth_upper_bound(m: InclusionMatrix) -> int:
     """Spectral depth bound 2*d - 1, d = deg of the minimal polynomial of M M^t."""
     gram = m.matrix * m.matrix.transpose()
     return 2 * minpoly_degree(gram) - 1

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .bigraph import (build_graph, min_even_depth_graph, min_hdepth_graph,
                       min_odd_depth_graph, to_dot)
-from .depth import InclusionMatrix, depth_report, min_odd_depth_symmetric
-from .exactmat import IntMatrix, MatrixError
+from .depth import depth_report, min_odd_depth_symmetric
+from .exactmat import InclusionMatrix, IntMatrix, MatrixError
 from .symgroup import tower_matrix
 
 
@@ -35,6 +35,14 @@ def _data_lines(text: str):
         yield number, stripped.split()
 
 
+def _decimal(token: str) -> int:
+    """int() of ASCII digits 0-9 after an optional '-'; no '+', '_' or other digits."""
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isascii() and digits.isdigit():
+        return int(token)
+    raise ValueError(f"not a decimal integer: {token!r}")
+
+
 def _parse_grid(text: str):
     """Parse the text format into an IntMatrix plus per-row line numbers."""
     lines = _data_lines(text)
@@ -43,7 +51,7 @@ def _parse_grid(text: str):
         raise MatrixParseError("empty input: expected a 'rows cols' header")
     line_no, tokens = header
     try:
-        rows, cols = map(int, tokens)
+        rows, cols = map(_decimal, tokens)
     except ValueError:
         raise MatrixParseError(
             f"line {line_no}: malformed header, expected 'rows cols'") from None
@@ -65,7 +73,7 @@ def _parse_grid(text: str):
         row = []
         for j, token in enumerate(tokens):
             try:
-                value = int(token)
+                value = _decimal(token)
             except ValueError:
                 raise MatrixParseError(
                     f"line {line_no}: entry ({i + 1},{j + 1}) is not an "

@@ -25,47 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bigraph, charpoly
-from .exactmat import IntMatrix, MatrixError, SupportMatrix, dominance_q
-
-class InclusionMatrix:
-    """Nonnegative integer matrix with no zero row and no zero column."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        if not isinstance(matrix, IntMatrix):
-            matrix = IntMatrix(matrix)
-        for i, row in enumerate(matrix.entries):
-            for j, e in enumerate(row):
-                if e < 0:
-                    raise MatrixError(f"negative entry {e} at ({i + 1},{j + 1})")
-        for i, row in enumerate(matrix.entries):
-            if not any(row):
-                raise MatrixError(f"zero row {i + 1}", row=i)
-        for j in range(matrix.cols):
-            if not any(row[j] for row in matrix.entries):
-                raise MatrixError(f"zero column {j + 1}")
-        self.matrix = matrix
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.cols
-
-    def transposed(self) -> "InclusionMatrix":
-        return InclusionMatrix(self.matrix.transpose())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InclusionMatrix) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
-    def __repr__(self) -> str:
-        return f"InclusionMatrix({[list(r) for r in self.matrix.entries]!r})"
+from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
+                       dominance_q)
 
 
 def bracketed_power(m: InclusionMatrix, n: int) -> IntMatrix:
@@ -118,13 +79,13 @@ def _stabilize(factors: tuple[SupportMatrix, ...], gap: int) -> int:
 
 def min_depth(m: InclusionMatrix) -> int:
     """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
-    supp = m.matrix.support()
+    supp = m.support
     return _stabilize((supp, supp.transpose()), 2)
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
     """Minimum H-depth, the least odd 2n-1 with S^n <= q S^{n-1} for S = M^t M."""
-    supp = m.matrix.support()
+    supp = m.support
     return 2 * _stabilize((supp.transpose() * supp,), 1) - 1
 
 

@@ -1,4 +1,4 @@
-"""Exact dense integer matrices and their boolean support patterns.
+"""Exact integer matrices, their boolean support patterns, and inclusion matrices.
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -8,6 +8,9 @@ across threads.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 
 class MatrixError(ValueError):
@@ -107,12 +110,10 @@ class IntMatrix:
             for j, e in enumerate(row):
                 if e:
                     if e < 0:
-                        raise MatrixError(
-                            f"negative entry {e} at ({i + 1},{j + 1}); "
-                            "support needs a nonnegative matrix")
+                        raise MatrixError(f"negative entry {e} at ({i + 1},{j + 1})")
                     mask |= 1 << j
             masks.append(mask)
-        return SupportMatrix._from_masks(masks, self.cols)
+        return SupportMatrix(masks, self.cols)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -133,34 +134,19 @@ class SupportMatrix:
 
     __slots__ = ("rows", "cols", "masks")
 
-    def __init__(self, bits):
-        data = tuple(tuple(row) for row in bits)
-        if not data or not data[0]:
+    def __init__(self, masks, cols: int):
+        masks = tuple(masks)
+        if not masks or cols < 1:
             raise MatrixError("support matrix needs at least one row and one column")
-        width = len(data[0])
-        for i, row in enumerate(data):
-            if len(row) != width:
-                raise MatrixError(
-                    f"row {i + 1} has {len(row)} entries, expected {width}")
-        self.rows = len(data)
-        self.cols = width
-        self.masks = tuple(sum(1 << j for j, b in enumerate(row) if b)
-                           for row in data)
-
-    @classmethod
-    def _from_masks(cls, masks, cols: int) -> "SupportMatrix":
-        """Wrap row bitsets that are already known to fit `cols` columns."""
-        out = cls.__new__(cls)
-        out.rows = len(masks)
-        out.cols = cols
-        out.masks = tuple(masks)
-        return out
+        if min(masks) < 0 or max(masks) >> cols:
+            raise MatrixError(f"row bitset out of range for {cols} columns")
+        self.rows = len(masks)
+        self.cols = cols
+        self.masks = masks
 
     @classmethod
     def identity(cls, n: int) -> "SupportMatrix":
-        if n < 1:
-            raise MatrixError("support matrix needs at least one row and one column")
-        return cls._from_masks([1 << i for i in range(n)], n)
+        return cls([1 << i for i in range(n)], n)
 
     @property
     def bits(self) -> tuple[tuple[bool, ...], ...]:
@@ -185,7 +171,7 @@ class SupportMatrix:
                 acc |= right[low.bit_length() - 1]
                 mask ^= low
             out.append(acc)
-        return SupportMatrix._from_masks(out, other.cols)
+        return SupportMatrix(out, other.cols)
 
     def transpose(self) -> "SupportMatrix":
         cols = [0] * self.cols
@@ -195,7 +181,7 @@ class SupportMatrix:
                 low = mask & -mask
                 cols[low.bit_length() - 1] |= bit
                 mask ^= low
-        return SupportMatrix._from_masks(cols, self.rows)
+        return SupportMatrix(cols, self.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SupportMatrix) and self.cols == other.cols
@@ -206,6 +192,49 @@ class SupportMatrix:
 
     def __repr__(self) -> str:
         return f"SupportMatrix({[[int(b) for b in row] for row in self.bits]!r})"
+
+
+class InclusionMatrix:
+    """Nonnegative integer matrix with no zero row and no zero column.
+
+    `support` is its zero pattern, built and validated once here; the depth
+    searches and the bipartite graph read it instead of the entries.
+    """
+
+    __slots__ = ("matrix", "support")
+
+    def __init__(self, matrix):
+        if not isinstance(matrix, IntMatrix):
+            matrix = IntMatrix(matrix)
+        support = matrix.support()  # rejects negative entries
+        if 0 in support.masks:
+            i = support.masks.index(0)
+            raise MatrixError(f"zero row {i + 1}", row=i)
+        missing = reduce(or_, support.masks) ^ ((1 << matrix.cols) - 1)
+        if missing:
+            raise MatrixError(f"zero column {(missing & -missing).bit_length()}")
+        self.matrix = matrix
+        self.support = support
+
+    @property
+    def rows(self) -> int:
+        return self.matrix.rows
+
+    @property
+    def cols(self) -> int:
+        return self.matrix.cols
+
+    def transposed(self) -> "InclusionMatrix":
+        return InclusionMatrix(self.matrix.transpose())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, InclusionMatrix) and self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
+
+    def __repr__(self) -> str:
+        return f"InclusionMatrix({[list(r) for r in self.matrix.entries]!r})"
 
 
 def dominance_q(a: IntMatrix, b: IntMatrix) -> int | None:

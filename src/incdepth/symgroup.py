@@ -10,7 +10,7 @@ choice (they are invariant under row/column permutation).
 
 from __future__ import annotations
 
-from .depth import InclusionMatrix
+from .exactmat import InclusionMatrix
 
 
 class Partition:

@@ -44,6 +44,25 @@ def support_as_int_matrix(s) -> IntMatrix:
     return IntMatrix([[1 if b else 0 for b in row] for row in s.bits])
 
 
+def inclusion_rejection(cells) -> tuple[str, int | None] | None:
+    """(message, row) that InclusionMatrix must raise for cells, None if valid.
+
+    A plain entry scan in the documented order: any negative entry, then the
+    first zero row, then the first zero column.
+    """
+    for i, row in enumerate(cells):
+        for j, e in enumerate(row):
+            if e < 0:
+                return f"negative entry {e} at ({i + 1},{j + 1})", None
+    for i, row in enumerate(cells):
+        if all(e == 0 for e in row):
+            return f"zero row {i + 1}", i
+    for j in range(len(cells[0])):
+        if all(row[j] == 0 for row in cells):
+            return f"zero column {j + 1}", None
+    return None
+
+
 def poly_at_matrix(p, m: IntMatrix) -> IntMatrix:
     """p(m) by Horner's rule, adding each coefficient on the diagonal."""
     acc = IntMatrix.identity(m.rows) * 0

@@ -423,6 +423,11 @@ def test_disagreement_flag_bytes(capsys, monkeypatch):
     ("1 3\n1 1\n", "line 2: row 1 has 2 entries, expected 3"),
     ("2 1\n1\nx\n", "line 3: entry (2,1) is not an integer: 'x'"),
     ("1 2\n1 -2\n", "line 2: negative entry -2 at (1,2)"),
+    ("1 2\n1_0 3\n", "line 2: entry (1,1) is not an integer: '1_0'"),
+    ("1 2\n1 +3\n", "line 2: entry (1,2) is not an integer: '+3'"),
+    ("1 1\n\u0661\n", "line 2: entry (1,1) is not an integer: '\u0661'"),
+    ("+1 2\n1 1\n", "line 1: malformed header, expected 'rows cols'"),
+    ("1_0 2\n1 1\n", "line 1: malformed header, expected 'rows cols'"),
     ("3 1\n1\n", "unexpected end of input: expected 3 rows, found 1"),
     ("1 1\n1\n1\n", "line 3: unexpected content after 1 matrix rows"),
     ("1 1\n0\n", "line 2: zero row 1"),

@@ -6,8 +6,8 @@ from incdepth import (InclusionMatrix, IntMatrix, MatrixError, bracketed_power,
                       branching_matrix, depth_report, dominance_q, has_depth,
                       min_depth, min_hdepth, min_odd_depth_symmetric)
 
-from _oracles import (min_depth_exact, min_hdepth_exact, naive_bracketed_powers,
-                      random_inclusion, zero_count)
+from _oracles import (inclusion_rejection, min_depth_exact, min_hdepth_exact,
+                      naive_bracketed_powers, random_inclusion, zero_count)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
@@ -31,6 +31,43 @@ class TestInclusionMatrix:
 
     def test_transposed(self):
         assert C2M2.transposed() == InclusionMatrix([[1, 1]])
+
+    @pytest.mark.parametrize("rows, cols",
+                             [(1, 130), (63, 64), (64, 65), (65, 63), (130, 1)])
+    def test_validity_matches_entry_scan(self, rows, cols):
+        # shapes on either side of a 64-bit word, as in test_exactmat.WIDE_PAIRS
+        rng = random.Random(rows * 1000 + cols)
+        seen = set()
+        for _ in range(24):
+            density = rng.choice((0.02, 0.3))
+            cells = [[rng.randint(1, 3) if rng.random() < density else 0
+                      for _ in range(cols)] for _ in range(rows)]
+            for i in range(rows):  # patch to a valid matrix, then break it
+                if not any(cells[i]):
+                    cells[i][rng.randrange(cols)] = 1
+            for j in range(cols):
+                if not any(row[j] for row in cells):
+                    cells[rng.randrange(rows)][j] = 1
+            if rng.random() < 0.3:
+                for i in rng.sample(range(rows), min(rows, 2)):
+                    cells[i] = [0] * cols
+            if rng.random() < 0.3:
+                for j in rng.sample(range(cols), min(cols, 2)):
+                    for row in cells:
+                        row[j] = 0
+            if rng.random() < 0.25:
+                cells[rng.randrange(rows)][rng.randrange(cols)] = -rng.randint(1, 3)
+            expected = inclusion_rejection(cells)
+            if expected is None:
+                m = InclusionMatrix(cells)
+                assert m.support == m.matrix.support()
+                seen.add("valid")
+            else:
+                with pytest.raises(MatrixError) as info:
+                    InclusionMatrix(cells)
+                assert (str(info.value), info.value.row) == expected
+                seen.add(expected[0].split(" ")[0])
+        assert seen >= {"valid", "negative", "zero"}
 
 
 class TestBracketedPower:

@@ -140,6 +140,12 @@ class TestSupport:
         with pytest.raises(MatrixError, match="negative entry"):
             IntMatrix([[1, -1]]).support()
 
+    @pytest.mark.parametrize("masks, cols", [
+        ((), 3), ([1], 0), ([1, -1], 3), ([1, 1 << 3], 3), ([1 << 64], 64)])
+    def test_constructor_rejects(self, masks, cols):
+        with pytest.raises(MatrixError):
+            SupportMatrix(masks, cols)
+
     @given(matrices(min_value=0, max_value=4))
     @example(WIDE_PAIRS[0][1])
     @example(WIDE_PAIRS[2][0])
@@ -227,4 +233,4 @@ class TestBoolMultiply:
         s = m.support()
         assert s.transpose() == m.transpose().support()
         assert s.bits == tuple(tuple(e > 0 for e in row) for row in m.entries)
-        assert SupportMatrix(s.bits) == s
+        assert SupportMatrix(s.masks, s.cols) == s
