@@ -35,7 +35,7 @@ def bracketed_power(m: InclusionMatrix, n: int) -> IntMatrix:
         raise MatrixError(f"bracketed power needs n >= 0, got {n}")
     mat = m.matrix
     power = None  # (M M^t)^(n // 2) by repeated squaring; None stands for I
-    square = mat * mat.transpose() if n >= 2 else None
+    square = m.gram if n >= 2 else None
     k = n // 2
     while k:
         if k & 1:
@@ -53,8 +53,7 @@ def has_depth(m: InclusionMatrix, n: int) -> int | None:
     if n < 1:
         raise MatrixError(f"depth is defined for n >= 1, got {n}")
     low = bracketed_power(m, n - 1)
-    gram = m.matrix * m.matrix.transpose()
-    return dominance_q(gram * low, low)  # M^[n+1] = (M M^t) M^[n-1]
+    return dominance_q(m.gram * low, low)  # M^[n+1] = (M M^t) M^[n-1]
 
 
 def _stabilize(factors: tuple[SupportMatrix, ...], gap: int) -> int:

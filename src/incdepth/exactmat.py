@@ -199,9 +199,10 @@ class InclusionMatrix:
 
     `support` is its zero pattern, built and validated once here; the depth
     searches and the bipartite graph read it instead of the entries.
+    `gram` is the big-integer M M^t, formed on first use and then kept.
     """
 
-    __slots__ = ("matrix", "support")
+    __slots__ = ("matrix", "support", "_gram")
 
     def __init__(self, matrix):
         if not isinstance(matrix, IntMatrix):
@@ -215,6 +216,7 @@ class InclusionMatrix:
             raise MatrixError(f"zero column {(missing & -missing).bit_length()}")
         self.matrix = matrix
         self.support = support
+        self._gram = None
 
     @property
     def rows(self) -> int:
@@ -223,6 +225,13 @@ class InclusionMatrix:
     @property
     def cols(self) -> int:
         return self.matrix.cols
+
+    @property
+    def gram(self) -> IntMatrix:
+        """M M^t, the r x r symmetric bracketed square M^[2]."""
+        if self._gram is None:
+            self._gram = self.matrix * self.matrix.transpose()
+        return self._gram
 
     def transposed(self) -> "InclusionMatrix":
         return InclusionMatrix(self.matrix.transpose())

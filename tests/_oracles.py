@@ -2,16 +2,19 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 naive triple-loop products instead of IntMatrix.__mul__ where the product
-itself is under test, cofactor determinants instead of the Berkowitz
-scheme, direct big-integer dominance scans instead of boolean support
+itself is under test, cofactor determinants and the division-free Berkowitz
+scheme instead of the modular Hessenberg characteristic polynomial, a
+primitive remainder sequence over Z[x] instead of the certified gcd over
+F_P, direct big-integer dominance scans instead of boolean support
 stabilization, and a counting recurrence instead of the partition
 generator.
 """
 
 from functools import cache
+from math import gcd
 
-from incdepth import (InclusionMatrix, IntMatrix, bracketed_power,
-                      dominance_q, minpoly_degree)
+from incdepth import (InclusionMatrix, IntMatrix, IntPolynomial,
+                      bracketed_power, dominance_q, minpoly_degree)
 
 
 def naive_multiply(a, b):
@@ -94,6 +97,83 @@ def char_poly_value(m: IntMatrix, t: int) -> int:
     rows = [[(t if i == j else 0) - m.entries[i][j] for j in range(m.cols)]
             for i in range(m.rows)]
     return det_cofactor(rows)
+
+
+def berkowitz_char_poly(m: IntMatrix) -> IntPolynomial:
+    """det(x*I - m) by the Berkowitz scheme: ring operations on integers only.
+
+    Berkowitz recursion over trailing principal submatrices: the coefficient
+    vector of each submatrix is pushed through a lower-triangular Toeplitz
+    transform whose column is [1, -a, -R C, -R A C, -R A^2 C, ...].
+    """
+    a = m.entries
+    n = m.rows
+    poly = [1]  # charpoly of the empty trailing submatrix, highest degree first
+    for i in range(n - 1, -1, -1):
+        size = n - i - 1  # trailing block below/right of position i
+        row = a[i][i + 1:]
+        col = [a[j][i] for j in range(i + 1, n)]
+        toep = [1, -a[i][i]]
+        vec = list(col)
+        for _ in range(size):
+            toep.append(-sum(r * v for r, v in zip(row, vec)))
+            vec = [sum(a[p][q] * vec[q - i - 1] for q in range(i + 1, n))
+                   for p in range(i + 1, n)]
+        new = [0] * (len(poly) + 1)
+        for idx in range(len(new)):
+            acc = 0
+            for k in range(max(0, idx - len(toep) + 1), min(idx, len(poly) - 1) + 1):
+                acc += toep[idx - k] * poly[k]
+            new[idx] = acc
+        poly = new
+    return IntPolynomial(list(reversed(poly)))
+
+
+def _content(coeffs) -> int:
+    g = 0
+    for c in coeffs:
+        g = gcd(g, abs(c))
+    return g
+
+
+def _primitive(coeffs) -> list[int]:
+    """Divide out the content and make the leading coefficient positive."""
+    data = list(coeffs)
+    while data and data[-1] == 0:
+        data.pop()
+    if not data:
+        return []
+    g = _content(data)
+    data = [c // g for c in data]
+    if data[-1] < 0:
+        data = [-c for c in data]
+    return data
+
+
+def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
+    # scale-and-subtract elimination; scalar factors are irrelevant because
+    # the caller takes primitive parts
+    r = list(f)
+    dg = len(g) - 1
+    lead_g = g[-1]
+    while r and len(r) - 1 >= dg:
+        shift = len(r) - 1 - dg
+        lead_r = r[-1]
+        r = [c * lead_g for c in r]
+        for k, c in enumerate(g):
+            r[k + shift] -= lead_r * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """Primitive gcd over Z[x], leading coefficient positive."""
+    a = _primitive(f.coeffs)
+    b = _primitive(g.coeffs)
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return IntPolynomial(a)
 
 
 def min_depth_exact(m: InclusionMatrix, cap: int) -> int:

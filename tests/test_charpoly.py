@@ -3,10 +3,12 @@ import random
 import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, IntPolynomial, MatrixError,
-                      char_poly, depth_upper_bound, min_depth, minpoly_degree,
-                      poly_gcd)
+                      branching_matrix, char_poly, depth_upper_bound, min_depth,
+                      minpoly_degree)
+from incdepth.charpoly import _exponents_above, _squarefree_degree
 
-from _oracles import char_poly_value, poly_at_matrix, random_inclusion
+from _oracles import (berkowitz_char_poly, char_poly_value, poly_at_matrix,
+                      poly_gcd, random_inclusion)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -116,6 +118,101 @@ class TestMinpolyDegree:
     def test_rejects_asymmetric(self):
         with pytest.raises(MatrixError, match="symmetric"):
             minpoly_degree(IntMatrix([[1, 2], [0, 1]]))
+
+
+def _signed_matrix(rng, n, high, density):
+    return IntMatrix([[rng.randint(-high, high) if rng.random() < density else 0
+                       for _ in range(n)] for _ in range(n)])
+
+
+def _repeated_spectrum(rng, k, high):
+    """Symmetric S + S + T (direct sum) under a random signed permutation.
+
+    Every eigenvalue of the k x k block S occurs at least twice, so the
+    characteristic polynomial is not squarefree.
+    """
+    def block(size):
+        cells = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                cells[i][j] = cells[j][i] = rng.randint(-high, high)
+        return cells
+
+    s, t = block(k), block(rng.randint(1, 3))
+    blocks = [s, s, t]
+    n = sum(len(b) for b in blocks)
+    cells = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            cells[at + i][at:at + len(b)] = row
+        at += len(b)
+    order = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return IntMatrix([[signs[i] * signs[j] * cells[order[i]][order[j]]
+                       for j in range(n)] for i in range(n)])
+
+
+def _dense_gram(seed):
+    rng = random.Random(seed)
+    cells = [[0 if rng.random() < 0.2 else rng.randint(1, 1000) for _ in range(60)]
+             for _ in range(40)]
+    return InclusionMatrix(cells).gram
+
+
+def _prs_squarefree_degree(p):
+    return p.degree - poly_gcd(p, p.derivative()).degree
+
+
+class TestModularPath:
+    """The Hessenberg char poly mod P and the certified gcd against the
+    Berkowitz scheme and the Z[x] remainder sequence."""
+
+    def test_signed_matrices_match_berkowitz(self):
+        rng = random.Random(20)
+        for n in range(1, 13):
+            for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),
+                                      (10**30, 0.25), (3, 0.15)):
+                m = _signed_matrix(rng, n, high, density)
+                p = char_poly(m)
+                assert p == berkowitz_char_poly(m), m
+                assert (_squarefree_degree(p, _exponents_above(m))
+                        == _prs_squarefree_degree(p)), m
+
+    def test_repeated_spectrum_matches_oracles(self):
+        rng = random.Random(21)
+        for k in range(1, 5):
+            for high in (1, 9, 10**6, 10**30):
+                m = _repeated_spectrum(rng, k, high)
+                p = char_poly(m)
+                assert p == berkowitz_char_poly(m), m
+                assert minpoly_degree(m) == _prs_squarefree_degree(p) < p.degree, m
+
+    @pytest.mark.parametrize("source", [*range(4, 14), "dense gram 0", "dense gram 1"])
+    def test_grams_match_oracles(self, source):
+        # S_(n-1) <= S_n for n = 4..13, and two seeded dense 40x60 matrices
+        if isinstance(source, int):
+            gram = branching_matrix(source).gram
+        else:
+            gram = _dense_gram(source)
+        p = char_poly(gram)
+        assert p == berkowitz_char_poly(gram)
+        assert minpoly_degree(gram) == _prs_squarefree_degree(p)
+
+    def test_unlucky_prime_is_rejected(self):
+        # (x-1)(x-4) = (x-1)^2 mod 3, so the gcd over F_3 is x - 1, which
+        # divides f but not f' = 2x - 5 in Z[x]; P = 7 then certifies.
+        m = IntMatrix([[1, 0], [0, 4]])
+        f = char_poly(m)
+        assert f == IntPolynomial([4, -5, 1])
+        with pytest.raises(AssertionError, match="no Mersenne prime"):
+            _squarefree_degree(f, (2,))
+        assert _squarefree_degree(f, (2, 3)) == 2
+        assert minpoly_degree(m) == 2
+
+    def test_bound_beyond_largest_prime(self):
+        with pytest.raises(MatrixError, match="exceeds the largest prime"):
+            char_poly(IntMatrix([[1 << 216091]]))
 
 
 class TestDepthUpperBound:

@@ -175,6 +175,17 @@ class TestComputeCommand:
         assert proc.returncode == 0
         assert "depth: 2" in proc.stdout
 
+    def test_package_entry_point_warns_nothing(self):
+        import subprocess
+        import sys
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "incdepth", "compute",
+             "--matrix", str(fixture_path("c2m2.mat"))],
+            capture_output=True, text=True, env=_subprocess_env())
+        assert proc.returncode == 0
+        assert "depth: 2" in proc.stdout
+        assert proc.stderr == ""
+
     def test_invariant_checks_survive_optimize_flag(self):
         # python -O strips assert statements; the report's checks must stay.
         import subprocess

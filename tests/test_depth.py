@@ -275,6 +275,21 @@ class TestMinOddDepthSymmetric:
 
 
 class TestDepthReport:
+    def test_forms_gram_once(self, monkeypatch):
+        m = branching_matrix(6)
+        mt = m.matrix.transpose()
+        grams = []
+        multiply = IntMatrix.__mul__
+
+        def spy(a, b):
+            if a == m.matrix and b == mt:
+                grams.append(b)
+            return multiply(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__mul__", spy)
+        assert depth_report(m).depth == 9
+        assert len(grams) == 1
+
     def test_s3s4(self):
         rep = depth_report(S3S4)
         assert (rep.depth, rep.depth_transpose, rep.h_depth) == (5, 6, 7)

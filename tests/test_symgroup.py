@@ -152,5 +152,4 @@ def test_branching_closed_form_depths(n):
     graph = build_graph(m)
     assert min(min_odd_depth_graph(graph), min_even_depth_graph(graph)) == d
     assert min_hdepth_graph(graph) == 2 * n - 1
-    if n <= 10:
-        assert depth_upper_bound(m) == d
+    assert depth_upper_bound(m) == d
