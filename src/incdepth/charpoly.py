@@ -158,7 +158,11 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     if not m.is_square():
         raise MatrixError(
             f"characteristic polynomial needs a square matrix, got {m.rows}x{m.cols}")
-    e = _exponents_above(m)[0]
+    return _char_poly(m, _exponents_above(m)[0])
+
+
+def _char_poly(m: IntMatrix, e: int) -> IntPolynomial:
+    """char_poly of m computed modulo 2^e - 1, which must exceed twice its bound."""
     return IntPolynomial(_lift(_char_poly_mod(m.entries, e), (1 << e) - 1))
 
 
@@ -218,7 +222,8 @@ def minpoly_degree(sym: IntMatrix) -> int:
     """
     if not sym.is_symmetric():
         raise MatrixError("minimal polynomial degree needs a symmetric matrix")
-    return _squarefree_degree(char_poly(sym), _exponents_above(sym))
+    exponents = _exponents_above(sym)
+    return _squarefree_degree(_char_poly(sym, exponents[0]), exponents)
 
 
 def depth_upper_bound(m: InclusionMatrix) -> int:

@@ -56,36 +56,43 @@ def has_depth(m: InclusionMatrix, n: int) -> int | None:
     return dominance_q(m.gram * low, low)  # M^[n+1] = (M M^t) M^[n-1]
 
 
-def _stabilize(factors: tuple[SupportMatrix, ...], gap: int) -> int:
+def _stabilize(g: SupportMatrix, chain) -> int:
     """Least n >= 1 with X_(n-1+gap) == X_(n-1) in the support chain
 
-        X_0 = I,   X_(k+1) = X_k * factors[k % len(factors)].
+        X_0, ..., X_(gap-1) = chain,   X_(k+gap) = g * X_k,   gap = len(chain).
 
-    Supports in the chain only grow, and stabilize well below the cap (the
-    spectral bound gives d <= 2*min(r,s) - 1); hitting it means a bug.
+    The sparse g sits on the left, so each step costs one OR per set bit of
+    g however full X_k has grown. Supports in the chain only grow, and
+    stabilize well below the cap (the spectral bound gives
+    d <= 2*min(r,s) - 1); hitting it means a bug.
     """
-    first = factors[0]
-    cap = 2 * (first.rows + first.cols) + 2
-    chain = [SupportMatrix.identity(first.rows)]
-    for k in range(cap + gap - 1):
-        chain.append(chain[-1] * factors[k % len(factors)])  # X_(k+1)
-        if len(chain) > gap:
-            if chain[-1] == chain[0]:
-                return k + 2 - gap
-            del chain[0]
+    chain = list(chain)
+    cap = 2 * (g.rows + chain[-1].cols) + 2
+    for n in range(1, cap + 1):
+        low = chain.pop(0)
+        high = g * low
+        if high == low:
+            return n
+        chain.append(high)
     raise AssertionError("support stabilization exceeded its iteration cap")
 
 
 def min_depth(m: InclusionMatrix) -> int:
-    """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
+    """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1]).
+
+    Runs the even and odd chains from I and supp(M) together, each step
+    one left product by supp(M M^t), since M^[n+1] = (M M^t) M^[n-1].
+    """
     supp = m.support
-    return _stabilize((supp, supp.transpose()), 2)
+    return _stabilize(supp * supp.transpose(),
+                      (SupportMatrix.identity(m.rows), supp))
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
     """Minimum H-depth, the least odd 2n-1 with S^n <= q S^{n-1} for S = M^t M."""
     supp = m.support
-    return 2 * _stabilize((supp.transpose() * supp,), 1) - 1
+    return 2 * _stabilize(supp.transpose() * supp,
+                          (SupportMatrix.identity(m.cols),)) - 1
 
 
 def min_odd_depth_symmetric(sym: IntMatrix) -> int:
@@ -102,7 +109,7 @@ def min_odd_depth_symmetric(sym: IntMatrix) -> int:
     for i in range(sym.rows):
         if sym.entries[i][i] <= 0:
             raise MatrixError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
-    return 2 * _stabilize((sym.support(),), 1) - 1
+    return 2 * _stabilize(sym.support(), (SupportMatrix.identity(sym.rows),)) - 1
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ across threads.
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from itertools import compress, repeat
+from operator import mul, or_
 
 
 class MatrixError(ValueError):
@@ -70,34 +71,25 @@ class IntMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
     def __mul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
-                raise MatrixError(
-                    f"cannot multiply {self.rows}x{self.cols} "
-                    f"by {other.rows}x{other.cols}")
-            cols = tuple(zip(*other.entries))
-            return IntMatrix(tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                for row in self.entries))
-        if isinstance(other, int):
-            return IntMatrix(tuple(tuple(e * other for e in row)
-                                   for row in self.entries))
-        return NotImplemented
+        """Exact product; every sign pattern goes through _product.
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __le__(self, other: "IntMatrix") -> bool:
-        """Entrywise order: every (i,j) entry of self is <= the one of other."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        A signed operand is split as A = A+ - A- into nonnegative parts,
+        so A B is the signed sum of the products of the parts.
+        """
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
             raise MatrixError(
-                f"cannot compare {self.rows}x{self.cols} "
-                f"and {other.rows}x{other.cols}")
-        return all(x <= y
-                   for ra, rb in zip(self.entries, other.entries)
-                   for x, y in zip(ra, rb))
+                f"cannot multiply {self.rows}x{self.cols} "
+                f"by {other.rows}x{other.cols}")
+        terms = [(sa * sb, _product(a, b))
+                 for sa, a in _sign_parts(self.entries)
+                 for sb, b in _sign_parts(other.entries)]
+        cells = terms[0][1]  # A+ B+, with sign +1
+        for sign, rows in terms[1:]:
+            cells = [[x + sign * y for x, y in zip(acc, row)]
+                     for acc, row in zip(cells, rows)]
+        return IntMatrix(cells)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
@@ -124,6 +116,39 @@ class IntMatrix:
             for i in range(self.rows) for j in range(i))
 
 
+def _sign_parts(rows) -> list[tuple[int, tuple]]:
+    """[(sign, part)] with rows = sum of sign * part and every part nonnegative."""
+    if min(map(min, rows)) >= 0:
+        return [(1, rows)]
+    return [(1, tuple(tuple(x if x > 0 else 0 for x in row) for row in rows)),
+            (-1, tuple(tuple(-x if x < 0 else 0 for x in row) for row in rows))]
+
+
+def _product(a, b) -> list[tuple[int, ...]]:
+    """Rows of a * b for nonnegative row-major a (r x s) and b (s x t).
+
+    Kronecker substitution: row k of b is packed into one int, entry j in
+    the j-th slot of `width` bytes. Every entry of the product is at most
+    s * max(a) * max(b) < 2^(bits(s) + bits(max a) + bits(max b)), so it
+    fits its slot and no sum carries into the next one. Row i of the
+    product is then the sum of a_ik * packed_k over the nonzero a_ik, read
+    back slot by slot from one to_bytes.
+    """
+    width = (len(b).bit_length() + max(map(max, a)).bit_length()
+             + max(map(max, b)).bit_length() + 7) // 8
+    packed = [int.from_bytes(b"".join([x.to_bytes(width, "little") for x in row]), "little")
+              for row in b]
+    size = width * len(b[0])
+    cuts = range(0, size, width)
+    out = []
+    for row in a:
+        view = memoryview(sum(map(mul, compress(row, row), compress(packed, row)))
+                          .to_bytes(size, "little"))
+        out.append(tuple(map(int.from_bytes, [view[j:j + width] for j in cuts],
+                             repeat("little"))))
+    return out
+
+
 class SupportMatrix:
     """Boolean zero-pattern of a nonnegative matrix; True marks a nonzero cell.
 
@@ -147,12 +172,6 @@ class SupportMatrix:
     @classmethod
     def identity(cls, n: int) -> "SupportMatrix":
         return cls([1 << i for i in range(n)], n)
-
-    @property
-    def bits(self) -> tuple[tuple[bool, ...], ...]:
-        """Row-major tuple-of-bool view of the pattern."""
-        return tuple(tuple(bool(mask >> j & 1) for j in range(self.cols))
-                     for mask in self.masks)
 
     def __mul__(self, other: "SupportMatrix"):
         """OR-AND product over the boolean semiring."""
@@ -191,7 +210,8 @@ class SupportMatrix:
         return hash((self.cols, self.masks))
 
     def __repr__(self) -> str:
-        return f"SupportMatrix({[[int(b) for b in row] for row in self.bits]!r})"
+        cells = [[mask >> j & 1 for j in range(self.cols)] for mask in self.masks]
+        return f"SupportMatrix({cells!r})"
 
 
 class InclusionMatrix:

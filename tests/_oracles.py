@@ -10,11 +10,13 @@ stabilization, and a counting recurrence instead of the partition
 generator.
 """
 
-from functools import cache
+from functools import cache, reduce
+from itertools import combinations_with_replacement
 from math import gcd
+from operator import or_
 
-from incdepth import (InclusionMatrix, IntMatrix, IntPolynomial,
-                      bracketed_power, dominance_q, minpoly_degree)
+from incdepth import (InclusionMatrix, IntMatrix, IntPolynomial, MatrixError,
+                      SupportMatrix, bracketed_power, dominance_q, minpoly_degree)
 
 
 def naive_multiply(a, b):
@@ -37,6 +39,28 @@ def naive_bracketed_powers(m: InclusionMatrix, top: int) -> list[IntMatrix]:
     return powers
 
 
+def scale(m: IntMatrix, k: int) -> IntMatrix:
+    """k * m, entry by entry."""
+    return IntMatrix(tuple(tuple(e * k for e in row) for row in m.entries))
+
+
+def entrywise_le(a: IntMatrix, b: IntMatrix) -> bool:
+    """Entrywise order: every (i,j) entry of a is <= the one of b."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise MatrixError(
+            f"cannot compare {a.rows}x{a.cols} "
+            f"and {b.rows}x{b.cols}")
+    return all(x <= y
+               for ra, rb in zip(a.entries, b.entries)
+               for x, y in zip(ra, rb))
+
+
+def support_bits(s: SupportMatrix) -> tuple[tuple[bool, ...], ...]:
+    """Row-major tuple-of-bool view of a support pattern."""
+    return tuple(tuple(bool(mask >> j & 1) for j in range(s.cols))
+                 for mask in s.masks)
+
+
 def zero_count(m: IntMatrix) -> int:
     """Number of entries of m equal to zero."""
     return sum(1 for row in m.entries for e in row if e == 0)
@@ -44,7 +68,7 @@ def zero_count(m: IntMatrix) -> int:
 
 def support_as_int_matrix(s) -> IntMatrix:
     """The 0/1 matrix with the zero pattern of a SupportMatrix."""
-    return IntMatrix([[1 if b else 0 for b in row] for row in s.bits])
+    return IntMatrix([[1 if b else 0 for b in row] for row in support_bits(s)])
 
 
 def inclusion_rejection(cells) -> tuple[str, int | None] | None:
@@ -68,7 +92,7 @@ def inclusion_rejection(cells) -> tuple[str, int | None] | None:
 
 def poly_at_matrix(p, m: IntMatrix) -> IntMatrix:
     """p(m) by Horner's rule, adding each coefficient on the diagonal."""
-    acc = IntMatrix.identity(m.rows) * 0
+    acc = scale(IntMatrix.identity(m.rows), 0)
     for c in reversed(p.coeffs):
         cells = [list(row) for row in (acc * m).entries]
         for i in range(m.rows):
@@ -176,6 +200,36 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(a)
 
 
+def stabilize_right(factors: tuple[SupportMatrix, ...], gap: int) -> int:
+    """Least n >= 1 with X_(n-1+gap) == X_(n-1) in the support chain
+
+        X_0 = I,   X_(k+1) = X_k * factors[k % len(factors)].
+
+    Supports in the chain only grow, and stabilize well below the cap (the
+    spectral bound gives d <= 2*min(r,s) - 1); hitting it means a bug.
+    """
+    first = factors[0]
+    cap = 2 * (first.rows + first.cols) + 2
+    chain = [SupportMatrix.identity(first.rows)]
+    for k in range(cap + gap - 1):
+        chain.append(chain[-1] * factors[k % len(factors)])  # X_(k+1)
+        if len(chain) > gap:
+            if chain[-1] == chain[0]:
+                return k + 2 - gap
+            del chain[0]
+    raise AssertionError("support stabilization exceeded its iteration cap")
+
+
+def right_chain_depths(m: InclusionMatrix) -> tuple[int, int, int, int]:
+    """d(M), d(M^t), H-depth and the odd depth of M M^t, each from the
+    support chain that multiplies the growing X_k on the right."""
+    supp, supp_t = m.support, m.support.transpose()
+    return (stabilize_right((supp, supp_t), 2),
+            stabilize_right((supp_t, supp), 2),
+            2 * stabilize_right((supp_t * supp,), 1) - 1,
+            2 * stabilize_right((m.gram.support(),), 1) - 1)
+
+
 def min_depth_exact(m: InclusionMatrix, cap: int) -> int:
     """Least n with a dominance witness, by exact big-integer powers."""
     for n in range(1, cap + 1):
@@ -257,3 +311,16 @@ def all_binary_inclusions(max_rows: int, max_cols: int):
                 if any(not any(row[j] for row in cells) for j in range(s)):
                     continue
                 yield InclusionMatrix(cells)
+
+
+def sorted_binary_inclusions(max_rows: int, max_cols: int):
+    """Every valid 0/1 inclusion matrix with r <= max_rows, s <= max_cols, up
+    to the order of its rows: rows run through the non-decreasing sequences
+    of r column bitsets, C(2^s + r - 1, r) of them per shape."""
+    for r in range(1, max_rows + 1):
+        for s in range(1, max_cols + 1):
+            full = (1 << s) - 1
+            for masks in combinations_with_replacement(range(1, full + 1), r):
+                if reduce(or_, masks) == full:
+                    yield InclusionMatrix([[mask >> j & 1 for j in range(s)]
+                                           for mask in masks])

@@ -16,7 +16,7 @@ from incdepth.cli import main
 
 from _oracles import (all_binary_inclusions, count_partitions, min_depth_exact,
                       min_hdepth_exact, poly_at_matrix, random_inclusion,
-                      zero_count)
+                      scale, zero_count)
 
 
 def _line(num: int, ok: bool, description: str) -> None:
@@ -153,7 +153,7 @@ def test_criterion_7_cayley_hamilton():
             for j in range(i, 5):
                 cells[i][j] = cells[j][i] = rng.randint(-9, 9)
         m = IntMatrix(cells)
-        if poly_at_matrix(char_poly(m), m) != IntMatrix.identity(5) * 0:
+        if poly_at_matrix(char_poly(m), m) != scale(IntMatrix.identity(5), 0):
             failures += 1
     _line(7, failures == 0,
           f"Cayley-Hamilton exact on 100 random symmetric 5x5, {failures} failures")

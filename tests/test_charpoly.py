@@ -5,10 +5,11 @@ import pytest
 from incdepth import (InclusionMatrix, IntMatrix, IntPolynomial, MatrixError,
                       branching_matrix, char_poly, depth_upper_bound, min_depth,
                       minpoly_degree)
+from incdepth import charpoly
 from incdepth.charpoly import _exponents_above, _squarefree_degree
 
 from _oracles import (berkowitz_char_poly, char_poly_value, poly_at_matrix,
-                      poly_gcd, random_inclusion)
+                      poly_gcd, random_inclusion, scale)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -80,7 +81,7 @@ class TestCharPoly:
                 for j in range(i, n):
                     cells[i][j] = cells[j][i] = rng.randint(-5, 5)
             m = IntMatrix(cells)
-            assert poly_at_matrix(char_poly(m), m) == IntMatrix.identity(n) * 0
+            assert poly_at_matrix(char_poly(m), m) == scale(IntMatrix.identity(n), 0)
 
 
 class TestPolyGcd:
@@ -118,6 +119,17 @@ class TestMinpolyDegree:
     def test_rejects_asymmetric(self):
         with pytest.raises(MatrixError, match="symmetric"):
             minpoly_degree(IntMatrix([[1, 2], [0, 1]]))
+
+    def test_computes_coefficient_bound_once(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return _exponents_above(m)
+
+        monkeypatch.setattr(charpoly, "_exponents_above", counting)
+        assert minpoly_degree(S3S4.gram) == 3
+        assert calls == [S3S4.gram]
 
 
 def _signed_matrix(rng, n, high, density):

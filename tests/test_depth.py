@@ -1,13 +1,19 @@
 import random
+from math import comb
 
 import pytest
 
-from incdepth import (InclusionMatrix, IntMatrix, MatrixError, bracketed_power,
-                      branching_matrix, depth_report, dominance_q, has_depth,
-                      min_depth, min_hdepth, min_odd_depth_symmetric)
+from incdepth import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
+                      bracketed_power, branching_matrix, build_graph, depth_report,
+                      depth_upper_bound, dominance_q, has_depth, min_depth,
+                      min_even_depth_graph, min_hdepth, min_hdepth_graph,
+                      min_odd_depth_graph, min_odd_depth_symmetric)
+from incdepth.depth import _stabilize
 
-from _oracles import (inclusion_rejection, min_depth_exact, min_hdepth_exact,
-                      naive_bracketed_powers, random_inclusion, zero_count)
+from _oracles import (berkowitz_char_poly, inclusion_rejection, min_depth_exact,
+                      min_hdepth_exact, naive_bracketed_powers, poly_gcd,
+                      random_inclusion, right_chain_depths, sorted_binary_inclusions,
+                      zero_count)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
@@ -180,6 +186,70 @@ class TestMinDepth:
             except MatrixError:
                 continue
             assert min_depth(m) == min_depth_exact(m, 2 * (r + s) + 2)
+
+
+def wide_inclusions():
+    """Seeded sparse inclusion matrices with widths 1, 63, 64, 65 and 130,
+    about two nonzero cells a row, so the support chains run long."""
+    rng = random.Random(63)
+    out = []
+    for rows, cols in [(1, 130), (130, 1), (63, 64), (64, 65), (65, 63),
+                       (130, 65), (64, 130)]:
+        cells = [[0] * cols for _ in range(rows)]
+        for row in cells:
+            for j in rng.sample(range(cols), min(cols, 2)):
+                row[j] = rng.randint(1, 3)
+        for j in range(cols):
+            if not any(row[j] for row in cells):
+                cells[rng.randrange(rows)][j] = 1
+        out.append(InclusionMatrix(cells))
+    return out
+
+
+class TestSupportChains:
+    """The left-multiplied chains against the right-multiplied ones they
+    replaced (_oracles.stabilize_right)."""
+
+    @staticmethod
+    def depths(m):
+        return (min_depth(m), min_depth(m.transposed()), min_hdepth(m),
+                min_odd_depth_symmetric(m.gram))
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_branching(self, n):
+        m = branching_matrix(n)
+        assert self.depths(m) == right_chain_depths(m)
+
+    @pytest.mark.parametrize("m", wide_inclusions(), ids=lambda m: f"{m.rows}x{m.cols}")
+    def test_wide(self, m):
+        assert self.depths(m) == right_chain_depths(m)
+
+    def test_cap_raises(self):
+        # a permutation support never grows, so its chain cycles forever
+        swap = SupportMatrix([0b10, 0b01], 2)
+        with pytest.raises(AssertionError, match="iteration cap"):
+            _stabilize(swap, (SupportMatrix.identity(2),))
+
+
+def test_exhaustive_binary_up_to_4x4():
+    # every 0/1 inclusion matrix up to 4x4, one per multiset of rows
+    shapes = {}
+    for m in sorted_binary_inclusions(4, 4):
+        shapes[m.rows, m.cols] = shapes.get((m.rows, m.cols), 0) + 1
+        d, d_h = min_depth(m), min_hdepth(m)
+        bound = depth_upper_bound(m)
+        f = berkowitz_char_poly(naive_bracketed_powers(m, 2)[2])
+        assert bound == 2 * (f.degree - poly_gcd(f, f.derivative()).degree) - 1, m
+        assert d == min_depth_exact(m, bound), m
+        assert d_h == min_hdepth_exact(m), m
+        graph = build_graph(m)
+        assert min(min_odd_depth_graph(graph), min_even_depth_graph(graph)) == d, m
+        assert min_hdepth_graph(graph) == d_h, m
+    # multisets of r nonzero rows that cover all s columns, by inclusion-exclusion
+    assert shapes == {
+        (r, s): sum((-1) ** j * comb(s, j) * comb(2 ** (s - j) + r - 2, r)
+                    for j in range(s + 1))
+        for r in range(1, 5) for s in range(1, 5)}
 
 
 class TestMonotonicity:

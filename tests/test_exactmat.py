@@ -5,7 +5,8 @@ from hypothesis import example, given, strategies as st
 
 from incdepth import IntMatrix, MatrixError, SupportMatrix, dominance_q
 
-from _oracles import naive_multiply, support_as_int_matrix, zero_count
+from _oracles import (entrywise_le, naive_multiply, scale, support_as_int_matrix,
+                      support_bits, zero_count)
 
 S3S4 = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 H8_MMT = IntMatrix([[5, 1, 1, 1, 0], [1, 5, 1, 1, 0], [1, 1, 5, 1, 0],
@@ -100,8 +101,8 @@ class TestMultiply:
         assert (a * b) * c == a * (b * c)
 
     def test_scalar(self):
-        assert 2 * IntMatrix([[1, 2]]) == IntMatrix([[2, 4]])
-        assert IntMatrix([[1, 2]]) * 3 == IntMatrix([[3, 6]])
+        assert scale(IntMatrix([[1, 2]]), 2) == IntMatrix([[2, 4]])
+        assert scale(IntMatrix([[1, 2]]), 3) == IntMatrix([[3, 6]])
 
     def test_big_entries_stay_exact(self):
         a = IntMatrix([[10**50, 1], [0, 10**50]])
@@ -125,13 +126,13 @@ class TestTranspose:
 class TestSupport:
     def test_pattern(self):
         s = IntMatrix([[2, 0], [0, 3]]).support()
-        assert s.bits == ((True, False), (False, True))
+        assert support_bits(s) == ((True, False), (False, True))
 
     def test_s3s4_already_01(self):
         assert support_as_int_matrix(S3S4.support()) == S3S4
 
     def test_h8_zero_cells(self):
-        bits = H8_MMT.support().bits
+        bits = support_bits(H8_MMT.support())
         zeros = [(i, j) for i in range(5) for j in range(5) if not bits[i][j]]
         assert len(zeros) == 8
         assert all(H8_MMT[i, j] == 0 for i, j in zeros)
@@ -200,9 +201,9 @@ class TestDominance:
             assert not zeros_b <= zeros_a
         else:
             assert zeros_b <= zeros_a
-            assert a <= q * b
+            assert entrywise_le(a, scale(b, q))
             if q > 1:
-                assert not a <= (q - 1) * b
+                assert not entrywise_le(a, scale(b, q - 1))
 
 
 class TestBoolMultiply:
@@ -232,5 +233,84 @@ class TestBoolMultiply:
     def test_wide_transpose_and_bits_round_trip(self, m):
         s = m.support()
         assert s.transpose() == m.transpose().support()
-        assert s.bits == tuple(tuple(e > 0 for e in row) for row in m.entries)
+        assert support_bits(s) == tuple(tuple(e > 0 for e in row) for row in m.entries)
         assert SupportMatrix(s.masks, s.cols) == s
+
+
+def _cells(m):
+    return [list(row) for row in m.entries]
+
+
+def _packed_cases():
+    """Seeded conformable pairs for the packed-row product kernel."""
+    rng = random.Random(130)
+
+    def block(rows, cols, low, high, density=1.0):
+        return IntMatrix([[rng.randint(low, high) if rng.random() < density else 0
+                           for _ in range(cols)] for _ in range(rows)])
+
+    cases = {
+        "1x1": (block(1, 1, 0, 9), block(1, 1, 0, 9)),
+        "1x130": (block(1, 5, 0, 3), block(5, 130, 0, 3, 0.3)),
+        "130x1": (block(130, 5, 0, 3, 0.3), block(5, 1, 0, 3)),
+        "inner_130": (block(1, 130, 0, 3, 0.3), block(130, 1, 0, 3, 0.3)),
+        "zero_left_rows": (IntMatrix([[0] * 7, [1, 0, 2, 0, 0, 3, 0], [0] * 7]),
+                           block(7, 4, 0, 5)),
+        "all_zero": (IntMatrix([[0, 0], [0, 0]]), block(2, 3, 0, 5)),
+        "big_1e50": (block(3, 4, 10**50 - 5, 10**50), block(4, 3, 0, 10**50)),
+        "signed_left": (block(6, 5, -7, 7), block(5, 4, 0, 9)),
+        "signed_right": (block(6, 5, 0, 9), block(5, 4, -7, 7)),
+        "signed_both": (block(6, 5, -10**20, 10**20), block(5, 4, -7, 7)),
+        "negative_only": (block(3, 3, -4, -1), block(3, 2, -4, -1)),
+    }
+    for width in (63, 64, 65):
+        cases[f"inner_{width}"] = (block(5, width, 0, 3, 0.5), block(width, 7, 0, 3, 0.5))
+        cases[f"outer_{width}"] = (block(width, 4, 0, 3, 0.5), block(4, width, 0, 3, 0.5))
+    return cases
+
+
+def _edge_cases():
+    """Products of constant blocks around a slot edge.
+
+    Every cell of a product of constant blocks is inner * a * b, and with
+    a, b of the form 2^k - 1 and inner 3 or 7 it needs exactly the
+    bits(inner) + bits(a) + bits(b) bits that size the slot; 2^k moves a
+    bit length across the byte edge.
+    """
+    cases = []
+    for k in range(1, 17):
+        for inner in (1, 3, 7, 255, 256):
+            for a, b in ((2**k - 1, 2**k - 1), (2**k - 1, 2**(k + 1) - 1),
+                         (2**k, 2**k - 1), (2**k, 2**k)):
+                cases.append((IntMatrix([[a] * inner] * 2), IntMatrix([[b] * 3] * inner)))
+    return cases
+
+
+PACKED_CASES = _packed_cases()
+EDGE_CASES = _edge_cases()
+
+
+class TestPackedProduct:
+    @pytest.mark.parametrize("name", PACKED_CASES)
+    def test_matches_naive(self, name):
+        a, b = PACKED_CASES[name]
+        product = a * b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert _cells(product) == naive_multiply(_cells(a), _cells(b))
+
+    def test_slot_edges(self):
+        # for every residue mod 8 of the slot's bit bound, some product needs
+        # all of those bits, so a slot one bit narrower truncates it
+        tight = set()
+        for a, b in EDGE_CASES:
+            assert _cells(a * b) == naive_multiply(_cells(a), _cells(b)), (a, b)
+            bound = a.cols.bit_length() + a[0, 0].bit_length() + b[0, 0].bit_length()
+            if (a.cols * a[0, 0] * b[0, 0]).bit_length() == bound:
+                tight.add(bound % 8)
+        assert tight == set(range(8))
+
+    def test_scalar_operand_is_rejected(self):
+        with pytest.raises(TypeError):
+            IntMatrix([[1, 2]]) * 3
+        with pytest.raises(TypeError):
+            2 * IntMatrix([[1, 2]])
