@@ -6,8 +6,9 @@ itself is under test, cofactor determinants and the division-free Berkowitz
 scheme instead of the modular Hessenberg characteristic polynomial, a
 primitive remainder sequence over Z[x] instead of the certified gcd over
 F_P, direct big-integer dominance scans instead of boolean support
-stabilization, and a counting recurrence instead of the partition
-generator.
+stabilization, support chains that multiply the growing power on the
+right instead of the left, and a counting recurrence instead of the
+partition generator.
 """
 
 from functools import cache, reduce
@@ -315,8 +316,8 @@ def all_binary_inclusions(max_rows: int, max_cols: int):
 
 def sorted_binary_inclusions(max_rows: int, max_cols: int):
     """Every valid 0/1 inclusion matrix with r <= max_rows, s <= max_cols, up
-    to the order of its rows: rows run through the non-decreasing sequences
-    of r column bitsets, C(2^s + r - 1, r) of them per shape."""
+    to the order of its rows: of the C(2^s + r - 2, r) non-decreasing
+    sequences of r nonzero row bitsets, those that cover every column."""
     for r in range(1, max_rows + 1):
         for s in range(1, max_cols + 1):
             full = (1 << s) - 1
