@@ -15,8 +15,7 @@ from .depth import (DepthReport, bracketed_power, depth_report, has_depth,
 from .bigraph import (BipartiteGraph, black_diameter, build_graph,
                       min_even_depth_graph, min_hdepth_graph,
                       min_odd_depth_graph, to_dot)
-from .charpoly import (IntPolynomial, char_poly, depth_upper_bound,
-                       minpoly_degree)
+from .charpoly import depth_upper_bound, minpoly_degree
 from .symgroup import Partition, branching_matrix, partitions, tower_matrix
 from .cli import (MatrixParseError, fixture_path, parse_int_matrix,
                   parse_matrix, render_matrix)

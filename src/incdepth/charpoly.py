@@ -1,229 +1,103 @@
-"""Exact characteristic polynomials and the minimal-polynomial depth bound.
+"""The spectral depth bound: distinct eigenvalues from Gram power sums.
 
-char_poly works modulo one Mersenne prime P = 2^e - 1. Hadamard's
-inequality on every principal minor bounds each coefficient of the
-characteristic polynomial by B = prod_i (1 + |row_i|), so once P > 2B the
-polynomial computed over F_P (Hessenberg reduction, O(n^3) operations)
-lifts exactly to the integers through the residues in (-P/2, P/2).
+A symmetric integer matrix G is diagonalizable, so the degree k of its
+minimal polynomial is its number of distinct eigenvalues: the powers
+I, G, ..., G^(k-1) are linearly independent and G^k depends on them.
+Under the Frobenius product <A, B> = tr(A^t B) their Gram matrix is the
+Hankel matrix H_N = (s_(i+j))_(0 <= i, j < N) of the power sums
+s_n = tr G^n (Hermite's quadratic form; Basu-Pollack-Roy, Algorithms in
+Real Algebraic Geometry, ch. 4). H_N is therefore positive definite for
+N <= k and singular for N = k + 1, whatever the signs of G's entries: k is
+the least N with det H_(N+1) = 0.
 
-For a symmetric integer matrix the minimal polynomial is the squarefree
-part f / gcd(f, f') of the characteristic polynomial f (symmetric real
-matrices are diagonalizable). The gcd is taken over F_P, lifted, and only
-accepted when it divides f and f' exactly in Z[x]; see _squarefree_degree.
-No step is probabilistic and every answer is exact.
+The leading minors det H_N are the pivots of a fraction-free elimination
+(Bareiss, Math. Comp. 1968) that adds one Hankel row per power of G, from
+the chain G^(j+1) = G G^j: s_(2j) = <G^j, G^j>, s_(2j+1) = <G^j, G^(j+1)>.
+Chain and elimination are exact while every entry of the chain is below
+2^127, and then continue modulo the prime P = 2^127 - 1. A minor that is
+nonzero mod P is nonzero, so r nonzero pivots prove k = r (k <= r). A minor
+that vanishes mod P may not vanish over Z, so then the count is redone
+without reduction. No step is probabilistic and every answer is exact.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from math import isqrt, prod
 from operator import mul
 
-from .exactmat import InclusionMatrix, IntMatrix, MatrixError
+from .exactmat import InclusionMatrix, IntMatrix, MatrixError, signed_product
 
-# Exponents e of the Mersenne primes 2^e - 1, all proven prime.
-MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607,
-                      1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213,
-                      19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091)
-
-
-class IntPolynomial:
-    """Integer polynomial, coefficients lowest degree first, trailing zeros trimmed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        data = list(coeffs)
-        for c in data:
-            if not isinstance(c, int):
-                raise MatrixError(f"non-integer coefficient: {c!r}")
-        while data and data[-1] == 0:
-            data.pop()
-        self.coeffs = tuple(data)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)!r})"
+P = (1 << 127) - 1  # a Mersenne prime
+# Up to this many rows the chain multiplies by plain row-by-column sums,
+# whose cost is below the packed kernel's fixed cost (the two cross between
+# 12 and 15 rows on small-entry grams).
+PLAIN_ROWS = 12
 
 
-def _exponents_above(m: IntMatrix) -> tuple[int, ...]:
-    """Exponents of the Mersenne primes P > 2B, B = prod_i (2 + isqrt(|row_i|^2)).
+def _inner(a, b) -> int:
+    """Frobenius product sum_ij a_ij b_ij of two row-major matrices."""
+    return sum(sum(map(mul, x, y)) for x, y in zip(a, b))
 
-    B bounds every coefficient of the characteristic polynomial of m and,
-    for symmetric m, of every monic factor of it.
+
+def _hankel_rank(g, modulus: int | None) -> int:
+    """Least N with det H_(N+1) = 0 for the symmetric rows g, or 0 if unproven.
+
+    With a modulus, the chain and the elimination are reduced by it from the
+    first power with an entry above it on; a pivot that vanishes after that
+    proves nothing, and the answer is 0.
     """
-    bound = prod(2 + isqrt(sum(x * x for x in row)) for row in m.entries)
-    # 2^e - 1 > 2B exactly when e >= bit length of 2B + 1
-    exponents = MERSENNE_EXPONENTS[bisect_left(MERSENNE_EXPONENTS,
-                                               (2 * bound + 1).bit_length()):]
-    if not exponents:
-        raise MatrixError(f"characteristic polynomial coefficient bound of "
-                          f"{bound.bit_length()} bits exceeds the largest prime modulus")
-    return exponents
-
-
-def _lift(coeffs, p: int) -> list[int]:
-    """Residues mod the odd prime p as integers in (-p/2, p/2)."""
-    half = p >> 1
-    return [c - p if c > half else c for c in coeffs]
-
-
-def _char_poly_mod(a, e: int) -> list[int]:
-    """det(x*I - a) mod p = 2^e - 1, lowest degree first, by Hessenberg reduction.
-
-    Each step moves a nonzero pivot to the subdiagonal and clears the cells
-    below it with the similarity (row_i -= u_i row_c, then col_c += sum u_i
-    col_i); the polynomial then follows from the Hessenberg recurrence.
-    Cells stay below 2^(e+2) by folding z -> (z & p) + (z >> e) instead of
-    dividing: with the pivot row fully reduced, x + v*y < 2^(e+2) + 2^(2e)
-    folds once to below 2^(e+1) + 4, and a column sum of n such products
-    folds twice to below 2^e + 4n + 2 (2^e > 2B >= 2^(n+1)). The pivot
-    column is fully reduced, because its zero tests and inverse need the
-    residues themselves.
-    """
-    p = (1 << e) - 1
-    n = len(a)
-    h = [[x % p for x in row] for row in a]
-    for j in range(n - 2):
-        c = j + 1
-        for row in h[c:]:
-            row[j] %= p
-        k = next((i for i in range(c, n) if h[i][j]), c)
-        if k != c:
-            h[k], h[c] = h[c], h[k]
-            for row in h:
-                row[k], row[c] = row[c], row[k]
-        pivot = h[c]
-        if not pivot[j]:
-            continue
-        neg_inv = p - pow(pivot[j], -1, p)
-        tail = pivot[c:] = [x % p for x in pivot[c:]]
-        us = [0] * (n - c - 1)
-        for i in range(c + 1, n):
-            row = h[i]
-            if row[j]:
-                v = row[j] * neg_inv % p  # -u_i
-                us[i - c - 1] = p - v
-                row[j] = 0
-                row[c:] = [((z := x + v * y) & p) + (z >> e) for x, y in zip(row[c:], tail)]
-        if any(us):
-            for row in h:
-                z = row[c] + sum(map(mul, us, row[c + 1:]))
-                z = (z & p) + (z >> e)
-                row[c] = (z & p) + (z >> e)
-    # p_k = (x - h_kk) p_(k-1) - sum_i h_ik (h_(i+1,i) ... h_(k,k-1)) p_(i-1)
-    polys = [[1]]
-    for k in range(n):
-        prev = polys[-1]
-        diag = h[k][k]
-        new = [hi - diag * lo for hi, lo in zip([0, *prev], [*prev, 0])]
-        chain = 1
-        for i in range(k, 0, -1):
-            chain = chain * h[i][i - 1] % p
-            if not chain:
-                break
-            scale = h[i - 1][k] * chain % p
-            if scale:
-                low = polys[i - 1]
-                new[:len(low)] = [x - scale * v for x, v in zip(new, low)]
-        polys.append([x % p for x in new])
-    return polys[-1]
-
-
-def char_poly(m: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(x*I - m), monic, exact.
-
-    Computed modulo the least Mersenne prime P above twice the Hadamard
-    bound B of its coefficients and lifted to (-P/2, P/2), which is exact.
-    """
-    if not m.is_square():
-        raise MatrixError(
-            f"characteristic polynomial needs a square matrix, got {m.rows}x{m.cols}")
-    return _char_poly(m, _exponents_above(m)[0])
-
-
-def _char_poly(m: IntMatrix, e: int) -> IntPolynomial:
-    """char_poly of m computed modulo 2^e - 1, which must exceed twice its bound."""
-    return IntPolynomial(_lift(_char_poly_mod(m.entries, e), (1 << e) - 1))
-
-
-def _rem(f: list[int], g: list[int], p: int | None = None) -> list[int]:
-    """Remainder of f by the monic g, lowest degree first, trailing zeros trimmed.
-
-    Exact over Z[x] when p is None, otherwise reduced mod p.
-    """
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) > dg:
-        lead = r.pop()
-        if lead:
-            base = len(r) - dg
-            if p is None:
-                r[base:] = [x - lead * y for x, y in zip(r[base:], g)]
-            else:
-                r[base:] = [(x - lead * y) % p for x, y in zip(r[base:], g)]
-    while r and not r[-1]:
-        r.pop()
+    r = len(g)
+    p = None  # the modulus, once the chain has reached it
+    low, power = [[int(i == j) for j in range(r)] for i in range(r)], g  # G^(n-1), G^n
+    sums = [r]  # s_0, s_1, ..., s_(2n)
+    pivots = [r]  # det H_1, ..., det H_n
+    rows = [[r]]  # rows[k][j - k]: entry (k, j) of H after k elimination steps
+    inverses = []  # of the divisors 1, det H_1, det H_2, ... mod p
+    for n in range(1, r):
+        if n > 1:
+            low = power
+            # G^(n-1) is symmetric, so its rows are also its columns
+            power = ([[sum(map(mul, x, y)) for y in low] for x in g] if r <= PLAIN_ROWS
+                     else signed_product(g, low))
+        if modulus and not p and max(max(map(max, power)), -min(map(min, power))) > modulus:
+            p = modulus
+            sums = [s % p for s in sums]
+            pivots = [x % p for x in pivots]
+            rows = [[x % p for x in row] for row in rows]
+            if not all(pivots):
+                return 0
+        if p:
+            power = [[x % p for x in row] for row in power]
+        new = (_inner(low, power), _inner(power, power))
+        sums += [s % p for s in new] if p else new
+        # Row n of H_(n+1) is s_n, ..., s_2n; by symmetry, its entry in
+        # column k after k steps is also entry (k, n) of the pivot row k.
+        v = sums[n:]
+        divisors = [1, *pivots]
+        if p:
+            inverses += [pow(x, -1, p) for x in divisors[len(inverses):n]]
+        for k, (pivot, row) in enumerate(zip(pivots, rows)):
+            mult = v[k]
+            row.append(mult)
+            terms = [pivot * x - mult * y for x, y in zip(v[k + 1:], row[1:])]
+            v[k + 1:] = ([t * inverses[k] % p for t in terms] if p
+                         else [t // divisors[k] for t in terms])
+        if not v[n]:
+            return 0 if p else n
+        pivots.append(v[n])
+        rows.append([v[n]])
     return r
-
-
-def _squarefree_degree(f: IntPolynomial, exponents) -> int:
-    """deg f - deg gcd(f, f') over Q[x] for a monic f, certified exactly.
-
-    For each Mersenne prime P = 2^e - 1 in turn, the monic gcd over F_P is
-    lifted to a monic h in Z[x]. Reduction mod P can only enlarge the gcd
-    (f is monic and P > deg f keeps f' nonzero), and h dividing f and f'
-    exactly in Z[x] proves the converse, so the first h that divides both
-    has the true degree. A P where the gcd grows is rejected and the next
-    is tried.
-    """
-    df = f.derivative().coeffs
-    for e in exponents:
-        p = (1 << e) - 1
-        a, b = [c % p for c in f.coeffs], [c % p for c in df]
-        while b:
-            inv = pow(b[-1], -1, p)
-            monic = [c * inv % p for c in b]
-            a, b = monic, _rem(a, monic, p)
-        h = _lift(a, p)
-        if not _rem(f.coeffs, h) and not _rem(df, h):
-            return f.degree - (len(h) - 1)
-    raise AssertionError("no Mersenne prime certified gcd(f, f')")
 
 
 def minpoly_degree(sym: IntMatrix) -> int:
     """Degree of the minimal polynomial of a symmetric integer matrix.
 
-    Equals the number of distinct eigenvalues: p / gcd(p, p') is the
-    squarefree part of the characteristic polynomial p, and symmetry makes
-    the matrix diagonalizable so the squarefree part is the minimal
-    polynomial. Every monic factor of p has coefficients at most
-    prod(1 + |eigenvalue|) = det(I + |sym|) <= B, so on any prime P > 2B
-    where the gcd does not grow the lift is exact and the certificate holds.
+    This is its number of distinct eigenvalues, the rank of its power-sum
+    Hankel matrix (see the module docstring). The count runs modulo P once
+    the powers grow wide, and again exactly when that proves nothing.
     """
     if not sym.is_symmetric():
         raise MatrixError("minimal polynomial degree needs a symmetric matrix")
-    exponents = _exponents_above(sym)
-    return _squarefree_degree(_char_poly(sym, exponents[0]), exponents)
+    return _hankel_rank(sym.entries, P) or _hankel_rank(sym.entries, None)
 
 
 def depth_upper_bound(m: InclusionMatrix) -> int:

@@ -130,12 +130,24 @@ def _read_matrix_text(source: str) -> str:
 
 
 def _emit(values: dict, as_json: bool) -> None:
-    """Print values as indented JSON, or as one 'key: value' line each."""
-    if as_json:
-        print(json.dumps(values, indent=2))
-    else:
-        for key, value in values.items():
-            print(f"{key}: {value}")
+    """Print values as indented JSON, or as one 'key: value' line each.
+
+    A value such as q_witness may have more digits than the interpreter's
+    int-to-str limit (Python 3.10.7 on) allows. It is printed in full, and
+    the limit, which the parser still obeys, is then restored.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if as_json:
+            print(json.dumps(values, indent=2))
+        else:
+            for key, value in values.items():
+                print(f"{key}: {value}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _flags(methods_agree: dict[str, bool]) -> str:

@@ -71,25 +71,14 @@ class IntMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
     def __mul__(self, other):
-        """Exact product; every sign pattern goes through _product.
-
-        A signed operand is split as A = A+ - A- into nonnegative parts,
-        so A B is the signed sum of the products of the parts.
-        """
+        """Exact product, by signed_product."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise MatrixError(
                 f"cannot multiply {self.rows}x{self.cols} "
                 f"by {other.rows}x{other.cols}")
-        terms = [(sa * sb, _product(a, b))
-                 for sa, a in _sign_parts(self.entries)
-                 for sb, b in _sign_parts(other.entries)]
-        cells = terms[0][1]  # A+ B+, with sign +1
-        for sign, rows in terms[1:]:
-            cells = [[x + sign * y for x, y in zip(acc, row)]
-                     for acc, row in zip(cells, rows)]
-        return IntMatrix(cells)
+        return IntMatrix(signed_product(self.entries, other.entries))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
@@ -114,6 +103,23 @@ class IntMatrix:
         return self.is_square() and all(
             self.entries[i][j] == self.entries[j][i]
             for i in range(self.rows) for j in range(i))
+
+
+def signed_product(a, b) -> list:
+    """Rows of a * b for row-major integer a and b; every sign pattern goes
+    through _product.
+
+    A signed operand is split as A = A+ - A- into nonnegative parts,
+    so A B is the signed sum of the products of the parts.
+    """
+    terms = [(sa * sb, _product(pa, pb))
+             for sa, pa in _sign_parts(a)
+             for sb, pb in _sign_parts(b)]
+    cells = terms[0][1]  # A+ B+, with sign +1
+    for sign, rows in terms[1:]:
+        cells = [[x + sign * y for x, y in zip(acc, row)]
+                 for acc, row in zip(cells, rows)]
+    return cells
 
 
 def _sign_parts(rows) -> list[tuple[int, tuple]]:

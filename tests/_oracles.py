@@ -2,13 +2,13 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 naive triple-loop products instead of IntMatrix.__mul__ where the product
-itself is under test, cofactor determinants and the division-free Berkowitz
-scheme instead of the modular Hessenberg characteristic polynomial, a
-primitive remainder sequence over Z[x] instead of the certified gcd over
-F_P, direct big-integer dominance scans instead of boolean support
-stabilization, support chains that multiply the growing power on the
-right instead of the left, and a counting recurrence instead of the
-partition generator.
+itself is under test, the characteristic polynomial (cofactor determinants
+and the division-free Berkowitz scheme) and the degree of its squarefree
+part by a primitive remainder sequence over Z[x] instead of the rank of
+the power-sum Hankel matrix that minpoly_degree computes, direct
+big-integer dominance scans instead of boolean support stabilization,
+support chains that multiply the growing power on the right instead of
+the left, and a counting recurrence instead of the partition generator.
 """
 
 from functools import cache, reduce
@@ -16,8 +16,46 @@ from itertools import combinations_with_replacement
 from math import gcd
 from operator import or_
 
-from incdepth import (InclusionMatrix, IntMatrix, IntPolynomial, MatrixError,
-                      SupportMatrix, bracketed_power, dominance_q, minpoly_degree)
+from incdepth import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
+                      bracketed_power, dominance_q, minpoly_degree)
+
+
+class IntPolynomial:
+    """Integer polynomial, coefficients lowest degree first, trailing zeros trimmed."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        data = list(coeffs)
+        for c in data:
+            if not isinstance(c, int):
+                raise MatrixError(f"non-integer coefficient: {c!r}")
+        while data and data[-1] == 0:
+            data.pop()
+        self.coeffs = tuple(data)
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the zero polynomial at -1."""
+        return len(self.coeffs) - 1
+
+    def derivative(self) -> "IntPolynomial":
+        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, x: int) -> int:
+        value = 0
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial({list(self.coeffs)!r})"
 
 
 def naive_multiply(a, b):
@@ -152,6 +190,14 @@ def berkowitz_char_poly(m: IntMatrix) -> IntPolynomial:
             new[idx] = acc
         poly = new
     return IntPolynomial(list(reversed(poly)))
+
+
+def char_poly(m: IntMatrix) -> IntPolynomial:
+    """Characteristic polynomial det(x*I - m), monic, by berkowitz_char_poly."""
+    if not m.is_square():
+        raise MatrixError(
+            f"characteristic polynomial needs a square matrix, got {m.rows}x{m.cols}")
+    return berkowitz_char_poly(m)
 
 
 def _content(coeffs) -> int:

@@ -7,16 +7,16 @@ see the per-criterion lines.
 import random
 
 from incdepth import (InclusionMatrix, IntMatrix, bracketed_power, build_graph,
-                      char_poly, depth_report, depth_upper_bound, fixture_path,
+                      depth_report, depth_upper_bound, fixture_path,
                       has_depth, min_depth, min_even_depth_graph, min_hdepth,
                       min_hdepth_graph, min_odd_depth_graph,
                       min_odd_depth_symmetric, parse_int_matrix, parse_matrix,
                       partitions)
 from incdepth.cli import main
 
-from _oracles import (all_binary_inclusions, count_partitions, min_depth_exact,
-                      min_hdepth_exact, poly_at_matrix, random_inclusion,
-                      scale, zero_count)
+from _oracles import (all_binary_inclusions, char_poly, count_partitions,
+                      min_depth_exact, min_hdepth_exact, poly_at_matrix,
+                      random_inclusion, scale, zero_count)
 
 
 def _line(num: int, ok: bool, description: str) -> None:

@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from incdepth import (InclusionMatrix, IntMatrix, IntPolynomial, MatrixError,
-                      branching_matrix, char_poly, depth_upper_bound, min_depth,
-                      minpoly_degree)
+from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
+                      depth_upper_bound, min_depth, minpoly_degree)
 from incdepth import charpoly
-from incdepth.charpoly import _exponents_above, _squarefree_degree
 
-from _oracles import (berkowitz_char_poly, char_poly_value, poly_at_matrix,
-                      poly_gcd, random_inclusion, scale)
+from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
+                      poly_at_matrix, poly_gcd, random_inclusion, scale)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -120,21 +118,12 @@ class TestMinpolyDegree:
         with pytest.raises(MatrixError, match="symmetric"):
             minpoly_degree(IntMatrix([[1, 2], [0, 1]]))
 
-    def test_computes_coefficient_bound_once(self, monkeypatch):
-        calls = []
-
-        def counting(m):
-            calls.append(m)
-            return _exponents_above(m)
-
-        monkeypatch.setattr(charpoly, "_exponents_above", counting)
-        assert minpoly_degree(S3S4.gram) == 3
-        assert calls == [S3S4.gram]
-
 
 def _signed_matrix(rng, n, high, density):
-    return IntMatrix([[rng.randint(-high, high) if rng.random() < density else 0
-                       for _ in range(n)] for _ in range(n)])
+    """Random signed n x n cells, mirrored from the lower triangle."""
+    cells = [[rng.randint(-high, high) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(n)]
+    return IntMatrix([[cells[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
 
 
 def _repeated_spectrum(rng, k, high):
@@ -172,32 +161,43 @@ def _dense_gram(seed):
     return InclusionMatrix(cells).gram
 
 
+def _shuffled_gram(n, seed):
+    """Gram of S_(n-1) <= S_n with its rows and columns in a seeded order."""
+    cells = branching_matrix(n).matrix.entries
+    rng = random.Random(seed)
+    rows = rng.sample(range(len(cells)), len(cells))
+    cols = rng.sample(range(len(cells[0])), len(cells[0]))
+    return InclusionMatrix([[cells[i][j] for j in cols] for i in rows]).gram
+
+
+def _diagonal(*values):
+    return IntMatrix([[x if i == j else 0 for j in range(len(values))]
+                      for i, x in enumerate(values)])
+
+
 def _prs_squarefree_degree(p):
     return p.degree - poly_gcd(p, p.derivative()).degree
 
 
 class TestModularPath:
-    """The Hessenberg char poly mod P and the certified gcd against the
-    Berkowitz scheme and the Z[x] remainder sequence."""
+    """The power-sum Hankel rank, exact while narrow and mod 2^127 - 1 once
+    wide, against the Berkowitz scheme and the Z[x] remainder sequence."""
 
     def test_signed_matrices_match_berkowitz(self):
+        # up to 16 rows, so both products of the chain run
         rng = random.Random(20)
-        for n in range(1, 13):
+        for n in range(1, 17):
             for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),
                                       (10**30, 0.25), (3, 0.15)):
                 m = _signed_matrix(rng, n, high, density)
-                p = char_poly(m)
-                assert p == berkowitz_char_poly(m), m
-                assert (_squarefree_degree(p, _exponents_above(m))
-                        == _prs_squarefree_degree(p)), m
+                assert minpoly_degree(m) == _prs_squarefree_degree(berkowitz_char_poly(m)), m
 
     def test_repeated_spectrum_matches_oracles(self):
         rng = random.Random(21)
         for k in range(1, 5):
             for high in (1, 9, 10**6, 10**30):
                 m = _repeated_spectrum(rng, k, high)
-                p = char_poly(m)
-                assert p == berkowitz_char_poly(m), m
+                p = berkowitz_char_poly(m)
                 assert minpoly_degree(m) == _prs_squarefree_degree(p) < p.degree, m
 
     @pytest.mark.parametrize("source", [*range(4, 14), "dense gram 0", "dense gram 1"])
@@ -207,24 +207,42 @@ class TestModularPath:
             gram = branching_matrix(source).gram
         else:
             gram = _dense_gram(source)
-        p = char_poly(gram)
-        assert p == berkowitz_char_poly(gram)
-        assert minpoly_degree(gram) == _prs_squarefree_degree(p)
+        want = _prs_squarefree_degree(berkowitz_char_poly(gram))
+        assert minpoly_degree(gram) == want
+        if isinstance(source, int):
+            # shuffling the rows and columns of M conjugates M M^t by a
+            # permutation, which keeps its characteristic polynomial
+            assert minpoly_degree(_shuffled_gram(source, source)) == want
 
-    def test_unlucky_prime_is_rejected(self):
-        # (x-1)(x-4) = (x-1)^2 mod 3, so the gcd over F_3 is x - 1, which
-        # divides f but not f' = 2x - 5 in Z[x]; P = 7 then certifies.
-        m = IntMatrix([[1, 0], [0, 4]])
-        f = char_poly(m)
-        assert f == IntPolynomial([4, -5, 1])
-        with pytest.raises(AssertionError, match="no Mersenne prime"):
-            _squarefree_degree(f, (2,))
-        assert _squarefree_degree(f, (2, 3)) == 2
-        assert minpoly_degree(m) == 2
+    def test_no_size_ceiling(self):
+        assert minpoly_degree(IntMatrix([[1 << 216091]])) == 1
+        assert minpoly_degree(_diagonal(2**200, 2**200, 1)) == 2
+        assert minpoly_degree(_diagonal(2**200, 2**200 + 1)) == 2
 
-    def test_bound_beyond_largest_prime(self):
-        with pytest.raises(MatrixError, match="exceeds the largest prime"):
-            char_poly(IntMatrix([[1 << 216091]]))
+    def test_exact_rerun_only_after_a_zero_pivot_mod_p(self, monkeypatch):
+        moduli = []
+        hankel_rank = charpoly._hankel_rank
+
+        def spy(g, modulus):
+            moduli.append(modulus)
+            return hankel_rank(g, modulus)
+
+        monkeypatch.setattr(charpoly, "_hankel_rank", spy)
+        # 2^200 = 2^73 mod P: three distinct eigenvalues mod P, two over Z
+        assert minpoly_degree(_diagonal(2**200, 2**200, 1)) == 2
+        assert moduli == [charpoly.P, None]
+        # omega is a cube root of unity mod P, so diag(omega + 1, 1, 0) has
+        # the narrow pivot det H_2 = 2(omega^2 + omega + 1), a nonzero
+        # multiple of P that vanishes when the chain turns modular
+        omega = pow(5, (charpoly.P - 1) // 3, charpoly.P)
+        assert omega != 1 and (omega * omega + omega + 1) % charpoly.P == 0
+        moduli.clear()
+        assert minpoly_degree(_diagonal(omega + 1, 1, 0)) == 3
+        assert moduli == [charpoly.P, None]
+        for seed in (0, 1):
+            moduli.clear()
+            assert minpoly_degree(_dense_gram(seed)) == 40
+            assert moduli == [charpoly.P]
 
 
 class TestDepthUpperBound:

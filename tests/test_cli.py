@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -462,6 +463,23 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_report_value_beyond_the_digit_limit(flags, tmp_path, capsys):
+    # q_witness = (10^2200 - 1)^2 has 4400 digits, more than the default
+    # int-to-str limit of 4300; every other field is that of any 1x1 matrix
+    small, wide = tmp_path / "small.mat", tmp_path / "wide.mat"
+    small.write_text("1 1\n9\n")
+    wide.write_text("1 1\n" + "9" * 2200 + "\n")
+    assert main(["compute", *flags, "--matrix", str(small)]) == 0
+    q_small = capsys.readouterr().out
+    limit = sys.get_int_max_str_digits()
+    assert main(["compute", *flags, "--matrix", str(wide)]) == 0
+    out, err = capsys.readouterr()
+    assert out == q_small.replace("81", "9" * 2199 + "8" + "0" * 2199 + "1")
+    assert err == ""
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_all_names_documented_in_readme():
