@@ -18,6 +18,10 @@ Chain and elimination are exact while every entry of the chain is below
 nonzero mod P is nonzero, so r nonzero pivots prove k = r (k <= r). A minor
 that vanishes mod P may not vanish over Z, so then the count is redone
 without reduction. No step is probabilistic and every answer is exact.
+
+A depth report also takes the exact pair G^(a-1), G^a from this chain,
+for the witness q of depth 2a-1 or 2a; the chain then stays exact through
+G^a, and forms G^r after its last Hankel row when a = r.
 """
 
 from __future__ import annotations
@@ -27,10 +31,6 @@ from operator import mul
 from .exactmat import InclusionMatrix, IntMatrix, MatrixError, signed_product
 
 P = (1 << 127) - 1  # a Mersenne prime
-# Up to this many rows the chain multiplies by plain row-by-column sums,
-# whose cost is below the packed kernel's fixed cost (the two cross between
-# 12 and 15 rows on small-entry grams).
-PLAIN_ROWS = 12
 
 
 def _inner(a, b) -> int:
@@ -38,33 +38,44 @@ def _inner(a, b) -> int:
     return sum(sum(map(mul, x, y)) for x, y in zip(a, b))
 
 
-def _hankel_rank(g, modulus: int | None) -> int:
-    """Least N with det H_(N+1) = 0 for the symmetric rows g, or 0 if unproven.
+def _hankel_rank(g, modulus: int | None, exact: int = 0):
+    """(N, powers) for the symmetric rows g of G.
+
+    N is the least N with det H_(N+1) = 0, or 0 if unproven. powers is the
+    exact pair (G^(exact-1), G^exact) once the chain has formed G^exact,
+    which it does whenever 1 <= exact <= N, and None otherwise.
 
     With a modulus, the chain and the elimination are reduced by it from the
-    first power with an entry above it on; a pivot that vanishes after that
-    proves nothing, and the answer is 0.
+    first power after G^exact with an entry above it on; a pivot that
+    vanishes after that proves nothing, and N is 0.
     """
     r = len(g)
     p = None  # the modulus, once the chain has reached it
     low, power = [[int(i == j) for j in range(r)] for i in range(r)], g  # G^(n-1), G^n
+    powers = None
     sums = [r]  # s_0, s_1, ..., s_(2n)
     pivots = [r]  # det H_1, ..., det H_n
     rows = [[r]]  # rows[k][j - k]: entry (k, j) of H after k elimination steps
     inverses = []  # of the divisors 1, det H_1, det H_2, ... mod p
-    for n in range(1, r):
+    # Steps 1..r-1 add Hankel rows; det H_(r+1) = 0 always, so step r only
+    # forms G^r, when it is asked for.
+    for n in range(1, max(r, exact + 1)):
         if n > 1:
             low = power
             # G^(n-1) is symmetric, so its rows are also its columns
-            power = ([[sum(map(mul, x, y)) for y in low] for x in g] if r <= PLAIN_ROWS
-                     else signed_product(g, low))
-        if modulus and not p and max(max(map(max, power)), -min(map(min, power))) > modulus:
+            power = signed_product(g, low)
+        if n == exact:
+            powers = low, power
+        if n == r:
+            break
+        if (modulus and not p and n > exact
+                and max(max(map(max, power)), -min(map(min, power))) > modulus):
             p = modulus
             sums = [s % p for s in sums]
             pivots = [x % p for x in pivots]
             rows = [[x % p for x in row] for row in rows]
             if not all(pivots):
-                return 0
+                return 0, powers
         if p:
             power = [[x % p for x in row] for row in power]
         new = (_inner(low, power), _inner(power, power))
@@ -82,10 +93,10 @@ def _hankel_rank(g, modulus: int | None) -> int:
             v[k + 1:] = ([t * inverses[k] % p for t in terms] if p
                          else [t // divisors[k] for t in terms])
         if not v[n]:
-            return 0 if p else n
+            return (0 if p else n), powers
         pivots.append(v[n])
         rows.append([v[n]])
-    return r
+    return r, powers
 
 
 def minpoly_degree(sym: IntMatrix) -> int:
@@ -97,9 +108,23 @@ def minpoly_degree(sym: IntMatrix) -> int:
     """
     if not sym.is_symmetric():
         raise MatrixError("minimal polynomial degree needs a symmetric matrix")
-    return _hankel_rank(sym.entries, P) or _hankel_rank(sym.entries, None)
+    return _hankel_rank(sym.entries, P)[0] or _hankel_rank(sym.entries, None)[0]
 
 
 def depth_upper_bound(m: InclusionMatrix) -> int:
     """Spectral depth bound 2*d - 1, d = deg of the minimal polynomial of M M^t."""
     return 2 * minpoly_degree(m.gram) - 1
+
+
+def bound_and_powers(m: InclusionMatrix, a: int):
+    """depth_upper_bound(m) with the exact powers (G^(a-1), G^a) of G = M M^t.
+
+    Both come from the one chain that counts the distinct eigenvalues, which
+    stays exact through G^a. The powers are None when a exceeds that count,
+    that is when every depth n with (n + 1) // 2 = a exceeds the bound.
+    """
+    g = m.gram.entries
+    k, powers = _hankel_rank(g, P, a)
+    if not k:
+        k, powers = _hankel_rank(g, None, a)
+    return 2 * k - 1, powers

@@ -146,17 +146,26 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)
     graph_h = bigraph.min_hdepth_graph(graph)
-    bound = charpoly.depth_upper_bound(m)
-    q = has_depth(m, d)
+    # M^[d-1] and M^[d+1] are G^(a-1) and G^a, times M for even d, with
+    # G = M M^t and a = (d + 1) // 2; the spectral bound's chain passes G^a.
+    bound, powers = charpoly.bound_and_powers(m, (d + 1) // 2)
+    q = None
+    if powers is not None:
+        low, high = map(IntMatrix, powers)
+        if d % 2 == 0:
+            low, high = low * m.matrix, high * m.matrix
+        q = dominance_q(high, low)
     # Explicit raises, not asserts, so the checks also run under python -O.
+    # The chain stops short of G^a only when d exceeds the bound, so that
+    # check comes first.
     for holds, message in (
+        (d <= bound, f"d={d} exceeds spectral bound {bound}"),
         (q is not None, f"no dominance witness at minimum depth {d}"),
         (d >= 1 and d_h >= 1, f"depths must be positive: d={d}, d_H={d_h}"),
         (d_h % 2 == 1, f"H-depth must be odd: {d_h}"),
         (abs(d - d_h) <= 2, f"|d - d_H| > 2: d={d}, d_H={d_h}"),
         (abs(d_t - d) <= 1, f"|d(M^t) - d| > 1: d(M^t)={d_t}, d={d}"),
         (0 <= d_h - d_t <= 1, f"d_H - d(M^t) out of [0,1]: d_H={d_h}, d(M^t)={d_t}"),
-        (d <= bound, f"d={d} exceeds spectral bound {bound}"),
     ):
         if not holds:
             raise AssertionError(message)

@@ -9,9 +9,11 @@ across threads.
 
 from __future__ import annotations
 
+from array import array
 from functools import reduce
 from itertools import compress, repeat
 from operator import mul, or_
+from sys import byteorder
 
 
 class MatrixError(ValueError):
@@ -134,25 +136,36 @@ def _product(a, b) -> list[tuple[int, ...]]:
     """Rows of a * b for nonnegative row-major a (r x s) and b (s x t).
 
     Kronecker substitution: row k of b is packed into one int, entry j in
-    the j-th slot of `width` bytes. Every entry of the product is at most
+    the j-th slot. Every entry of the product is at most
     s * max(a) * max(b) < 2^(bits(s) + bits(max a) + bits(max b)), so it
     fits its slot and no sum carries into the next one. Row i of the
     product is then the sum of a_ik * packed_k over the nonzero a_ik, read
-    back slot by slot from one to_bytes.
+    back slot by slot from one to_bytes. When that bound is at most 64
+    bits the slots are machine words, which array packs and a memoryview
+    cast reads back; wider slots are whole bytes, sliced. Both use the
+    native byte order, which array and memoryview need.
     """
-    width = (len(b).bit_length() + max(map(max, a)).bit_length()
-             + max(map(max, b)).bit_length() + 7) // 8
-    packed = [int.from_bytes(b"".join([x.to_bytes(width, "little") for x in row]), "little")
-              for row in b]
-    size = width * len(b[0])
-    cuts = range(0, size, width)
-    out = []
-    for row in a:
-        view = memoryview(sum(map(mul, compress(row, row), compress(packed, row)))
-                          .to_bytes(size, "little"))
-        out.append(tuple(map(int.from_bytes, [view[j:j + width] for j in cuts],
-                             repeat("little"))))
-    return out
+    bits = (len(b).bit_length() + max(map(max, a)).bit_length()
+            + max(map(max, b)).bit_length())
+    if bits <= 64:
+        size = 8 * len(b[0])
+        packed = [int.from_bytes(array("Q", row).tobytes(), byteorder) for row in b]
+
+        def unpack(view):
+            return view.cast("Q").tolist()
+    else:
+        width = (bits + 7) // 8
+        size = width * len(b[0])
+        packed = [int.from_bytes(b"".join([x.to_bytes(width, byteorder) for x in row]),
+                                 byteorder)
+                  for row in b]
+        cuts = range(0, size, width)
+
+        def unpack(view):
+            return map(int.from_bytes, [view[j:j + width] for j in cuts], repeat(byteorder))
+    return [tuple(unpack(memoryview(sum(map(mul, compress(row, row), compress(packed, row)))
+                                    .to_bytes(size, byteorder))))
+            for row in a]
 
 
 class SupportMatrix:

@@ -184,7 +184,7 @@ class TestModularPath:
     wide, against the Berkowitz scheme and the Z[x] remainder sequence."""
 
     def test_signed_matrices_match_berkowitz(self):
-        # up to 16 rows, so both products of the chain run
+        # 1 to 16 rows; the chain products take word and byte slots
         rng = random.Random(20)
         for n in range(1, 17):
             for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),

@@ -196,7 +196,7 @@ class TestComputeCommand:
             "import incdepth.depth\n"
             "from incdepth import fixture_path\n"
             "from incdepth.cli import main\n"
-            "incdepth.depth.has_depth = lambda m, n: None\n"
+            "incdepth.depth.dominance_q = lambda a, b: None\n"
             "sys.exit(main(['compute', '--matrix', str(fixture_path('s3s4.mat'))]))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True,

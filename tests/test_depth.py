@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -7,7 +8,9 @@ from incdepth import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
                       bracketed_power, branching_matrix, build_graph, depth_report,
                       depth_upper_bound, dominance_q, has_depth, min_depth,
                       min_even_depth_graph, min_hdepth, min_hdepth_graph,
-                      min_odd_depth_graph, min_odd_depth_symmetric)
+                      min_odd_depth_graph, min_odd_depth_symmetric, fixture_path,
+                      parse_matrix)
+from incdepth import depth as depth_module
 from incdepth.depth import _stabilize
 
 from _oracles import (berkowitz_char_poly, inclusion_rejection, min_depth_exact,
@@ -399,3 +402,70 @@ class TestDepthReport:
                 [[m.matrix[i, j] for j in cols] for i in rows])
             assert min_depth(shuffled) == min_depth(m)
             assert min_hdepth(shuffled) == min_hdepth(m)
+
+
+class TestWitnessFromChain:
+    """depth_report reads q off the spectral bound's Gram-power chain;
+    has_depth forms the same powers by repeated squaring."""
+
+    @staticmethod
+    def agrees(m):
+        rep = depth_report(m)
+        assert rep.q_witness == has_depth(m, rep.depth), m
+        return rep
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_branching(self, n):
+        self.agrees(branching_matrix(n))
+
+    def test_random_both_parities(self):
+        rng = random.Random(41)
+        parities = Counter(self.agrees(random_inclusion(rng, max_dim=9)).depth % 2
+                           for _ in range(200))
+        assert parities[0] >= 20 and parities[1] >= 20, parities
+
+    def test_fixtures(self):
+        # 1x1: the chain is G alone. s3s4.mat has k = r = 3 and d = 5, so
+        # the chain forms G^3 after its last Hankel row. c2m2.mat has even d.
+        assert self.agrees(InclusionMatrix([[3]])).q_witness == 9
+        s3s4 = parse_matrix(fixture_path("s3s4.mat").read_text())
+        rep = self.agrees(s3s4)
+        assert (rep.depth, rep.spectral_bound, rep.q_witness) == (5, 5, 7)
+        c2m2 = parse_matrix(fixture_path("c2m2.mat").read_text())
+        rep = self.agrees(c2m2)
+        assert (rep.depth, rep.spectral_bound, rep.q_witness) == (2, 3, 2)
+
+    @pytest.mark.parametrize("cells", [
+        # d = 5, k = 5: M^[4] = G^2 has 199-bit entries
+        [[0, 0, 1, 0], [886913104844272, 0, 0, 0], [277071586128148, 1, 1, 0],
+         [1, 0, 0, 1], [1, 0, 1, 0]],
+        # d = 4, k = 4: M^[3] = G M has 150-bit entries
+        [[0, 0, 40147414335368], [395302198567085, 0, 0], [1, 963607173897615, 1],
+         [1, 1, 1]],
+    ])
+    def test_witness_powers_above_p(self, cells):
+        # the chain passes 2^127 - 1 by G^2 and goes on past G^a modulo
+        # that prime; with a = 3, G^2 is also the lower witness power
+        m = InclusionMatrix(cells)
+        rep = self.agrees(m)
+        low = bracketed_power(m, rep.depth - 1)
+        assert max(map(max, low.entries)) >> 127
+        assert (rep.spectral_bound + 1) // 2 > (rep.depth + 1) // 2 + 1
+        assert rep.spectral_bound == depth_upper_bound(m)
+
+    def test_report_forms_no_bracketed_power(self, monkeypatch):
+        calls = []
+        for name in ("bracketed_power", "has_depth"):
+            original = getattr(depth_module, name)
+
+            def spy(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(depth_module, name, spy)
+        m = branching_matrix(8)
+        rep = depth_report(m)
+        assert calls == []
+        # the spies see a call made through the module
+        assert depth_module.has_depth(m, rep.depth) == rep.q_witness
+        assert calls == ["has_depth", "bracketed_power"]

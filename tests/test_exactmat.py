@@ -309,6 +309,27 @@ class TestPackedProduct:
                 tight.add(bound % 8)
         assert tight == set(range(8))
 
+    def test_word_slot_edges(self):
+        # constant blocks whose every product cell needs exactly the slot's
+        # bit bound of 63, 64 or 65 bits: the first two fill an 8-byte slot,
+        # the third would carry out of one; the signed left operand's parts
+        # have the same bound
+        for a, b, bound in ((2**30 - 1, 2**31 - 1, 63), (2**31 - 1, 2**31 - 1, 64),
+                            (2**31 - 1, 2**32 - 1, 65)):
+            assert (3 * a * b).bit_length() == bound == 2 + a.bit_length() + b.bit_length()
+            right = IntMatrix([[b] * 4] * 3)
+            for left in (IntMatrix([[a] * 3] * 2), IntMatrix([[a] * 3, [-a] * 3])):
+                assert _cells(left * right) == naive_multiply(_cells(left), _cells(right)), bound
+
+    @pytest.mark.parametrize("x", [2**64 - 1, 2**64])
+    def test_word_sized_entries(self, x):
+        # around the largest value of an 8-byte slot, on either side and signed
+        for a, b in (([[x, 1], [0, 2]], [[1, 3, 0], [x, 0, 1]]),
+                     ([[1, 0], [2, 1]], [[x, x], [1, x]]),
+                     ([[x, -1], [-x, 2]], [[1, -x], [3, 1]])):
+            left, right = IntMatrix(a), IntMatrix(b)
+            assert _cells(left * right) == naive_multiply(a, b), (a, b)
+
     def test_scalar_operand_is_rejected(self):
         with pytest.raises(TypeError):
             IntMatrix([[1, 2]]) * 3
