@@ -6,10 +6,9 @@ import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
                       bracketed_power, branching_matrix, build_graph, depth_report,
-                      depth_upper_bound, dominance_q, has_depth, min_depth,
+                      depth_upper_bound, dominance_q, fixture_path, has_depth, min_depth,
                       min_even_depth_graph, min_hdepth, min_hdepth_graph,
-                      min_odd_depth_graph, min_odd_depth_symmetric, fixture_path,
-                      parse_matrix)
+                      min_odd_depth_graph, min_odd_depth_symmetric, parse_matrix)
 from incdepth import depth as depth_module
 from incdepth.depth import _stabilize
 
