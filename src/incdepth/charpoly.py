@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from operator import mul
 
-from .exactmat import InclusionMatrix, IntMatrix, MatrixError, signed_product
+from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, dominance_q,
+                       signed_product)
 
 P = (1 << 127) - 1  # a Mersenne prime
 
@@ -99,6 +100,12 @@ def _hankel_rank(g, modulus: int | None, exact: int = 0):
     return r, powers
 
 
+def _count(g, exact: int = 0):
+    """_hankel_rank(g, P, exact), rerun without reduction when it proves nothing."""
+    counted = _hankel_rank(g, P, exact)
+    return counted if counted[0] else _hankel_rank(g, None, exact)
+
+
 def minpoly_degree(sym: IntMatrix) -> int:
     """Degree of the minimal polynomial of a symmetric integer matrix.
 
@@ -108,7 +115,7 @@ def minpoly_degree(sym: IntMatrix) -> int:
     """
     if not sym.is_symmetric():
         raise MatrixError("minimal polynomial degree needs a symmetric matrix")
-    return _hankel_rank(sym.entries, P)[0] or _hankel_rank(sym.entries, None)[0]
+    return _count(sym.entries)[0]
 
 
 def depth_upper_bound(m: InclusionMatrix) -> int:
@@ -116,15 +123,19 @@ def depth_upper_bound(m: InclusionMatrix) -> int:
     return 2 * minpoly_degree(m.gram) - 1
 
 
-def bound_and_powers(m: InclusionMatrix, a: int):
-    """depth_upper_bound(m) with the exact powers (G^(a-1), G^a) of G = M M^t.
+def bound_and_witness(m: InclusionMatrix, d: int):
+    """depth_upper_bound(m) and the minimal witness q of depth d >= 1.
 
-    Both come from the one chain that counts the distinct eigenvalues, which
-    stays exact through G^a. The powers are None when a exceeds that count,
-    that is when every depth n with (n + 1) // 2 = a exceeds the bound.
+    With G = M M^t and a = (d + 1) // 2, M^[d-1] and M^[d+1] are G^(a-1)
+    and G^a, times M for even d. The chain that counts the distinct
+    eigenvalues stays exact through G^a and hands those two powers over.
+    q is has_depth(m, d) whenever d is within the bound; past the bound the
+    chain may stop short of G^a, and q is None.
     """
-    g = m.gram.entries
-    k, powers = _hankel_rank(g, P, a)
-    if not k:
-        k, powers = _hankel_rank(g, None, a)
-    return 2 * k - 1, powers
+    k, powers = _count(m.gram.entries, (d + 1) // 2)
+    if powers is None:
+        return 2 * k - 1, None
+    low, high = map(IntMatrix, powers)
+    if d % 2 == 0:
+        low, high = low * m.matrix, high * m.matrix
+    return 2 * k - 1, dominance_q(high, low)

@@ -146,18 +146,9 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)
     graph_h = bigraph.min_hdepth_graph(graph)
-    # M^[d-1] and M^[d+1] are G^(a-1) and G^a, times M for even d, with
-    # G = M M^t and a = (d + 1) // 2; the spectral bound's chain passes G^a.
-    bound, powers = charpoly.bound_and_powers(m, (d + 1) // 2)
-    q = None
-    if powers is not None:
-        low, high = map(IntMatrix, powers)
-        if d % 2 == 0:
-            low, high = low * m.matrix, high * m.matrix
-        q = dominance_q(high, low)
+    bound, q = charpoly.bound_and_witness(m, d)
     # Explicit raises, not asserts, so the checks also run under python -O.
-    # The chain stops short of G^a only when d exceeds the bound, so that
-    # check comes first.
+    # q is None only when d exceeds the bound, so that check comes first.
     for holds, message in (
         (d <= bound, f"d={d} exceeds spectral bound {bound}"),
         (q is not None, f"no dominance witness at minimum depth {d}"),

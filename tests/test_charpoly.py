@@ -223,9 +223,9 @@ class TestModularPath:
         moduli = []
         hankel_rank = charpoly._hankel_rank
 
-        def spy(g, modulus):
+        def spy(g, modulus, *rest):
             moduli.append(modulus)
-            return hankel_rank(g, modulus)
+            return hankel_rank(g, modulus, *rest)
 
         monkeypatch.setattr(charpoly, "_hankel_rank", spy)
         # 2^200 = 2^73 mod P: three distinct eigenvalues mod P, two over Z
