@@ -8,7 +8,8 @@ are read off shortest-path diameters:
     minimum odd depth   = 1 + diameter of the black row, in edges
     minimum even depth  = 2 + the largest (black, white) separation, where
                           the black neighbours of each white dot count as a
-                          single merged vertex
+                          single merged vertex; that is 1 + the largest
+                          black-to-white distance
     minimum H-depth     = 1 + diameter of the white row, in edges
 
 Diameters are taken over pairs inside a common connected component;
@@ -115,17 +116,14 @@ def min_even_depth_graph(g: BipartiteGraph) -> int:
     For each white dot its black neighbours are identified with one another;
     the distance from a black dot to that class is the minimum distance to
     any member. Pairs in different components are skipped.
+
+    Every neighbour of a white dot is black, so a white dot that black i
+    reaches lies one edge past the nearest member of its class: the largest
+    class distance is the largest black-to-white distance less 1, and the
+    even depth is 1 plus that distance, or 2 when no black reaches a white.
     """
-    worst = 0
-    for i in range(g.black_count):
-        dist = g.distances_from(i)
-        for w in range(g.white_count):
-            reachable = [dist[k] for k in g._adj[g.black_count + w] if dist[k] >= 0]
-            if reachable:
-                near = min(reachable)
-                if near > worst:
-                    worst = near
-    return 2 + worst
+    r = g.black_count
+    return 1 + max(1, *(max(g.distances_from(i)[r:]) for i in range(r)))
 
 
 def min_hdepth_graph(g: BipartiteGraph) -> int:

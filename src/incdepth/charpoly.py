@@ -14,10 +14,14 @@ The leading minors det H_N are the pivots of a fraction-free elimination
 (Bareiss, Math. Comp. 1968) that adds one Hankel row per power of G, from
 the chain G^(j+1) = G G^j: s_(2j) = <G^j, G^j>, s_(2j+1) = <G^j, G^(j+1)>.
 Chain and elimination are exact while every entry of the chain is below
-2^127, and then continue modulo the prime P = 2^127 - 1. A minor that is
-nonzero mod P is nonzero, so r nonzero pivots prove k = r (k <= r). A minor
-that vanishes mod P may not vanish over Z, so then the count is redone
-without reduction. No step is probabilistic and every answer is exact.
+SWITCH = 2^127. From the first power with a wider entry on, the chain, G
+itself and the elimination are reduced modulo the prime P = 2^27 - 79. A
+minor that is nonzero mod P is nonzero, so r nonzero pivots prove k = r
+(k <= r). A minor that vanishes mod P may not vanish over Z, so then the
+count is redone without reduction. No step is probabilistic and every
+answer is exact. P is word-sized so that every product after the switch
+packs machine words: exactmat._product's slot bound for it, bits(r) + 27 +
+27, is at most 64 bits for r < 1024.
 
 A depth report also takes the exact pair G^(a-1), G^a from this chain,
 for the witness q of depth 2a-1 or 2a; the chain then stays exact through
@@ -31,7 +35,11 @@ from operator import mul
 from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, dominance_q,
                        signed_product)
 
-P = (1 << 127) - 1  # a Mersenne prime
+SWITCH = 1 << 127  # the chain turns modular at the first entry this wide
+# The largest prime below 2^27 that is 1 mod 3: a product of two r x r
+# matrices reduced by it has a slot bound of bits(r) + 54 <= 64 bits for
+# r < 1024, and F_P has the cube roots of unity the tests build a zero pivot from.
+P = (1 << 27) - 79
 
 
 def _inner(a, b) -> int:
@@ -46,12 +54,13 @@ def _hankel_rank(g, modulus: int | None, exact: int = 0):
     exact pair (G^(exact-1), G^exact) once the chain has formed G^exact,
     which it does whenever 1 <= exact <= N, and None otherwise.
 
-    With a modulus, the chain and the elimination are reduced by it from the
-    first power after G^exact with an entry above it on; a pivot that
-    vanishes after that proves nothing, and N is 0.
+    With a modulus, g, the chain and the elimination are reduced by it from
+    the first power after G^exact with an entry of SWITCH or more on; a
+    pivot that vanishes after that proves nothing, and N is 0. A word-sized
+    modulus keeps every later product on _product's one-word slots.
     """
     r = len(g)
-    p = None  # the modulus, once the chain has reached it
+    p = None  # the modulus, once the chain has reached SWITCH
     low, power = [[int(i == j) for j in range(r)] for i in range(r)], g  # G^(n-1), G^n
     powers = None
     sums = [r]  # s_0, s_1, ..., s_(2n)
@@ -70,8 +79,9 @@ def _hankel_rank(g, modulus: int | None, exact: int = 0):
         if n == r:
             break
         if (modulus and not p and n > exact
-                and max(max(map(max, power)), -min(map(min, power))) > modulus):
+                and max(max(map(max, power)), -min(map(min, power))) >= SWITCH):
             p = modulus
+            g = [[x % p for x in row] for row in g]
             sums = [s % p for s in sums]
             pivots = [x % p for x in pivots]
             rows = [[x % p for x in row] for row in rows]

@@ -8,7 +8,9 @@ part by a primitive remainder sequence over Z[x] instead of the rank of
 the power-sum Hankel matrix that minpoly_degree computes, direct
 big-integer dominance scans instead of boolean support stabilization,
 support chains that multiply the growing power on the right instead of
-the left, and a counting recurrence instead of the partition generator.
+the left, the even graph depth over merged classes of black dots instead
+of black-to-white distances, and a counting recurrence instead of the
+partition generator.
 """
 
 from functools import cache, reduce
@@ -16,8 +18,8 @@ from itertools import combinations_with_replacement
 from math import gcd
 from operator import or_
 
-from incdepth import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
-                      bracketed_power, dominance_q, minpoly_degree)
+from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
+                      SupportMatrix, bracketed_power, dominance_q, minpoly_degree)
 
 
 class IntPolynomial:
@@ -296,6 +298,22 @@ def min_hdepth_exact(m: InclusionMatrix) -> int:
             return 2 * n - 1
         power_prev = power
     raise AssertionError(f"no H-depth found up to 2*{cap}-1")
+
+
+def min_even_depth_merged(g: BipartiteGraph) -> int:
+    """Minimum even depth from its definition: 2 plus the largest distance
+    from a black dot to the class of black neighbours of a white dot, the
+    least distance to any member, over pairs in a common component."""
+    classes = [[b for b, w in g.edges if w == white]
+               for white in range(g.white_count)]
+    worst = 0
+    for i in range(g.black_count):
+        dist = g.distances_from(i)
+        for members in classes:
+            reachable = [dist[k] for k in members if dist[k] >= 0]
+            if reachable:
+                worst = max(worst, min(reachable))
+    return 2 + worst
 
 
 @cache

@@ -7,7 +7,7 @@ from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
                       min_even_depth_graph, min_hdepth, min_hdepth_graph,
                       min_odd_depth_graph, to_dot)
 
-from _oracles import random_inclusion
+from _oracles import min_even_depth_merged, random_inclusion
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
@@ -96,6 +96,23 @@ class TestGraphDepths:
             g = build_graph(m)
             assert min(min_odd_depth_graph(g), min_even_depth_graph(g)) == min_depth(m)
             assert min_hdepth_graph(g) == min_hdepth(m)
+
+    def test_even_depth_matches_merged_classes(self):
+        # every edge set on 1-3 blacks and 1-4 whites, isolated dots included
+        for r in range(1, 4):
+            for s in range(1, 5):
+                cells = [(b, w) for b in range(r) for w in range(s)]
+                for mask in range(1 << len(cells)):
+                    edges = [e for k, e in enumerate(cells) if mask >> k & 1]
+                    g = BipartiteGraph(r, s, edges)
+                    assert min_even_depth_graph(g) == min_even_depth_merged(g), g
+        rng = random.Random(23)
+        for _ in range(2000):
+            r, s = rng.randint(1, 9), rng.randint(1, 9)
+            density = rng.random()
+            g = BipartiteGraph(r, s, [(b, w) for b in range(r) for w in range(s)
+                                      if rng.random() < density])
+            assert min_even_depth_graph(g) == min_even_depth_merged(g), g
 
     def test_block_diagonal_agreement(self):
         # disconnected graph: depth comes from within components

@@ -4,7 +4,7 @@ import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
                       depth_upper_bound, min_depth, minpoly_degree)
-from incdepth import charpoly
+from incdepth import charpoly, exactmat
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
                       poly_at_matrix, poly_gcd, random_inclusion, scale)
@@ -126,6 +126,16 @@ def _signed_matrix(rng, n, high, density):
     return IntMatrix([[cells[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
 
 
+def _signed_corpus():
+    """Signed symmetric matrices of 1 to 16 rows, whose chain products take
+    word and byte slots, and which turn modular once their entries are wide."""
+    rng = random.Random(20)
+    for n in range(1, 17):
+        for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),
+                                  (10**30, 0.25), (3, 0.15)):
+            yield _signed_matrix(rng, n, high, density)
+
+
 def _repeated_spectrum(rng, k, high):
     """Symmetric S + S + T (direct sum) under a random signed permutation.
 
@@ -180,17 +190,46 @@ def _prs_squarefree_degree(p):
 
 
 class TestModularPath:
-    """The power-sum Hankel rank, exact while narrow and mod 2^127 - 1 once
-    wide, against the Berkowitz scheme and the Z[x] remainder sequence."""
+    """The power-sum Hankel rank, exact while narrow and mod P = 2^27 - 79
+    once wider than 2^127, against the Berkowitz scheme and the Z[x]
+    remainder sequence."""
 
     def test_signed_matrices_match_berkowitz(self):
-        # 1 to 16 rows; the chain products take word and byte slots
-        rng = random.Random(20)
-        for n in range(1, 17):
-            for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),
-                                      (10**30, 0.25), (3, 0.15)):
-                m = _signed_matrix(rng, n, high, density)
-                assert minpoly_degree(m) == _prs_squarefree_degree(berkowitz_char_poly(m)), m
+        for m in _signed_corpus():
+            assert minpoly_degree(m) == _prs_squarefree_degree(berkowitz_char_poly(m)), m
+
+    def test_word_modulus_matches_mersenne_modulus(self, monkeypatch):
+        corpus = list(_signed_corpus())
+        counts = [minpoly_degree(m) for m in corpus]
+        monkeypatch.setattr(charpoly, "P", 2**127 - 1)
+        assert [minpoly_degree(m) for m in corpus] == counts
+
+    def test_word_modulus_matches_exact_count(self):
+        gram = _dense_gram(0).entries
+        exact = charpoly._hankel_rank(gram, None)
+        assert charpoly._hankel_rank(gram, charpoly.P) == exact == (40, None)
+
+    def test_products_after_the_switch_take_word_slots(self, monkeypatch):
+        # entries up to 10^6 make G wider than P, so the slots stay within
+        # 64 bits only if G is reduced at the switch along with the chain
+        rng = random.Random(22)
+        gram = InclusionMatrix([[rng.randint(1, 10**6) for _ in range(60)]
+                                for _ in range(40)]).gram
+        assert max(map(max, gram.entries)) > charpoly.P
+        calls = []  # (slot bound in bits, widest entry of the product)
+        product = exactmat._product
+
+        def spy(a, b):
+            rows = product(a, b)
+            calls.append((len(b).bit_length() + max(map(max, a)).bit_length()
+                          + max(map(max, b)).bit_length(), max(map(max, rows))))
+            return rows
+
+        monkeypatch.setattr(exactmat, "_product", spy)
+        assert minpoly_degree(gram) == 40
+        switch = next(i for i, (_, top) in enumerate(calls) if top >= charpoly.SWITCH)
+        after = [bits for bits, _ in calls[switch + 1:]]
+        assert len(after) > 30 and max(after) <= 64, calls
 
     def test_repeated_spectrum_matches_oracles(self):
         rng = random.Random(21)
@@ -228,16 +267,20 @@ class TestModularPath:
             return hankel_rank(g, modulus, *rest)
 
         monkeypatch.setattr(charpoly, "_hankel_rank", spy)
-        # 2^200 = 2^73 mod P: three distinct eigenvalues mod P, two over Z
+        # two distinct eigenvalues over Z and mod P (2^200 = 116857000 mod
+        # P), so the count ends on det H_3 = 0, which proves nothing mod P
         assert minpoly_degree(_diagonal(2**200, 2**200, 1)) == 2
         assert moduli == [charpoly.P, None]
-        # omega is a cube root of unity mod P, so diag(omega + 1, 1, 0) has
-        # the narrow pivot det H_2 = 2(omega^2 + omega + 1), a nonzero
-        # multiple of P that vanishes when the chain turns modular
+        # omega is a cube root of unity mod P; x = omega + 1 mod P is wider
+        # than 2^127, so the chain turns modular at G, and diag(x, 1, 0) has
+        # the pivot det H_2 = 2(x^2 - x + 1) = 2(omega^2 + omega + 1) mod P,
+        # a nonzero multiple of P
         omega = pow(5, (charpoly.P - 1) // 3, charpoly.P)
         assert omega != 1 and (omega * omega + omega + 1) % charpoly.P == 0
+        x = omega + 1 + (charpoly.P << 101)
+        assert x >= charpoly.SWITCH and (x * x - x + 1) % charpoly.P == 0
         moduli.clear()
-        assert minpoly_degree(_diagonal(omega + 1, 1, 0)) == 3
+        assert minpoly_degree(_diagonal(x, 1, 0)) == 3
         assert moduli == [charpoly.P, None]
         for seed in (0, 1):
             moduli.clear()

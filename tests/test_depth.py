@@ -443,8 +443,9 @@ class TestWitnessFromChain:
          [1, 1, 1]],
     ])
     def test_witness_powers_above_p(self, cells):
-        # the chain passes 2^127 - 1 by G^2 and goes on past G^a modulo
-        # that prime; with a = 3, G^2 is also the lower witness power
+        # the chain passes 2^127 by G^2, stays exact through G^a and goes
+        # on modulo the word-sized P = 2^27 - 79; with a = 3, G^2 is also
+        # the lower witness power
         m = InclusionMatrix(cells)
         rep = self.agrees(m)
         low = bracketed_power(m, rep.depth - 1)
