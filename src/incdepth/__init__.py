@@ -10,12 +10,11 @@ branching rule. All arithmetic is exact.
 
 from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
                        dominance_q)
-from .depth import (DepthReport, bracketed_power, depth_report, has_depth,
-                    min_depth, min_hdepth, min_odd_depth_symmetric)
-from .bigraph import (BipartiteGraph, black_diameter, build_graph,
-                      min_even_depth_graph, min_hdepth_graph,
-                      min_odd_depth_graph, to_dot)
-from .charpoly import depth_upper_bound, minpoly_degree
+from .depth import (DepthReport, depth_report, min_depth, min_hdepth,
+                    min_odd_depth_symmetric)
+from .bigraph import (BipartiteGraph, build_graph, min_even_depth_graph,
+                      min_hdepth_graph, min_odd_depth_graph, to_dot)
+from .charpoly import minpoly_degree
 from .symgroup import Partition, branching_matrix, partitions, tower_matrix
 from .cli import (MatrixParseError, fixture_path, parse_int_matrix,
                   parse_matrix, render_matrix)

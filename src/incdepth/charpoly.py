@@ -13,19 +13,19 @@ the least N with det H_(N+1) = 0.
 The leading minors det H_N are the pivots of a fraction-free elimination
 (Bareiss, Math. Comp. 1968) that adds one Hankel row per power of G, from
 the chain G^(j+1) = G G^j: s_(2j) = <G^j, G^j>, s_(2j+1) = <G^j, G^(j+1)>.
-Chain and elimination are exact while every entry of the chain is below
-SWITCH = 2^127. From the first power with a wider entry on, the chain, G
-itself and the elimination are reduced modulo the prime P = 2^27 - 79. A
-minor that is nonzero mod P is nonzero, so r nonzero pivots prove k = r
-(k <= r). A minor that vanishes mod P may not vanish over Z, so then the
-count is redone without reduction. No step is probabilistic and every
-answer is exact. P is word-sized so that every product after the switch
-packs machine words: exactmat._product's slot bound for it, bits(r) + 27 +
-27, is at most 64 bits for r < 1024.
+Chain and elimination are exact. At the first power with an entry of
+SWITCH = 2^127 or more, the count checks a certificate once: the minimal
+polynomial of G is monic in Z[x] (Gauss's lemma), so its reduction mod the
+prime P annihilates G mod P, and the dimension of the Krylov space
+span(v, Gv, G^2 v, ...) mod P is at most k (Wiedemann, IEEE Trans. Inf.
+Theory 1986). A dimension of r proves k = r and ends the count; otherwise
+the same chain goes on exactly. No step is probabilistic and every answer
+is exact.
 
 A depth report also takes the exact pair G^(a-1), G^a from this chain,
-for the witness q of depth 2a-1 or 2a; the chain then stays exact through
-G^a, and forms G^r after its last Hankel row when a = r.
+for the witness q of depth 2a-1 or 2a; the chain then reaches G^a before
+the certificate is checked, and forms G^r after its last Hankel row when
+a = r.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ from operator import mul
 from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, dominance_q,
                        signed_product)
 
-SWITCH = 1 << 127  # the chain turns modular at the first entry this wide
-# The largest prime below 2^27 that is 1 mod 3: a product of two r x r
-# matrices reduced by it has a slot bound of bits(r) + 54 <= 64 bits for
-# r < 1024, and F_P has the cube roots of unity the tests build a zero pivot from.
-P = (1 << 27) - 79
+SWITCH = 1 << 127  # the certificate is checked at the first entry this wide
+P = (1 << 27) - 79  # the prime of the Krylov certificate
 
 
 def _inner(a, b) -> int:
@@ -47,26 +44,47 @@ def _inner(a, b) -> int:
     return sum(sum(map(mul, x, y)) for x, y in zip(a, b))
 
 
-def _hankel_rank(g, modulus: int | None, exact: int = 0):
-    """(N, powers) for the symmetric rows g of G.
+def _krylov_dim(g, p: int) -> int:
+    """Dimension of span(v, Gv, G^2 v, ...) mod p for v = (1, 2, ..., r).
 
-    N is the least N with det H_(N+1) = 0, or 0 if unproven. powers is the
-    exact pair (G^(exact-1), G^exact) once the chain has formed G^exact,
-    which it does whenever 1 <= exact <= N, and None otherwise.
-
-    With a modulus, g, the chain and the elimination are reduced by it from
-    the first power after G^exact with an entry of SWITCH or more on; a
-    pivot that vanishes after that proves nothing, and N is 0. A word-sized
-    modulus keeps every later product on _product's one-word slots.
+    Each new vector is reduced against the echelon basis found so far, so
+    the count takes at most r matrix-vector products.
     """
     r = len(g)
-    p = None  # the modulus, once the chain has reached SWITCH
+    g = [[x % p for x in row] for row in g]
+    basis = []  # (pivot column, row mod p with 1 in that column)
+    v = list(range(1, r + 1))
+    while len(basis) < r:
+        w = v
+        for col, row in basis:
+            c = w[col] % p
+            if c:
+                w = [x - c * y for x, y in zip(w, row)]
+        w = [x % p for x in w]
+        col = next((j for j, x in enumerate(w) if x), None)
+        if col is None:
+            break
+        inverse = pow(w[col], -1, p)
+        basis.append((col, [x * inverse % p for x in w]))
+        v = [sum(map(mul, row, v)) % p for row in g]
+    return len(basis)
+
+
+def _hankel_rank(g, exact: int = 0):
+    """(k, powers) for the symmetric rows g of G.
+
+    k is the least N with det H_(N+1) = 0. powers is the exact pair
+    (G^(exact-1), G^exact) once the chain has formed G^exact, which it does
+    whenever 1 <= exact <= k, and None otherwise. The Krylov certificate is
+    tried at the first power after G^exact with an entry of SWITCH or more.
+    """
+    r = len(g)
+    checked = False  # whether the Krylov certificate has been tried
     low, power = [[int(i == j) for j in range(r)] for i in range(r)], g  # G^(n-1), G^n
     powers = None
     sums = [r]  # s_0, s_1, ..., s_(2n)
     pivots = [r]  # det H_1, ..., det H_n
     rows = [[r]]  # rows[k][j - k]: entry (k, j) of H after k elimination steps
-    inverses = []  # of the divisors 1, det H_1, det H_2, ... mod p
     # Steps 1..r-1 add Hankel rows; det H_(r+1) = 0 always, so step r only
     # forms G^r, when it is asked for.
     for n in range(1, max(r, exact + 1)):
@@ -78,71 +96,50 @@ def _hankel_rank(g, modulus: int | None, exact: int = 0):
             powers = low, power
         if n == r:
             break
-        if (modulus and not p and n > exact
+        if (not checked and n > exact
                 and max(max(map(max, power)), -min(map(min, power))) >= SWITCH):
-            p = modulus
-            g = [[x % p for x in row] for row in g]
-            sums = [s % p for s in sums]
-            pivots = [x % p for x in pivots]
-            rows = [[x % p for x in row] for row in rows]
-            if not all(pivots):
-                return 0, powers
-        if p:
-            power = [[x % p for x in row] for row in power]
-        new = (_inner(low, power), _inner(power, power))
-        sums += [s % p for s in new] if p else new
+            checked = True
+            if _krylov_dim(g, P) == r:
+                return r, powers
+        sums += _inner(low, power), _inner(power, power)
         # Row n of H_(n+1) is s_n, ..., s_2n; by symmetry, its entry in
         # column k after k steps is also entry (k, n) of the pivot row k.
         v = sums[n:]
         divisors = [1, *pivots]
-        if p:
-            inverses += [pow(x, -1, p) for x in divisors[len(inverses):n]]
         for k, (pivot, row) in enumerate(zip(pivots, rows)):
             mult = v[k]
             row.append(mult)
-            terms = [pivot * x - mult * y for x, y in zip(v[k + 1:], row[1:])]
-            v[k + 1:] = ([t * inverses[k] % p for t in terms] if p
-                         else [t // divisors[k] for t in terms])
+            v[k + 1:] = [(pivot * x - mult * y) // divisors[k]
+                         for x, y in zip(v[k + 1:], row[1:])]
         if not v[n]:
-            return (0 if p else n), powers
+            return n, powers
         pivots.append(v[n])
         rows.append([v[n]])
     return r, powers
-
-
-def _count(g, exact: int = 0):
-    """_hankel_rank(g, P, exact), rerun without reduction when it proves nothing."""
-    counted = _hankel_rank(g, P, exact)
-    return counted if counted[0] else _hankel_rank(g, None, exact)
 
 
 def minpoly_degree(sym: IntMatrix) -> int:
     """Degree of the minimal polynomial of a symmetric integer matrix.
 
     This is its number of distinct eigenvalues, the rank of its power-sum
-    Hankel matrix (see the module docstring). The count runs modulo P once
-    the powers grow wide, and again exactly when that proves nothing.
+    Hankel matrix (see the module docstring).
     """
     if not sym.is_symmetric():
         raise MatrixError("minimal polynomial degree needs a symmetric matrix")
-    return _count(sym.entries)[0]
-
-
-def depth_upper_bound(m: InclusionMatrix) -> int:
-    """Spectral depth bound 2*d - 1, d = deg of the minimal polynomial of M M^t."""
-    return 2 * minpoly_degree(m.gram) - 1
+    return _hankel_rank(sym.entries)[0]
 
 
 def bound_and_witness(m: InclusionMatrix, d: int):
-    """depth_upper_bound(m) and the minimal witness q of depth d >= 1.
+    """The spectral bound 2k - 1 and the minimal witness q of depth d >= 1.
 
-    With G = M M^t and a = (d + 1) // 2, M^[d-1] and M^[d+1] are G^(a-1)
-    and G^a, times M for even d. The chain that counts the distinct
-    eigenvalues stays exact through G^a and hands those two powers over.
-    q is has_depth(m, d) whenever d is within the bound; past the bound the
+    k is the degree of the minimal polynomial of G = M M^t. With
+    a = (d + 1) // 2, M^[d-1] and M^[d+1] are G^(a-1) and G^a, times M for
+    even d. The chain that counts the distinct eigenvalues stays exact
+    through G^a and hands those two powers over. q is the least q with
+    M^[d+1] <= q M^[d-1] whenever d is within the bound; past the bound the
     chain may stop short of G^a, and q is None.
     """
-    k, powers = _count(m.gram.entries, (d + 1) // 2)
+    k, powers = _hankel_rank(m.gram.entries, (d + 1) // 2)
     if powers is None:
         return 2 * k - 1, None
     low, high = map(IntMatrix, powers)

@@ -25,35 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bigraph, charpoly
-from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
-                       dominance_q)
-
-
-def bracketed_power(m: InclusionMatrix, n: int) -> IntMatrix:
-    """Exact bracketed power M^[n]; r x r for even n, r x s for odd n."""
-    if n < 0:
-        raise MatrixError(f"bracketed power needs n >= 0, got {n}")
-    mat = m.matrix
-    power = None  # (M M^t)^(n // 2) by repeated squaring; None stands for I
-    square = m.gram if n >= 2 else None
-    k = n // 2
-    while k:
-        if k & 1:
-            power = square if power is None else power * square
-        k >>= 1
-        if k:
-            square = square * square
-    if n % 2:
-        return mat if power is None else power * mat
-    return IntMatrix.identity(mat.rows) if power is None else power
-
-
-def has_depth(m: InclusionMatrix, n: int) -> int | None:
-    """Minimal witness q with M^[n+1] <= q M^[n-1], or None if M lacks depth n."""
-    if n < 1:
-        raise MatrixError(f"depth is defined for n >= 1, got {n}")
-    low = bracketed_power(m, n - 1)
-    return dominance_q(m.gram * low, low)  # M^[n+1] = (M M^t) M^[n-1]
+from .exactmat import InclusionMatrix, IntMatrix, MatrixError, SupportMatrix
 
 
 def _stabilize(g: SupportMatrix, chain) -> int:

@@ -7,10 +7,11 @@ and the division-free Berkowitz scheme) and the degree of its squarefree
 part by a primitive remainder sequence over Z[x] instead of the rank of
 the power-sum Hankel matrix that minpoly_degree computes, direct
 big-integer dominance scans instead of boolean support stabilization,
-support chains that multiply the growing power on the right instead of
-the left, the even graph depth over merged classes of black dots instead
-of black-to-white distances, and a counting recurrence instead of the
-partition generator.
+bracketed powers by repeated squaring instead of the report's Gram-power
+chain, support chains that multiply the growing power on the right
+instead of the left, the even graph depth over merged classes of black
+dots instead of black-to-white distances, and a counting recurrence
+instead of the partition generator.
 """
 
 from functools import cache, reduce
@@ -19,7 +20,7 @@ from math import gcd
 from operator import or_
 
 from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
-                      SupportMatrix, bracketed_power, dominance_q, minpoly_degree)
+                      SupportMatrix, dominance_q, minpoly_degree)
 
 
 class IntPolynomial:
@@ -78,6 +79,38 @@ def naive_bracketed_powers(m: InclusionMatrix, top: int) -> list[IntMatrix]:
         power = naive_multiply(power, factors[n % 2])
         powers.append(IntMatrix(power))
     return powers
+
+
+def bracketed_power(m: InclusionMatrix, n: int) -> IntMatrix:
+    """Exact bracketed power M^[n]; r x r for even n, r x s for odd n."""
+    if n < 0:
+        raise MatrixError(f"bracketed power needs n >= 0, got {n}")
+    mat = m.matrix
+    power = None  # (M M^t)^(n // 2) by repeated squaring; None stands for I
+    square = m.gram if n >= 2 else None
+    k = n // 2
+    while k:
+        if k & 1:
+            power = square if power is None else power * square
+        k >>= 1
+        if k:
+            square = square * square
+    if n % 2:
+        return mat if power is None else power * mat
+    return IntMatrix.identity(mat.rows) if power is None else power
+
+
+def has_depth(m: InclusionMatrix, n: int) -> int | None:
+    """Minimal witness q with M^[n+1] <= q M^[n-1], or None if M lacks depth n."""
+    if n < 1:
+        raise MatrixError(f"depth is defined for n >= 1, got {n}")
+    low = bracketed_power(m, n - 1)
+    return dominance_q(m.gram * low, low)  # M^[n+1] = (M M^t) M^[n-1]
+
+
+def depth_upper_bound(m: InclusionMatrix) -> int:
+    """Spectral depth bound 2*d - 1, d = deg of the minimal polynomial of M M^t."""
+    return 2 * minpoly_degree(m.gram) - 1
 
 
 def scale(m: IntMatrix, k: int) -> IntMatrix:

@@ -6,17 +6,17 @@ see the per-criterion lines.
 
 import random
 
-from incdepth import (InclusionMatrix, IntMatrix, bracketed_power, build_graph,
-                      depth_report, depth_upper_bound, fixture_path,
-                      has_depth, min_depth, min_even_depth_graph, min_hdepth,
+from incdepth import (InclusionMatrix, IntMatrix, build_graph, depth_report,
+                      fixture_path, min_depth, min_even_depth_graph, min_hdepth,
                       min_hdepth_graph, min_odd_depth_graph,
                       min_odd_depth_symmetric, parse_int_matrix, parse_matrix,
                       partitions)
 from incdepth.cli import main
 
 from _oracles import (all_binary_inclusions, char_poly, count_partitions,
-                      min_depth_exact, min_hdepth_exact, poly_at_matrix,
-                      random_inclusion, scale, zero_count)
+                      depth_upper_bound, has_depth, min_depth_exact,
+                      min_hdepth_exact, poly_at_matrix, random_inclusion, scale,
+                      zero_count)
 
 
 def _line(num: int, ok: bool, description: str) -> None:

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
-                      black_diameter, build_graph, min_depth,
-                      min_even_depth_graph, min_hdepth, min_hdepth_graph,
-                      min_odd_depth_graph, to_dot)
+                      build_graph, min_depth, min_even_depth_graph, min_hdepth,
+                      min_hdepth_graph, min_odd_depth_graph, to_dot)
+from incdepth.bigraph import black_diameter
 
 from _oracles import min_even_depth_merged, random_inclusion
 

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
-                      depth_upper_bound, min_depth, minpoly_degree)
-from incdepth import charpoly, exactmat
+                      min_depth, minpoly_degree, tower_matrix)
+from incdepth import charpoly
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
-                      poly_at_matrix, poly_gcd, random_inclusion, scale)
+                      depth_upper_bound, poly_at_matrix, poly_gcd, random_inclusion,
+                      scale)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -128,7 +129,8 @@ def _signed_matrix(rng, n, high, density):
 
 def _signed_corpus():
     """Signed symmetric matrices of 1 to 16 rows, whose chain products take
-    word and byte slots, and which turn modular once their entries are wide."""
+    word and byte slots, and whose count checks the Krylov certificate once
+    their entries are wide."""
     rng = random.Random(20)
     for n in range(1, 17):
         for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),
@@ -164,11 +166,26 @@ def _repeated_spectrum(rng, k, high):
                        for j in range(n)] for i in range(n)])
 
 
+def _dense_rows(rng, count):
+    return [[0 if rng.random() < 0.2 else rng.randint(1, 1000) for _ in range(60)]
+            for _ in range(count)]
+
+
 def _dense_gram(seed):
-    rng = random.Random(seed)
-    cells = [[0 if rng.random() < 0.2 else rng.randint(1, 1000) for _ in range(60)]
-             for _ in range(40)]
+    return InclusionMatrix(_dense_rows(random.Random(seed), 40)).gram
+
+
+def _repeated_rows_gram():
+    """Gram of a seeded dense 40x60 matrix with 20 distinct rows, each twice:
+    rank 20, so k = 21 (the 20 nonzero eigenvalues and 0) below r = 40."""
+    rng = random.Random(23)
+    cells = 2 * _dense_rows(rng, 20)
+    rng.shuffle(cells)
     return InclusionMatrix(cells).gram
+
+
+def _krylov_dim(m: IntMatrix) -> int:
+    return charpoly._krylov_dim(m.entries, charpoly.P)
 
 
 def _shuffled_gram(n, seed):
@@ -190,46 +207,21 @@ def _prs_squarefree_degree(p):
 
 
 class TestModularPath:
-    """The power-sum Hankel rank, exact while narrow and mod P = 2^27 - 79
-    once wider than 2^127, against the Berkowitz scheme and the Z[x]
-    remainder sequence."""
+    """The exact power-sum Hankel rank, and the Krylov certificate mod
+    P = 2^27 - 79 that may end it once the chain is wider than 2^127,
+    against the Berkowitz scheme and the Z[x] remainder sequence."""
 
     def test_signed_matrices_match_berkowitz(self):
         for m in _signed_corpus():
-            assert minpoly_degree(m) == _prs_squarefree_degree(berkowitz_char_poly(m)), m
+            want = _prs_squarefree_degree(berkowitz_char_poly(m))
+            assert minpoly_degree(m) == want and _krylov_dim(m) <= want, m
 
     def test_word_modulus_matches_mersenne_modulus(self, monkeypatch):
+        # the certificate under a second prime gives the same counts
         corpus = list(_signed_corpus())
         counts = [minpoly_degree(m) for m in corpus]
         monkeypatch.setattr(charpoly, "P", 2**127 - 1)
         assert [minpoly_degree(m) for m in corpus] == counts
-
-    def test_word_modulus_matches_exact_count(self):
-        gram = _dense_gram(0).entries
-        exact = charpoly._hankel_rank(gram, None)
-        assert charpoly._hankel_rank(gram, charpoly.P) == exact == (40, None)
-
-    def test_products_after_the_switch_take_word_slots(self, monkeypatch):
-        # entries up to 10^6 make G wider than P, so the slots stay within
-        # 64 bits only if G is reduced at the switch along with the chain
-        rng = random.Random(22)
-        gram = InclusionMatrix([[rng.randint(1, 10**6) for _ in range(60)]
-                                for _ in range(40)]).gram
-        assert max(map(max, gram.entries)) > charpoly.P
-        calls = []  # (slot bound in bits, widest entry of the product)
-        product = exactmat._product
-
-        def spy(a, b):
-            rows = product(a, b)
-            calls.append((len(b).bit_length() + max(map(max, a)).bit_length()
-                          + max(map(max, b)).bit_length(), max(map(max, rows))))
-            return rows
-
-        monkeypatch.setattr(exactmat, "_product", spy)
-        assert minpoly_degree(gram) == 40
-        switch = next(i for i, (_, top) in enumerate(calls) if top >= charpoly.SWITCH)
-        after = [bits for bits, _ in calls[switch + 1:]]
-        assert len(after) > 30 and max(after) <= 64, calls
 
     def test_repeated_spectrum_matches_oracles(self):
         rng = random.Random(21)
@@ -237,7 +229,9 @@ class TestModularPath:
             for high in (1, 9, 10**6, 10**30):
                 m = _repeated_spectrum(rng, k, high)
                 p = berkowitz_char_poly(m)
-                assert minpoly_degree(m) == _prs_squarefree_degree(p) < p.degree, m
+                want = _prs_squarefree_degree(p)
+                assert minpoly_degree(m) == want < p.degree, m
+                assert _krylov_dim(m) <= want, m
 
     @pytest.mark.parametrize("source", [*range(4, 14), "dense gram 0", "dense gram 1"])
     def test_grams_match_oracles(self, source):
@@ -248,44 +242,74 @@ class TestModularPath:
             gram = _dense_gram(source)
         want = _prs_squarefree_degree(berkowitz_char_poly(gram))
         assert minpoly_degree(gram) == want
+        # the certificate is a lower bound, and proves k = r on dense grams
+        assert _krylov_dim(gram) <= want
         if isinstance(source, int):
             # shuffling the rows and columns of M conjugates M M^t by a
             # permutation, which keeps its characteristic polynomial
             assert minpoly_degree(_shuffled_gram(source, source)) == want
+        else:
+            assert _krylov_dim(gram) == want == gram.rows
 
     def test_no_size_ceiling(self):
         assert minpoly_degree(IntMatrix([[1 << 216091]])) == 1
         assert minpoly_degree(_diagonal(2**200, 2**200, 1)) == 2
         assert minpoly_degree(_diagonal(2**200, 2**200 + 1)) == 2
 
-    def test_exact_rerun_only_after_a_zero_pivot_mod_p(self, monkeypatch):
-        moduli = []
-        hankel_rank = charpoly._hankel_rank
-
-        def spy(g, modulus, *rest):
-            moduli.append(modulus)
-            return hankel_rank(g, modulus, *rest)
-
-        monkeypatch.setattr(charpoly, "_hankel_rank", spy)
-        # two distinct eigenvalues over Z and mod P (2^200 = 116857000 mod
-        # P), so the count ends on det H_3 = 0, which proves nothing mod P
-        assert minpoly_degree(_diagonal(2**200, 2**200, 1)) == 2
-        assert moduli == [charpoly.P, None]
-        # omega is a cube root of unity mod P; x = omega + 1 mod P is wider
-        # than 2^127, so the chain turns modular at G, and diag(x, 1, 0) has
-        # the pivot det H_2 = 2(x^2 - x + 1) = 2(omega^2 + omega + 1) mod P,
-        # a nonzero multiple of P
+    def test_minors_that_vanish_mod_p(self):
+        # omega is a cube root of unity mod P, and x = omega + 1 mod P is
+        # wider than 2^127: diag(x, 1, 0) has det H_2 = 2(x^2 - x + 1), a
+        # nonzero multiple of P, so a Hankel count mod P would stop at 1
         omega = pow(5, (charpoly.P - 1) // 3, charpoly.P)
         assert omega != 1 and (omega * omega + omega + 1) % charpoly.P == 0
         x = omega + 1 + (charpoly.P << 101)
         assert x >= charpoly.SWITCH and (x * x - x + 1) % charpoly.P == 0
-        moduli.clear()
         assert minpoly_degree(_diagonal(x, 1, 0)) == 3
-        assert moduli == [charpoly.P, None]
+
+    @staticmethod
+    def spy_count(monkeypatch, gram):
+        """(minpoly_degree(gram), products taken, Krylov dimensions found)."""
+        products, dims = [], []
+        product, krylov_dim = charpoly.signed_product, charpoly._krylov_dim
+
+        def product_spy(a, b):
+            products.append(product(a, b))
+            return products[-1]
+
+        def krylov_spy(g, p):
+            dims.append(krylov_dim(g, p))
+            return dims[-1]
+
+        monkeypatch.setattr(charpoly, "signed_product", product_spy)
+        monkeypatch.setattr(charpoly, "_krylov_dim", krylov_spy)
+        return minpoly_degree(gram), products, dims
+
+    def test_certificate_ends_the_count_at_the_switch(self, monkeypatch):
         for seed in (0, 1):
-            moduli.clear()
-            assert minpoly_degree(_dense_gram(seed)) == 40
-            assert moduli == [charpoly.P]
+            k, products, dims = self.spy_count(monkeypatch, _dense_gram(seed))
+            assert (k, dims) == (40, [40])
+            # the chain stops at its first power wider than 2^127
+            widths = [max(map(max, p)) >= charpoly.SWITCH for p in products]
+            assert widths[-1] and not any(widths[:-1]) and len(products) < 10
+
+    def test_certificate_miss_counts_on_exactly(self, monkeypatch):
+        # v = (1, 2) is an eigenvector of [[0, 2], [2, 3]] for 4, and -1 is
+        # its other eigenvalue, so the dimension is 1 while k = 2
+        gram = IntMatrix([[0, 2**131], [2**131, 3 * 2**130]])
+        assert self.spy_count(monkeypatch, gram) == (2, [], [1])
+
+    @pytest.mark.parametrize("source", ["repeated rows", "S_10 <= S_16"])
+    def test_one_chain_per_count(self, monkeypatch, source):
+        # the certificate misses (dimension < r) and the chain goes on
+        # exactly from the switch through G^k, with no second pass
+        if source == "repeated rows":
+            gram, want = _repeated_rows_gram(), (40, 21, 21)
+        else:
+            gram, want = tower_matrix(10, 16).gram, (42, 10, 10)
+        k, products, dims = self.spy_count(monkeypatch, gram)
+        assert (gram.rows, k, *dims) == want
+        assert len(products) == k - 1 <= gram.rows - 1
+        assert max(map(max, products[-1])) >= charpoly.SWITCH
 
 
 class TestDepthUpperBound:

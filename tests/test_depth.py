@@ -5,14 +5,14 @@ from math import comb
 import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
-                      bracketed_power, branching_matrix, build_graph, depth_report,
-                      depth_upper_bound, dominance_q, fixture_path, has_depth, min_depth,
-                      min_even_depth_graph, min_hdepth, min_hdepth_graph,
-                      min_odd_depth_graph, min_odd_depth_symmetric, parse_matrix)
-from incdepth import depth as depth_module
+                      branching_matrix, build_graph, depth_report, dominance_q,
+                      fixture_path, min_depth, min_even_depth_graph, min_hdepth,
+                      min_hdepth_graph, min_odd_depth_graph, min_odd_depth_symmetric,
+                      parse_matrix)
 from incdepth.depth import _stabilize
 
-from _oracles import (berkowitz_char_poly, inclusion_rejection, min_depth_exact,
+from _oracles import (berkowitz_char_poly, bracketed_power, depth_upper_bound,
+                      has_depth, inclusion_rejection, min_depth_exact,
                       min_hdepth_exact, naive_bracketed_powers, poly_gcd,
                       random_inclusion, right_chain_depths, sorted_binary_inclusions,
                       zero_count)
@@ -443,29 +443,12 @@ class TestWitnessFromChain:
          [1, 1, 1]],
     ])
     def test_witness_powers_above_p(self, cells):
-        # the chain passes 2^127 by G^2, stays exact through G^a and goes
-        # on modulo the word-sized P = 2^27 - 79; with a = 3, G^2 is also
-        # the lower witness power
+        # the chain passes 2^127 by G^2 and stays exact through G^a, past
+        # which the Krylov certificate mod P proves k = r; with a = 3, G^2
+        # is also the lower witness power
         m = InclusionMatrix(cells)
         rep = self.agrees(m)
         low = bracketed_power(m, rep.depth - 1)
         assert max(map(max, low.entries)) >> 127
         assert (rep.spectral_bound + 1) // 2 > (rep.depth + 1) // 2 + 1
         assert rep.spectral_bound == depth_upper_bound(m)
-
-    def test_report_forms_no_bracketed_power(self, monkeypatch):
-        calls = []
-        for name in ("bracketed_power", "has_depth"):
-            original = getattr(depth_module, name)
-
-            def spy(*args, name=name, original=original):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(depth_module, name, spy)
-        m = branching_matrix(8)
-        rep = depth_report(m)
-        assert calls == []
-        # the spies see a call made through the module
-        assert depth_module.has_depth(m, rep.depth) == rep.q_witness
-        assert calls == ["has_depth", "bracketed_power"]

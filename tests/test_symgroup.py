@@ -1,11 +1,11 @@
 import pytest
 
 from incdepth import (InclusionMatrix, Partition, branching_matrix, build_graph,
-                      depth_upper_bound, min_depth, min_even_depth_graph,
-                      min_hdepth, min_hdepth_graph, min_odd_depth_graph,
-                      partitions, tower_matrix)
+                      min_depth, min_even_depth_graph, min_hdepth,
+                      min_hdepth_graph, min_odd_depth_graph, partitions,
+                      tower_matrix)
 
-from _oracles import count_partitions, dim_irreducible
+from _oracles import count_partitions, depth_upper_bound, dim_irreducible
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
