@@ -14,7 +14,6 @@ from .depth import (DepthReport, depth_report, min_depth, min_hdepth,
                     min_odd_depth_symmetric)
 from .bigraph import (BipartiteGraph, build_graph, min_even_depth_graph,
                       min_hdepth_graph, min_odd_depth_graph, to_dot)
-from .charpoly import minpoly_degree
 from .symgroup import Partition, branching_matrix, partitions, tower_matrix
 from .cli import (MatrixParseError, fixture_path, parse_int_matrix,
                   parse_matrix, render_matrix)

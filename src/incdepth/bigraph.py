@@ -32,10 +32,13 @@ class BipartiteGraph:
     def __init__(self, black_count: int, white_count: int, edges):
         if black_count < 1 or white_count < 1:
             raise MatrixError("graph needs at least one black and one white dot")
-        pairs = frozenset((int(b), int(w)) for b, w in edges)
-        for b, w in pairs:
+        edges = [(b, w) for b, w in edges]
+        for b, w in edges:
+            if not (isinstance(b, int) and isinstance(w, int)):
+                raise MatrixError(f"edge {(b, w)!r} is not a pair of integers")
             if not (0 <= b < black_count and 0 <= w < white_count):
                 raise MatrixError(f"edge ({b},{w}) out of range")
+        pairs = frozenset(edges)
         self.black_count = black_count
         self.white_count = white_count
         self.edges = pairs

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, dominance_q,
-                       signed_product)
+from .exactmat import InclusionMatrix, IntMatrix, dominance_q, product
 
 SWITCH = 1 << 127  # the certificate is checked at the first entry this wide
 P = (1 << 27) - 79  # the prime of the Krylov certificate
@@ -71,7 +70,7 @@ def _krylov_dim(g, p: int) -> int:
 
 
 def _hankel_rank(g, exact: int = 0):
-    """(k, powers) for the symmetric rows g of G.
+    """(k, powers) for the nonnegative symmetric rows g of G, such as M M^t.
 
     k is the least N with det H_(N+1) = 0. powers is the exact pair
     (G^(exact-1), G^exact) once the chain has formed G^exact, which it does
@@ -91,13 +90,12 @@ def _hankel_rank(g, exact: int = 0):
         if n > 1:
             low = power
             # G^(n-1) is symmetric, so its rows are also its columns
-            power = signed_product(g, low)
+            power = product(g, low)
         if n == exact:
             powers = low, power
         if n == r:
             break
-        if (not checked and n > exact
-                and max(max(map(max, power)), -min(map(min, power))) >= SWITCH):
+        if not checked and n > exact and max(map(max, power)) >= SWITCH:
             checked = True
             if _krylov_dim(g, P) == r:
                 return r, powers
@@ -116,17 +114,6 @@ def _hankel_rank(g, exact: int = 0):
         pivots.append(v[n])
         rows.append([v[n]])
     return r, powers
-
-
-def minpoly_degree(sym: IntMatrix) -> int:
-    """Degree of the minimal polynomial of a symmetric integer matrix.
-
-    This is its number of distinct eigenvalues, the rank of its power-sum
-    Hankel matrix (see the module docstring).
-    """
-    if not sym.is_symmetric():
-        raise MatrixError("minimal polynomial degree needs a symmetric matrix")
-    return _hankel_rank(sym.entries)[0]
 
 
 def bound_and_witness(m: InclusionMatrix, d: int):

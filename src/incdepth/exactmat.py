@@ -3,8 +3,10 @@
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
 round. Values are immutable after construction (tuples all the way down)
-and every operation is a pure function, so they can be shared freely
-across threads.
+but for one lazily filled field, InclusionMatrix._gram: an idempotent memo
+of M M^t, so threads that fill it at once store equal values. Every
+operation is a pure function, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ class MatrixError(ValueError):
 
 
 class IntMatrix:
-    """Dense r x s matrix of signed integers, stored row-major."""
+    """Dense r x s matrix of integers, stored row-major.
+
+    It holds any integers, but multiplies only nonnegative ones.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -73,14 +78,16 @@ class IntMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
     def __mul__(self, other):
-        """Exact product, by signed_product."""
+        """Exact product of nonnegative matrices, by the packed kernel product."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise MatrixError(
                 f"cannot multiply {self.rows}x{self.cols} "
                 f"by {other.rows}x{other.cols}")
-        return IntMatrix(signed_product(self.entries, other.entries))
+        if min(map(min, self.entries)) < 0 or min(map(min, other.entries)) < 0:
+            raise MatrixError("products need nonnegative matrices")
+        return IntMatrix(product(self.entries, other.entries))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
@@ -107,32 +114,7 @@ class IntMatrix:
             for i in range(self.rows) for j in range(i))
 
 
-def signed_product(a, b) -> list:
-    """Rows of a * b for row-major integer a and b; every sign pattern goes
-    through _product.
-
-    A signed operand is split as A = A+ - A- into nonnegative parts,
-    so A B is the signed sum of the products of the parts.
-    """
-    terms = [(sa * sb, _product(pa, pb))
-             for sa, pa in _sign_parts(a)
-             for sb, pb in _sign_parts(b)]
-    cells = terms[0][1]  # A+ B+, with sign +1
-    for sign, rows in terms[1:]:
-        cells = [[x + sign * y for x, y in zip(acc, row)]
-                 for acc, row in zip(cells, rows)]
-    return cells
-
-
-def _sign_parts(rows) -> list[tuple[int, tuple]]:
-    """[(sign, part)] with rows = sum of sign * part and every part nonnegative."""
-    if min(map(min, rows)) >= 0:
-        return [(1, rows)]
-    return [(1, tuple(tuple(x if x > 0 else 0 for x in row) for row in rows)),
-            (-1, tuple(tuple(-x if x < 0 else 0 for x in row) for row in rows))]
-
-
-def _product(a, b) -> list[tuple[int, ...]]:
+def product(a, b) -> list[tuple[int, ...]]:
     """Rows of a * b for nonnegative row-major a (r x s) and b (s x t).
 
     Kronecker substitution: row k of b is packed into one int, entry j in
@@ -143,7 +125,8 @@ def _product(a, b) -> list[tuple[int, ...]]:
     back slot by slot from one to_bytes. When that bound is at most 64
     bits the slots are machine words, which array packs and a memoryview
     cast reads back; wider slots are whole bytes, sliced. Both use the
-    native byte order, which array and memoryview need.
+    native byte order, which array and memoryview need. A negative entry
+    would borrow across slots, so the product would be silently wrong.
     """
     bits = (len(b).bit_length() + max(map(max, a)).bit_length()
             + max(map(max, b)).bit_length())

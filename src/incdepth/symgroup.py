@@ -19,8 +19,10 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        data = tuple(int(p) for p in parts)
+        data = tuple(parts)
         for i, p in enumerate(data):
+            if not isinstance(p, int):
+                raise ValueError(f"part {i + 1} is not an integer: {p!r}")
             if p < 1:
                 raise ValueError(f"part {i + 1} is not positive: {p}")
             if i and data[i - 1] < p:

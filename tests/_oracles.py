@@ -1,11 +1,12 @@
 """Independent brute-force oracles shared by the test modules.
 
-Everything here deliberately avoids the code paths it is used to check:
-naive triple-loop products instead of IntMatrix.__mul__ where the product
-itself is under test, the characteristic polynomial (cofactor determinants
-and the division-free Berkowitz scheme) and the degree of its squarefree
-part by a primitive remainder sequence over Z[x] instead of the rank of
-the power-sum Hankel matrix that minpoly_degree computes, direct
+Everything here but minpoly_degree, which wraps the program's own count,
+deliberately avoids the code paths it is used to check: naive triple-loop
+products instead of IntMatrix.__mul__ where the product itself is under
+test or an operand is signed, the characteristic polynomial (cofactor
+determinants and the division-free Berkowitz scheme) and the degree of its
+squarefree part by a primitive remainder sequence over Z[x] instead of the
+rank of the power-sum Hankel matrix that charpoly counts, direct
 big-integer dominance scans instead of boolean support stabilization,
 bracketed powers by repeated squaring instead of the report's Gram-power
 chain, support chains that multiply the growing power on the right
@@ -20,7 +21,7 @@ from math import gcd
 from operator import or_
 
 from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
-                      SupportMatrix, dominance_q, minpoly_degree)
+                      SupportMatrix, charpoly, dominance_q)
 
 
 class IntPolynomial:
@@ -108,6 +109,20 @@ def has_depth(m: InclusionMatrix, n: int) -> int | None:
     return dominance_q(m.gram * low, low)  # M^[n+1] = (M M^t) M^[n-1]
 
 
+def minpoly_degree(sym: IntMatrix) -> int:
+    """Degree of the minimal polynomial of a nonnegative symmetric matrix.
+
+    This is the program's count, the rank of the power-sum Hankel matrix,
+    not an independent oracle: the tests check it against berkowitz_char_poly
+    and poly_gcd.
+    """
+    if not sym.is_symmetric():
+        raise MatrixError("minimal polynomial degree needs a symmetric matrix")
+    if min(map(min, sym.entries)) < 0:
+        raise MatrixError("minimal polynomial degree needs a nonnegative matrix")
+    return charpoly._hankel_rank(sym.entries)[0]
+
+
 def depth_upper_bound(m: InclusionMatrix) -> int:
     """Spectral depth bound 2*d - 1, d = deg of the minimal polynomial of M M^t."""
     return 2 * minpoly_degree(m.gram) - 1
@@ -166,13 +181,12 @@ def inclusion_rejection(cells) -> tuple[str, int | None] | None:
 
 def poly_at_matrix(p, m: IntMatrix) -> IntMatrix:
     """p(m) by Horner's rule, adding each coefficient on the diagonal."""
-    acc = scale(IntMatrix.identity(m.rows), 0)
+    cells = [[0] * m.rows for _ in range(m.rows)]
     for c in reversed(p.coeffs):
-        cells = [list(row) for row in (acc * m).entries]
+        cells = naive_multiply(cells, m.entries)
         for i in range(m.rows):
             cells[i][i] += c
-        acc = IntMatrix(cells)
-    return acc
+    return IntMatrix(cells)
 
 
 def det_cofactor(rows):

@@ -36,6 +36,13 @@ def test_edge_range_validated():
         BipartiteGraph(1, 1, [(0, 1)])
 
 
+@pytest.mark.parametrize("edge", [(0.9, 1.7), ("1", "0"), (1.0, 0), (0, None)])
+def test_edges_must_be_integers(edge):
+    # no coercion: int(0.9), int("1") and int(1.0) would name valid dots
+    with pytest.raises(MatrixError, match="not a pair of integers"):
+        BipartiteGraph(2, 2, [(0, 0), edge])
+
+
 class TestDiameters:
     def test_s3s4_black_diameter(self):
         assert black_diameter(build_graph(S3S4)) == 4

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
-                      min_depth, minpoly_degree, tower_matrix)
+                      min_depth, tower_matrix)
 from incdepth import charpoly
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
-                      depth_upper_bound, poly_at_matrix, poly_gcd, random_inclusion,
-                      scale)
+                      depth_upper_bound, minpoly_degree, poly_at_matrix, poly_gcd,
+                      random_inclusion, scale)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -119,27 +119,32 @@ class TestMinpolyDegree:
         with pytest.raises(MatrixError, match="symmetric"):
             minpoly_degree(IntMatrix([[1, 2], [0, 1]]))
 
+    def test_rejects_negative(self):
+        # the chain's packed products would borrow across slots
+        with pytest.raises(MatrixError, match="nonnegative"):
+            minpoly_degree(IntMatrix([[0, -1], [-1, 0]]))
 
-def _signed_matrix(rng, n, high, density):
-    """Random signed n x n cells, mirrored from the lower triangle."""
-    cells = [[rng.randint(-high, high) if rng.random() < density else 0
+
+def _symmetric_matrix(rng, n, high, density):
+    """Random nonnegative n x n cells, mirrored from the lower triangle."""
+    cells = [[rng.randint(0, high) if rng.random() < density else 0
               for _ in range(n)] for _ in range(n)]
     return IntMatrix([[cells[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
 
 
-def _signed_corpus():
-    """Signed symmetric matrices of 1 to 16 rows, whose chain products take
+def _symmetric_corpus():
+    """Nonnegative symmetric matrices of 1 to 16 rows, whose chain products take
     word and byte slots, and whose count checks the Krylov certificate once
     their entries are wide."""
     rng = random.Random(20)
     for n in range(1, 17):
         for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),
                                   (10**30, 0.25), (3, 0.15)):
-            yield _signed_matrix(rng, n, high, density)
+            yield _symmetric_matrix(rng, n, high, density)
 
 
 def _repeated_spectrum(rng, k, high):
-    """Symmetric S + S + T (direct sum) under a random signed permutation.
+    """Nonnegative symmetric S + S + T (direct sum) under a random permutation.
 
     Every eigenvalue of the k x k block S occurs at least twice, so the
     characteristic polynomial is not squarefree.
@@ -148,7 +153,7 @@ def _repeated_spectrum(rng, k, high):
         cells = [[0] * size for _ in range(size)]
         for i in range(size):
             for j in range(i, size):
-                cells[i][j] = cells[j][i] = rng.randint(-high, high)
+                cells[i][j] = cells[j][i] = rng.randint(0, high)
         return cells
 
     s, t = block(k), block(rng.randint(1, 3))
@@ -161,9 +166,7 @@ def _repeated_spectrum(rng, k, high):
             cells[at + i][at:at + len(b)] = row
         at += len(b)
     order = rng.sample(range(n), n)
-    signs = [rng.choice((-1, 1)) for _ in range(n)]
-    return IntMatrix([[signs[i] * signs[j] * cells[order[i]][order[j]]
-                       for j in range(n)] for i in range(n)])
+    return IntMatrix([[cells[order[i]][order[j]] for j in range(n)] for i in range(n)])
 
 
 def _dense_rows(rng, count):
@@ -211,14 +214,14 @@ class TestModularPath:
     P = 2^27 - 79 that may end it once the chain is wider than 2^127,
     against the Berkowitz scheme and the Z[x] remainder sequence."""
 
-    def test_signed_matrices_match_berkowitz(self):
-        for m in _signed_corpus():
+    def test_symmetric_matrices_match_berkowitz(self):
+        for m in _symmetric_corpus():
             want = _prs_squarefree_degree(berkowitz_char_poly(m))
             assert minpoly_degree(m) == want and _krylov_dim(m) <= want, m
 
     def test_word_modulus_matches_mersenne_modulus(self, monkeypatch):
         # the certificate under a second prime gives the same counts
-        corpus = list(_signed_corpus())
+        corpus = list(_symmetric_corpus())
         counts = [minpoly_degree(m) for m in corpus]
         monkeypatch.setattr(charpoly, "P", 2**127 - 1)
         assert [minpoly_degree(m) for m in corpus] == counts
@@ -270,7 +273,7 @@ class TestModularPath:
     def spy_count(monkeypatch, gram):
         """(minpoly_degree(gram), products taken, Krylov dimensions found)."""
         products, dims = [], []
-        product, krylov_dim = charpoly.signed_product, charpoly._krylov_dim
+        product, krylov_dim = charpoly.product, charpoly._krylov_dim
 
         def product_spy(a, b):
             products.append(product(a, b))
@@ -280,7 +283,7 @@ class TestModularPath:
             dims.append(krylov_dim(g, p))
             return dims[-1]
 
-        monkeypatch.setattr(charpoly, "signed_product", product_spy)
+        monkeypatch.setattr(charpoly, "product", product_spy)
         monkeypatch.setattr(charpoly, "_krylov_dim", krylov_spy)
         return minpoly_degree(gram), products, dims
 

@@ -89,13 +89,11 @@ class TestMultiply:
 
     @given(chained_matrices(2))
     def test_matches_naive_product(self, pair):
-        a, b = pair
-        product = a * b
-        expected = naive_multiply([list(r) for r in a.entries],
-                                  [list(r) for r in b.entries])
-        assert [list(r) for r in product.entries] == expected
+        # signed draws: the naive product when both operands are
+        # nonnegative, and MatrixError otherwise
+        check_product(*pair)
 
-    @given(chained_matrices(3))
+    @given(chained_matrices(3, min_value=0))
     def test_associative(self, triple):
         a, b, c = triple
         assert (a * b) * c == a * (b * c)
@@ -241,6 +239,22 @@ def _cells(m):
     return [list(row) for row in m.entries]
 
 
+def has_negative(*matrices):
+    return any(min(map(min, m.entries)) < 0 for m in matrices)
+
+
+def check_product(a, b):
+    """a * b is the naive product of nonnegative operands, and a MatrixError
+    when either has a negative entry."""
+    if has_negative(a, b):
+        with pytest.raises(MatrixError, match="nonnegative"):
+            a * b
+    else:
+        product = a * b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert _cells(product) == naive_multiply(_cells(a), _cells(b)), (a, b)
+
+
 def _packed_cases():
     """Seeded conformable pairs for the packed-row product kernel."""
     rng = random.Random(130)
@@ -262,6 +276,9 @@ def _packed_cases():
         "signed_right": (block(6, 5, 0, 9), block(5, 4, -7, 7)),
         "signed_both": (block(6, 5, -10**20, 10**20), block(5, 4, -7, 7)),
         "negative_only": (block(3, 3, -4, -1), block(3, 2, -4, -1)),
+        # the packed slots would borrow across each other: the product is
+        # [[1]], which a kernel reading unsigned slots cannot return
+        "signed_borrow": (IntMatrix([[-1, 2]]), IntMatrix([[1], [1]])),
     }
     for width in (63, 64, 65):
         cases[f"inner_{width}"] = (block(5, width, 0, 3, 0.5), block(width, 7, 0, 3, 0.5))
@@ -293,10 +310,10 @@ EDGE_CASES = _edge_cases()
 class TestPackedProduct:
     @pytest.mark.parametrize("name", PACKED_CASES)
     def test_matches_naive(self, name):
+        # the signed_* and negative_only cases are rejected
         a, b = PACKED_CASES[name]
-        product = a * b
-        assert (product.rows, product.cols) == (a.rows, b.cols)
-        assert _cells(product) == naive_multiply(_cells(a), _cells(b))
+        assert has_negative(a, b) == name.startswith(("signed", "negative"))
+        check_product(a, b)
 
     def test_slot_edges(self):
         # for every residue mod 8 of the slot's bit bound, some product needs
@@ -312,23 +329,23 @@ class TestPackedProduct:
     def test_word_slot_edges(self):
         # constant blocks whose every product cell needs exactly the slot's
         # bit bound of 63, 64 or 65 bits: the first two fill an 8-byte slot,
-        # the third would carry out of one; the signed left operand's parts
-        # have the same bound
+        # the third would carry out of one; a signed left operand with the
+        # same bound is rejected
         for a, b, bound in ((2**30 - 1, 2**31 - 1, 63), (2**31 - 1, 2**31 - 1, 64),
                             (2**31 - 1, 2**32 - 1, 65)):
             assert (3 * a * b).bit_length() == bound == 2 + a.bit_length() + b.bit_length()
             right = IntMatrix([[b] * 4] * 3)
             for left in (IntMatrix([[a] * 3] * 2), IntMatrix([[a] * 3, [-a] * 3])):
-                assert _cells(left * right) == naive_multiply(_cells(left), _cells(right)), bound
+                check_product(left, right)
 
     @pytest.mark.parametrize("x", [2**64 - 1, 2**64])
     def test_word_sized_entries(self, x):
-        # around the largest value of an 8-byte slot, on either side and signed
+        # around the largest value of an 8-byte slot, on either side; the
+        # signed pair is rejected
         for a, b in (([[x, 1], [0, 2]], [[1, 3, 0], [x, 0, 1]]),
                      ([[1, 0], [2, 1]], [[x, x], [1, x]]),
                      ([[x, -1], [-x, 2]], [[1, -x], [3, 1]])):
-            left, right = IntMatrix(a), IntMatrix(b)
-            assert _cells(left * right) == naive_multiply(a, b), (a, b)
+            check_product(IntMatrix(a), IntMatrix(b))
 
     def test_scalar_operand_is_rejected(self):
         with pytest.raises(TypeError):

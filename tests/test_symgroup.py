@@ -19,6 +19,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([2, 0])
 
+    @pytest.mark.parametrize("parts", [[2.9, 1.5], [2, 1.0], ["3"], [None]])
+    def test_rejects_non_integer_parts(self, parts):
+        # no coercion: int() would turn [2.9, 1.5] into the partition [2, 1]
+        with pytest.raises(ValueError, match="not an integer"):
+            Partition(parts)
+
     def test_empty(self):
         assert Partition(()).n == 0
 
