@@ -15,11 +15,17 @@ are read off shortest-path diameters:
 Diameters are taken over pairs inside a common connected component;
 unreachable pairs impose no constraint (this is what agreement with the
 matrix method forces on block-diagonal inputs).
+
+All three come from each dot's eccentricity, its largest distance to any
+dot of its component, which the graph computes once when it is built by a
+breadth-first search from every dot at once. The graph is bipartite, so
+distances between dots of one colour are even and those between colours
+odd; BFS layers are contiguous, so a dot of eccentricity L reaches its own
+colour at most L rounded down to even and the other colour at most L
+rounded up to odd, less 1 when L is even (-1 for an isolated dot).
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .exactmat import InclusionMatrix, MatrixError
 
@@ -27,7 +33,7 @@ from .exactmat import InclusionMatrix, MatrixError
 class BipartiteGraph:
     """Immutable bicolored graph; blacks index 0..r-1, whites 0..s-1."""
 
-    __slots__ = ("black_count", "white_count", "edges", "_adj")
+    __slots__ = ("black_count", "white_count", "edges", "_far")
 
     def __init__(self, black_count: int, white_count: int, edges):
         if black_count < 1 or white_count < 1:
@@ -44,23 +50,32 @@ class BipartiteGraph:
         self.edges = pairs
         # unified vertex ids: 0..r-1 blacks, r..r+s-1 whites
         adj = [[] for _ in range(black_count + white_count)]
-        for b, w in sorted(pairs):
+        for b, w in pairs:
             adj[b].append(black_count + w)
             adj[black_count + w].append(b)
-        self._adj = tuple(tuple(vs) for vs in adj)
-
-    def distances_from(self, vertex: int) -> list[int]:
-        """BFS edge distances from a unified vertex id; -1 = unreachable."""
-        dist = [-1] * len(self._adj)
-        dist[vertex] = 0
-        queue = deque([vertex])
-        while queue:
-            v = queue.popleft()
-            for u in self._adj[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        return dist
+        # Bit-parallel BFS from every dot at once: after round k, balls[v]
+        # is the bitset of dots within k edges of v. Each round ORs in the
+        # neighbours' balls of the round before, all read before any is
+        # written. A ball that stops growing is its whole component and
+        # stays so, and the last round in which it grew is v's eccentricity.
+        balls = [1 << v for v in range(len(adj))]
+        far = [0] * len(adj)
+        growing = [v for v, vs in enumerate(adj) if vs]
+        rounds = 0
+        while growing:
+            rounds += 1
+            before = balls[:]
+            still = []
+            for v in growing:
+                ball = before[v]
+                for u in adj[v]:
+                    ball |= before[u]
+                if ball != before[v]:
+                    balls[v] = ball
+                    far[v] = rounds
+                    still.append(v)
+            growing = still
+        self._far = tuple(far)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
@@ -79,24 +94,13 @@ class BipartiteGraph:
 def build_graph(m: InclusionMatrix) -> BipartiteGraph:
     """Incidence graph of an inclusion matrix: edge (i,j) iff entry > 0."""
     supp = m.support
-    edges = [(i, j)
-             for i, mask in enumerate(supp.masks)
-             for j in range(supp.cols) if mask >> j & 1]
+    edges = []
+    for i, mask in enumerate(supp.masks):
+        while mask:
+            low = mask & -mask
+            edges.append((i, low.bit_length() - 1))
+            mask ^= low
     return BipartiteGraph(supp.rows, supp.cols, edges)
-
-
-def _diameter(g: BipartiteGraph, first: int, count: int) -> int:
-    """Largest edge distance between two of the vertices first..first+count-1.
-
-    Pairs in different components are skipped; 0 when no pair shares one.
-    """
-    diam = 0
-    for i in range(first, first + count):
-        dist = g.distances_from(i)
-        for j in range(i + 1, first + count):
-            if dist[j] > diam:
-                diam = dist[j]
-    return diam
 
 
 def black_diameter(g: BipartiteGraph) -> int:
@@ -105,7 +109,7 @@ def black_diameter(g: BipartiteGraph) -> int:
     Always even (two blacks are an even number of edges apart); 0 when
     there is a single black or no two blacks share a component.
     """
-    return _diameter(g, 0, g.black_count)
+    return max(L - L % 2 for L in g._far[:g.black_count])
 
 
 def min_odd_depth_graph(g: BipartiteGraph) -> int:
@@ -125,13 +129,12 @@ def min_even_depth_graph(g: BipartiteGraph) -> int:
     class distance is the largest black-to-white distance less 1, and the
     even depth is 1 plus that distance, or 2 when no black reaches a white.
     """
-    r = g.black_count
-    return 1 + max(1, *(max(g.distances_from(i)[r:]) for i in range(r)))
+    return 1 + max(1, *(L - 1 + L % 2 for L in g._far[:g.black_count]))
 
 
 def min_hdepth_graph(g: BipartiteGraph) -> int:
     """Minimum H-depth: 1 plus the white-row diameter."""
-    return 1 + _diameter(g, g.black_count, g.white_count)
+    return 1 + max(L - L % 2 for L in g._far[g.black_count:])
 
 
 def to_dot(g: BipartiteGraph) -> str:

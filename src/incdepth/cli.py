@@ -185,7 +185,10 @@ def cmd_graph(args) -> int:
         if args.dot == "-":
             sys.stdout.write(dot)
         else:
-            Path(args.dot).write_text(dot)
+            try:
+                Path(args.dot).write_text(dot)
+            except OSError as exc:
+                raise MatrixError(f"cannot write {args.dot}: {exc}") from None
     _emit(values, args.json)
     return 0
 

@@ -10,11 +10,14 @@ rank of the power-sum Hankel matrix that charpoly counts, direct
 big-integer dominance scans instead of boolean support stabilization,
 bracketed powers by repeated squaring instead of the report's Gram-power
 chain, support chains that multiply the growing power on the right
-instead of the left, the even graph depth over merged classes of black
-dots instead of black-to-white distances, and a counting recurrence
-instead of the partition generator.
+instead of the left, graph distances by one queue-driven BFS per dot and
+diameters over every pair of dots instead of the bit-parallel BFS from all
+dots at once, the even graph depth over merged classes of black dots
+instead of black-to-white distances, and a counting recurrence instead of
+the partition generator.
 """
 
+from collections import deque
 from functools import cache, reduce
 from itertools import combinations_with_replacement
 from math import gcd
@@ -347,6 +350,49 @@ def min_hdepth_exact(m: InclusionMatrix) -> int:
     raise AssertionError(f"no H-depth found up to 2*{cap}-1")
 
 
+def bfs_distances(g: BipartiteGraph, vertex: int) -> list[int]:
+    """Edge distances from one dot, by a queue-driven BFS over g.edges.
+
+    Dots are numbered 0..r-1 for the blacks and r..r+s-1 for the whites;
+    -1 marks a dot in another component.
+    """
+    r = g.black_count
+    adj = [[] for _ in range(r + g.white_count)]
+    for b, w in sorted(g.edges):
+        adj[b].append(r + w)
+        adj[r + w].append(b)
+    dist = [-1] * len(adj)
+    dist[vertex] = 0
+    queue = deque([vertex])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def graph_depths_by_pairs(g: BipartiteGraph) -> tuple[int, int, int, int]:
+    """(black diameter, odd depth, even depth, H-depth) over every pair of dots.
+
+    A diameter is the largest distance between two distinct dots of one
+    colour in a common component, 0 when no such pair exists; the even
+    depth is 1 plus the largest black-to-white distance, or 2 when no black
+    reaches a white.
+    """
+    r, s = g.black_count, g.white_count
+    dist = [bfs_distances(g, v) for v in range(r + s)]
+
+    def diameter(first, count):
+        return max([0] + [dist[i][j] for i in range(first, first + count)
+                          for j in range(i + 1, first + count)])
+
+    black = diameter(0, r)
+    to_white = max([-1] + [dist[b][r + w] for b in range(r) for w in range(s)])
+    return black, 1 + black, 1 + max(1, to_white), 1 + diameter(r, s)
+
+
 def min_even_depth_merged(g: BipartiteGraph) -> int:
     """Minimum even depth from its definition: 2 plus the largest distance
     from a black dot to the class of black neighbours of a white dot, the
@@ -355,7 +401,7 @@ def min_even_depth_merged(g: BipartiteGraph) -> int:
                for white in range(g.white_count)]
     worst = 0
     for i in range(g.black_count):
-        dist = g.distances_from(i)
+        dist = bfs_distances(g, i)
         for members in classes:
             reachable = [dist[k] for k in members if dist[k] >= 0]
             if reachable:

@@ -4,10 +4,12 @@ import pytest
 
 from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
                       build_graph, min_depth, min_even_depth_graph, min_hdepth,
-                      min_hdepth_graph, min_odd_depth_graph, to_dot)
+                      min_hdepth_graph, min_odd_depth_graph, to_dot,
+                      tower_matrix)
 from incdepth.bigraph import black_diameter
 
-from _oracles import min_even_depth_merged, random_inclusion
+from _oracles import (bfs_distances, graph_depths_by_pairs,
+                      min_even_depth_merged, random_inclusion)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
@@ -43,6 +45,39 @@ def test_edges_must_be_integers(edge):
         BipartiteGraph(2, 2, [(0, 0), edge])
 
 
+def small_graphs():
+    """Every edge set on 1-3 blacks and 1-4 whites, isolated dots included,
+    then 2000 seeded graphs up to 9 x 9 at random densities."""
+    for r in range(1, 4):
+        for s in range(1, 5):
+            cells = [(b, w) for b in range(r) for w in range(s)]
+            for mask in range(1 << len(cells)):
+                yield BipartiteGraph(
+                    r, s, [e for k, e in enumerate(cells) if mask >> k & 1])
+    rng = random.Random(23)
+    for _ in range(2000):
+        r, s = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.random()
+        yield BipartiteGraph(r, s, [(b, w) for b in range(r) for w in range(s)
+                                    if rng.random() < density])
+
+
+def block_diagonal(*blocks):
+    cols = sum(block.cols for block in blocks)
+    cells, offset = [], 0
+    for block in blocks:
+        for row in block.matrix.entries:
+            cells.append([0] * offset + list(row)
+                         + [0] * (cols - offset - block.cols))
+        offset += block.cols
+    return InclusionMatrix(cells)
+
+
+def graph_values(g):
+    return (black_diameter(g), min_odd_depth_graph(g), min_even_depth_graph(g),
+            min_hdepth_graph(g))
+
+
 class TestDiameters:
     def test_s3s4_black_diameter(self):
         assert black_diameter(build_graph(S3S4)) == 4
@@ -60,7 +95,7 @@ class TestDiameters:
             g = build_graph(random_inclusion(rng, max_dim=6))
             r = g.black_count
             for b in range(r):
-                dist = g.distances_from(b)
+                dist = bfs_distances(g, b)
                 for other in range(r):
                     if dist[other] >= 0:
                         assert dist[other] % 2 == 0
@@ -105,28 +140,27 @@ class TestGraphDepths:
             assert min_hdepth_graph(g) == min_hdepth(m)
 
     def test_even_depth_matches_merged_classes(self):
-        # every edge set on 1-3 blacks and 1-4 whites, isolated dots included
-        for r in range(1, 4):
-            for s in range(1, 5):
-                cells = [(b, w) for b in range(r) for w in range(s)]
-                for mask in range(1 << len(cells)):
-                    edges = [e for k, e in enumerate(cells) if mask >> k & 1]
-                    g = BipartiteGraph(r, s, edges)
-                    assert min_even_depth_graph(g) == min_even_depth_merged(g), g
-        rng = random.Random(23)
-        for _ in range(2000):
-            r, s = rng.randint(1, 9), rng.randint(1, 9)
-            density = rng.random()
-            g = BipartiteGraph(r, s, [(b, w) for b in range(r) for w in range(s)
-                                      if rng.random() < density])
+        for g in small_graphs():
             assert min_even_depth_graph(g) == min_even_depth_merged(g), g
 
+    def test_values_match_all_pairs_oracle(self):
+        for g in small_graphs():
+            assert graph_values(g) == graph_depths_by_pairs(g), g
+        for n in range(4, 17):
+            g = build_graph(tower_matrix(n - 1, n))
+            assert graph_values(g) == graph_depths_by_pairs(g), n
+
     def test_block_diagonal_agreement(self):
-        # disconnected graph: depth comes from within components
-        m = InclusionMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
-        g = build_graph(m)
-        assert min(min_odd_depth_graph(g), min_even_depth_graph(g)) == min_depth(m)
-        assert min_hdepth_graph(g) == min_hdepth(m)
+        # disconnected graphs: each value is the largest over the components;
+        # the second joins S3S4 (black diameter 4, white 6), its transpose
+        # (6 and 4) and C2M2 (2 and 0)
+        small = InclusionMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+        mixed = block_diagonal(S3S4, S3S4.transposed(), C2M2)
+        for m, values in ((small, (2, 3, 4, 3)), (mixed, (6, 7, 6, 7))):
+            g = build_graph(m)
+            assert graph_values(g) == graph_depths_by_pairs(g) == values
+            assert min(min_odd_depth_graph(g), min_even_depth_graph(g)) == min_depth(m)
+            assert min_hdepth_graph(g) == min_hdepth(m)
 
 
 class TestDot:

@@ -237,6 +237,16 @@ class TestGraphCommand:
         assert dot.count("--") == 7
         assert "b1 -- w1;" in dot
 
+    def test_dot_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "nodir" / "x.dot"
+        assert main(["graph", "--matrix", str(fixture_path("s3s4.mat")),
+                     "--dot", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out_file}: ")
+        assert "internal error" not in captured.err
+        assert not out_file.parent.exists()
+
     def test_dot_stdout(self, capsys):
         assert main(["graph", "--matrix", str(fixture_path("c2m2.mat")),
                      "--dot", "-"]) == 0
