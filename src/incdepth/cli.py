@@ -248,43 +248,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="incdepth",
         description="Depth, H-depth and transpose depth of inclusion matrices.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit JSON instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
+    compute = sub.add_parser("compute", help="full depth report for a matrix file")
+    graph = sub.add_parser("graph",
+                           help="graph-method depth values, optional DOT export")
+    sym = sub.add_parser("sym",
+                         help="symmetric-group inclusion matrix from branching")
+    check = sub.add_parser("check",
+                           help="run the depth inequality checks on one matrix")
+    for p, func in ((compute, cmd_compute), (graph, cmd_graph), (sym, cmd_sym),
+                    (check, cmd_check)):
+        p.set_defaults(func=func)
+        p.add_argument("--json", action="store_true",
+                       help="emit JSON instead of text")
+    for p in (compute, graph, check):
+        p.add_argument("--matrix", required=True, metavar="FILE",
+                       help="matrix file in the text format, or - for stdin")
 
-    p = sub.add_parser("compute", parents=[common],
-                       help="full depth report for a matrix file")
-    p.add_argument("--matrix", required=True, metavar="FILE",
-                   help="matrix file in the text format, or - for stdin")
-    p.add_argument("--transpose", action="store_true",
-                   help="report on the transpose matrix instead")
-    p.add_argument("--symmetric-odd", action="store_true", dest="symmetric_odd",
-                   help="treat the input as a symmetric bracketed square "
-                        "M M^t and print its minimum odd depth only")
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("graph", parents=[common],
-                       help="graph-method depth values, optional DOT export")
-    p.add_argument("--matrix", required=True, metavar="FILE",
-                   help="matrix file in the text format, or - for stdin")
-    p.add_argument("--dot", metavar="OUTFILE",
-                   help="write the bipartite graph as DOT (- for stdout)")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("sym", parents=[common],
-                       help="symmetric-group inclusion matrix from branching")
-    p.add_argument("--n", type=int, required=True,
-                   help="ambient symmetric group S_n (n >= 2)")
-    p.add_argument("--k", type=int, default=None,
-                   help="subgroup S_k (default n-1)")
-    p.set_defaults(func=cmd_sym)
-
-    p = sub.add_parser("check", parents=[common],
-                       help="run the depth inequality checks on one matrix")
-    p.add_argument("--matrix", required=True, metavar="FILE",
-                   help="matrix file in the text format, or - for stdin")
-    p.set_defaults(func=cmd_check)
+    compute.add_argument("--transpose", action="store_true",
+                         help="report on the transpose matrix instead")
+    compute.add_argument("--symmetric-odd", action="store_true",
+                         dest="symmetric_odd",
+                         help="treat the input as a symmetric bracketed square "
+                              "M M^t and print its minimum odd depth only")
+    graph.add_argument("--dot", metavar="OUTFILE",
+                       help="write the bipartite graph as DOT (- for stdout)")
+    sym.add_argument("--n", type=int, required=True,
+                     help="ambient symmetric group S_n (n >= 2)")
+    sym.add_argument("--k", type=int, default=None,
+                     help="subgroup S_k (default n-1)")
     return parser
 
 

@@ -74,9 +74,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({[list(row) for row in self.entries]!r})"
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
-
     def __mul__(self, other):
         """Exact product of nonnegative matrices, by the packed kernel product."""
         if not isinstance(other, IntMatrix):

@@ -1,58 +1,18 @@
 """Symmetric-group inclusion matrices from the Young branching rule.
 
-Irreducibles of S_n are labelled by partitions of n; restriction to
-S_{n-1} removes one box from the Young diagram, so induction adds one.
-Partitions of a given n are always listed in descending lexicographic
-order ([3] before [2,1] before [1,1,1]), which fixes the row and column
-order of every generated matrix. Depth values do not depend on that
-choice (they are invariant under row/column permutation).
+Irreducibles of S_n are labelled by partitions of n, each a plain tuple
+of weakly decreasing positive parts (the empty tuple for n = 0).
+Restriction to S_{n-1} removes one box from the Young diagram, so
+induction adds one. Partitions of a given n are always listed in
+descending lexicographic order ((3,) before (2, 1) before (1, 1, 1)),
+which fixes the row and column order of every generated matrix. Depth
+values do not depend on that choice (they are invariant under row/column
+permutation).
 """
 
 from __future__ import annotations
 
 from .exactmat import InclusionMatrix
-
-
-class Partition:
-    """Weakly decreasing positive parts; the empty partition has n = 0."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        data = tuple(parts)
-        for i, p in enumerate(data):
-            if not isinstance(p, int):
-                raise ValueError(f"part {i + 1} is not an integer: {p!r}")
-            if p < 1:
-                raise ValueError(f"part {i + 1} is not positive: {p}")
-            if i and data[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing: {data}")
-        self.parts = data
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def with_box_added(self) -> tuple["Partition", ...]:
-        """All partitions reachable by adding a single box."""
-        out = []
-        for i, p in enumerate(self.parts):
-            if i == 0 or self.parts[i - 1] > p:
-                out.append(Partition(self.parts[:i] + (p + 1,) + self.parts[i + 1:]))
-        out.append(Partition(self.parts + (1,)))
-        return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)!r})"
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
 def _descending(n: int, max_part: int):
@@ -64,16 +24,14 @@ def _descending(n: int, max_part: int):
             yield (first,) + rest
 
 
-def partitions(n: int) -> tuple[Partition, ...]:
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n in descending lexicographic order.
 
     partitions(0) is the single empty partition, by convention.
     """
     if n < 0:
         raise ValueError(f"partitions need n >= 0, got {n}")
-    if n == 0:
-        return (Partition(()),)
-    return tuple(Partition(p) for p in _descending(n, n))
+    return tuple(_descending(n, n))
 
 
 def branching_matrix(n: int) -> InclusionMatrix:
@@ -85,13 +43,16 @@ def branching_matrix(n: int) -> InclusionMatrix:
     """
     if n < 2:
         raise ValueError(f"branching matrix needs n >= 2, got {n}")
-    row_parts = partitions(n - 1)
-    col_index = {p.parts: j for j, p in enumerate(partitions(n))}
+    col_index = {p: j for j, p in enumerate(partitions(n))}
     entries = []
-    for p in row_parts:
+    for p in partitions(n - 1):
         row = [0] * len(col_index)
-        for q in p.with_box_added():
-            row[col_index[q.parts]] = 1
+        # a box goes at the end of any row shorter than the one above it,
+        # or starts a new row
+        for i, part in enumerate(p):
+            if i == 0 or p[i - 1] > part:
+                row[col_index[p[:i] + (part + 1,) + p[i + 1:]]] = 1
+        row[col_index[p + (1,)]] = 1
         entries.append(row)
     return InclusionMatrix(entries)
 

@@ -279,6 +279,12 @@ class TestSymCommand:
         assert main(["sym", "--n", "1"]) == 2
         capsys.readouterr()
 
+    def test_matrix_option_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sym", "--n", "4", "--matrix", "x"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --matrix x" in capsys.readouterr().err
+
     def test_json(self, capsys):
         assert main(["sym", "--json", "--n", "4"]) == 0
         rep = json.loads(capsys.readouterr().out)
@@ -490,6 +496,19 @@ def test_report_value_beyond_the_digit_limit(flags, tmp_path, capsys):
     assert out == q_small.replace("81", "9" * 2199 + "8" + "0" * 2199 + "1")
     assert err == ""
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("command, options", [
+    ("compute", ["--json", "--matrix", "--transpose", "--symmetric-odd"]),
+    ("graph", ["--json", "--matrix", "--dot"]),
+    ("sym", ["--json", "--n", "--k"]),
+    ("check", ["--json", "--matrix"]),
+])
+def test_help_lists_options_in_order(command, options, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M) == options
 
 
 def test_all_names_documented_in_readme():
