@@ -13,28 +13,28 @@ the least N with det H_(N+1) = 0.
 The leading minors det H_N are the pivots of a fraction-free elimination
 (Bareiss, Math. Comp. 1968) that adds one Hankel row per power of G, from
 the chain G^(j+1) = G G^j: s_(2j) = <G^j, G^j>, s_(2j+1) = <G^j, G^(j+1)>.
-Chain and elimination are exact. At the first power with an entry of
-SWITCH = 2^127 or more, the count checks a certificate once: the minimal
-polynomial of G is monic in Z[x] (Gauss's lemma), so its reduction mod the
-prime P annihilates G mod P, and the dimension of the Krylov space
+Chain and elimination are exact. The count tries a certificate once: the
+minimal polynomial of G is monic in Z[x] (Gauss's lemma), so its reduction
+mod the prime P annihilates G mod P, and the dimension of the Krylov space
 span(v, Gv, G^2 v, ...) mod P is at most k (Wiedemann, IEEE Trans. Inf.
 Theory 1986). A dimension of r proves k = r and ends the count; otherwise
 the same chain goes on exactly. No step is probabilistic and every answer
 is exact.
 
 A depth report also takes the exact pair G^(a-1), G^a from this chain,
-for the witness q of depth 2a-1 or 2a; the chain then reaches G^a before
-the certificate is checked, and forms G^r after its last Hankel row when
-a = r.
+for the witness q of depth 2a-1 or 2a, and tries the certificate right
+after that pair, at the end of chain step max(a, 1), unless no Hankel
+step is left for it to save. When a = r the chain forms G^r after its
+last Hankel row.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import mul
 
-from .exactmat import InclusionMatrix, IntMatrix, dominance_q, product
+from .exactmat import InclusionMatrix, IntMatrix, dominance_q, product, slots
 
-SWITCH = 1 << 127  # the certificate is checked at the first entry this wide
 P = (1 << 27) - 79  # the prime of the Krylov certificate
 
 
@@ -46,26 +46,33 @@ def _inner(a, b) -> int:
 def _krylov_dim(g, p: int) -> int:
     """Dimension of span(v, Gv, G^2 v, ...) mod p for v = (1, 2, ..., r).
 
-    Each new vector is reduced against the echelon basis found so far, so
-    the count takes at most r matrix-vector products.
+    The rows of G mod p, the vectors and the echelon basis are packed into
+    one int each (exactmat.slots). G is symmetric, so Gv is the sum of v_k
+    times packed row k. Each new vector w is reduced against the basis
+    found so far by w += (p - c) * row, where c is w's slot at the row's
+    pivot, mod p. Either sum keeps every slot below p + r p^2 <
+    2^(2 bits(p) + bits(r) + 1), so nothing carries. The count takes at
+    most r matrix-vector products.
     """
     r = len(g)
-    g = [[x % p for x in row] for row in g]
-    basis = []  # (pivot column, row mod p with 1 in that column)
+    width, pack, unpack = slots(2 * p.bit_length() + r.bit_length() + 1, r)
+    shift, mask = 8 * width, (1 << 8 * width) - 1
+    rows = [pack([x % p for x in row]) for row in g]
+    basis = []  # (pivot column, packed row mod p with 1 in that column)
     v = list(range(1, r + 1))
     while len(basis) < r:
-        w = v
+        w = pack(v)
         for col, row in basis:
-            c = w[col] % p
+            c = (w >> col * shift & mask) % p
             if c:
-                w = [x - c * y for x, y in zip(w, row)]
-        w = [x % p for x in w]
+                w += (p - c) * row
+        w = [x % p for x in unpack(w)]
         col = next((j for j, x in enumerate(w) if x), None)
         if col is None:
             break
         inverse = pow(w[col], -1, p)
-        basis.append((col, [x * inverse % p for x in w]))
-        v = [sum(map(mul, row, v)) % p for row in g]
+        basis.append((col, pack([x * inverse % p for x in w])))
+        v = [x % p for x in unpack(sum(map(mul, compress(v, v), compress(rows, v))))]
     return len(basis)
 
 
@@ -75,10 +82,11 @@ def _hankel_rank(g, exact: int = 0):
     k is the least N with det H_(N+1) = 0. powers is the exact pair
     (G^(exact-1), G^exact) once the chain has formed G^exact, which it does
     whenever 1 <= exact <= k, and None otherwise. The Krylov certificate is
-    tried at the first power after G^exact with an entry of SWITCH or more.
+    tried once, at the end of step max(exact, 1), unless that is step r - 1
+    or later and no Hankel step is left for it to save.
     """
     r = len(g)
-    checked = False  # whether the Krylov certificate has been tried
+    check = max(exact, 1)  # the step that tries the Krylov certificate
     low, power = [[int(i == j) for j in range(r)] for i in range(r)], g  # G^(n-1), G^n
     powers = None
     sums = [r]  # s_0, s_1, ..., s_(2n)
@@ -95,10 +103,6 @@ def _hankel_rank(g, exact: int = 0):
             powers = low, power
         if n == r:
             break
-        if not checked and n > exact and max(map(max, power)) >= SWITCH:
-            checked = True
-            if _krylov_dim(g, P) == r:
-                return r, powers
         sums += _inner(low, power), _inner(power, power)
         # Row n of H_(n+1) is s_n, ..., s_2n; by symmetry, its entry in
         # column k after k steps is also entry (k, n) of the pivot row k.
@@ -113,6 +117,8 @@ def _hankel_rank(g, exact: int = 0):
             return n, powers
         pivots.append(v[n])
         rows.append([v[n]])
+        if n == check < r - 1 and _krylov_dim(g, P) == r:
+            return r, powers
     return r, powers
 
 

@@ -23,6 +23,8 @@ extract the minimal witness q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import bigraph, charpoly
 from .exactmat import InclusionMatrix, IntMatrix, MatrixError, SupportMatrix
@@ -33,16 +35,32 @@ def _stabilize(g: SupportMatrix, chain) -> int:
 
         X_0, ..., X_(gap-1) = chain,   X_(k+gap) = g * X_k,   gap = len(chain).
 
-    The sparse g sits on the left, so each step costs one OR per set bit of
-    g however full X_k has grown. Supports in the chain only grow, and
-    stabilize well below the cap (the spectral bound gives
+    The sparse g sits on the left, and each X_k is a tuple of row masks.
+    The set bits of each distinct row of g are found once, so a step costs
+    one OR per set bit of each distinct row, however full X_k has grown,
+    and equal rows of g share their row of X_(k+gap). Supports in the chain
+    only grow, and stabilize well below the cap (the spectral bound gives
     d <= 2*min(r,s) - 1); hitting it means a bug.
     """
-    chain = list(chain)
     cap = 2 * (g.rows + chain[-1].cols) + 2
+    chain = [x.masks for x in chain]
+    distinct = {}  # row of g -> its position among the distinct rows
+    for mask in g.masks:
+        distinct.setdefault(mask, len(distinct))
+    spread = [distinct[mask] for mask in g.masks]
+    picks = []  # the set bits of each distinct row
+    for mask in distinct:
+        pick = []
+        while mask:
+            bit = mask & -mask
+            pick.append(bit.bit_length() - 1)
+            mask ^= bit
+        picks.append(pick)
     for n in range(1, cap + 1):
         low = chain.pop(0)
-        high = g * low
+        get = low.__getitem__
+        rows = [reduce(or_, map(get, pick), 0) for pick in picks]
+        high = tuple(map(rows.__getitem__, spread))
         if high == low:
             return n
         chain.append(high)

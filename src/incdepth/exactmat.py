@@ -111,40 +111,54 @@ class IntMatrix:
             for i in range(self.rows) for j in range(i))
 
 
+def slots(bits: int, count: int):
+    """(width, pack, unpack) for rows of count nonnegative entries below 2^bits.
+
+    pack turns a row into one int, entry j in the j-th slot of width bytes,
+    and unpack reads such an int back into its entries. When bits is at most
+    64 the slots are machine words, which array packs and a memoryview cast
+    reads back; wider slots are whole bytes, sliced. Both use the native
+    byte order, which array and memoryview need. A sum of packed rows reads
+    back as the rows' sum as long as no slot of it reaches 2^(8 width).
+    """
+    if bits <= 64:
+        width = 8
+
+        def pack(row):
+            return int.from_bytes(array("Q", row).tobytes(), byteorder)
+
+        def unpack(packed):
+            return memoryview(packed.to_bytes(8 * count, byteorder)).cast("Q").tolist()
+    else:
+        width = (bits + 7) // 8
+        cuts = range(0, width * count, width)
+
+        def pack(row):
+            return int.from_bytes(b"".join([x.to_bytes(width, byteorder) for x in row]),
+                                  byteorder)
+
+        def unpack(packed):
+            view = memoryview(packed.to_bytes(width * count, byteorder))
+            return map(int.from_bytes, [view[j:j + width] for j in cuts], repeat(byteorder))
+    return width, pack, unpack
+
+
 def product(a, b) -> list[tuple[int, ...]]:
     """Rows of a * b for nonnegative row-major a (r x s) and b (s x t).
 
-    Kronecker substitution: row k of b is packed into one int, entry j in
-    the j-th slot. Every entry of the product is at most
+    Kronecker substitution: slots packs row k of b into one int. Every
+    entry of the product is at most
     s * max(a) * max(b) < 2^(bits(s) + bits(max a) + bits(max b)), so it
     fits its slot and no sum carries into the next one. Row i of the
     product is then the sum of a_ik * packed_k over the nonzero a_ik, read
-    back slot by slot from one to_bytes. When that bound is at most 64
-    bits the slots are machine words, which array packs and a memoryview
-    cast reads back; wider slots are whole bytes, sliced. Both use the
-    native byte order, which array and memoryview need. A negative entry
-    would borrow across slots, so the product would be silently wrong.
+    back slot by slot. A negative entry would borrow across slots, so the
+    product would be silently wrong.
     """
     bits = (len(b).bit_length() + max(map(max, a)).bit_length()
             + max(map(max, b)).bit_length())
-    if bits <= 64:
-        size = 8 * len(b[0])
-        packed = [int.from_bytes(array("Q", row).tobytes(), byteorder) for row in b]
-
-        def unpack(view):
-            return view.cast("Q").tolist()
-    else:
-        width = (bits + 7) // 8
-        size = width * len(b[0])
-        packed = [int.from_bytes(b"".join([x.to_bytes(width, byteorder) for x in row]),
-                                 byteorder)
-                  for row in b]
-        cuts = range(0, size, width)
-
-        def unpack(view):
-            return map(int.from_bytes, [view[j:j + width] for j in cuts], repeat(byteorder))
-    return [tuple(unpack(memoryview(sum(map(mul, compress(row, row), compress(packed, row)))
-                                    .to_bytes(size, byteorder))))
+    _, pack, unpack = slots(bits, len(b[0]))
+    packed = list(map(pack, b))
+    return [tuple(unpack(sum(map(mul, compress(row, row), compress(packed, row)))))
             for row in a]
 
 

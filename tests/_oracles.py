@@ -8,6 +8,7 @@ determinants and the division-free Berkowitz scheme) and the degree of its
 squarefree part by a primitive remainder sequence over Z[x] instead of the
 rank of the power-sum Hankel matrix that charpoly counts, direct
 big-integer dominance scans instead of boolean support stabilization,
+the Krylov dimension by list elimination instead of packed rows,
 bracketed powers by repeated squaring instead of the report's Gram-power
 chain, support chains that multiply the growing power on the right
 instead of the left, graph distances by one queue-driven BFS per dot and
@@ -21,7 +22,7 @@ from collections import deque
 from functools import cache, reduce
 from itertools import combinations_with_replacement
 from math import gcd
-from operator import or_
+from operator import mul, or_
 
 from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
                       SupportMatrix, charpoly, dominance_q)
@@ -124,6 +125,32 @@ def minpoly_degree(sym: IntMatrix) -> int:
     if min(map(min, sym.entries)) < 0:
         raise MatrixError("minimal polynomial degree needs a nonnegative matrix")
     return charpoly._hankel_rank(sym.entries)[0]
+
+
+def krylov_dim_reference(g, p: int) -> int:
+    """Dimension of span(v, Gv, G^2 v, ...) mod p for v = (1, 2, ..., r).
+
+    Each new vector is reduced against the echelon basis found so far, so
+    the count takes at most r matrix-vector products.
+    """
+    r = len(g)
+    g = [[x % p for x in row] for row in g]
+    basis = []  # (pivot column, row mod p with 1 in that column)
+    v = list(range(1, r + 1))
+    while len(basis) < r:
+        w = v
+        for col, row in basis:
+            c = w[col] % p
+            if c:
+                w = [x - c * y for x, y in zip(w, row)]
+        w = [x % p for x in w]
+        col = next((j for j, x in enumerate(w) if x), None)
+        if col is None:
+            break
+        inverse = pow(w[col], -1, p)
+        basis.append((col, [x * inverse % p for x in w]))
+        v = [sum(map(mul, row, v)) % p for row in g]
+    return len(basis)
 
 
 def depth_upper_bound(m: InclusionMatrix) -> int:
@@ -441,6 +468,12 @@ def dim_irreducible(parts: tuple) -> int:
     if sum(parts) <= 1:
         return 1
     return sum(dim_irreducible(q) for q in _remove_boxes(parts))
+
+
+def dense_rows(rng, count):
+    """count rows of 60 cells, each 0 with probability 0.2 and else 1..1000."""
+    return [[0 if rng.random() < 0.2 else rng.randint(1, 1000) for _ in range(60)]
+            for _ in range(count)]
 
 
 def random_inclusion(rng, max_dim=6, max_entry=3) -> InclusionMatrix:

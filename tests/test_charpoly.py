@@ -7,8 +7,8 @@ from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
 from incdepth import charpoly
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
-                      depth_upper_bound, minpoly_degree, poly_at_matrix, poly_gcd,
-                      random_inclusion, scale)
+                      dense_rows, depth_upper_bound, has_depth, krylov_dim_reference,
+                      minpoly_degree, poly_at_matrix, poly_gcd, random_inclusion, scale)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -134,8 +134,8 @@ def _symmetric_matrix(rng, n, high, density):
 
 def _symmetric_corpus():
     """Nonnegative symmetric matrices of 1 to 16 rows, whose chain products take
-    word and byte slots, and whose count checks the Krylov certificate once
-    their entries are wide."""
+    word and byte slots, and whose count tries the Krylov certificate from
+    three rows on."""
     rng = random.Random(20)
     for n in range(1, 17):
         for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),
@@ -169,20 +169,15 @@ def _repeated_spectrum(rng, k, high):
     return IntMatrix([[cells[order[i]][order[j]] for j in range(n)] for i in range(n)])
 
 
-def _dense_rows(rng, count):
-    return [[0 if rng.random() < 0.2 else rng.randint(1, 1000) for _ in range(60)]
-            for _ in range(count)]
-
-
 def _dense_gram(seed):
-    return InclusionMatrix(_dense_rows(random.Random(seed), 40)).gram
+    return InclusionMatrix(dense_rows(random.Random(seed), 40)).gram
 
 
 def _repeated_rows_gram():
     """Gram of a seeded dense 40x60 matrix with 20 distinct rows, each twice:
     rank 20, so k = 21 (the 20 nonzero eigenvalues and 0) below r = 40."""
     rng = random.Random(23)
-    cells = 2 * _dense_rows(rng, 20)
+    cells = 2 * dense_rows(rng, 20)
     rng.shuffle(cells)
     return InclusionMatrix(cells).gram
 
@@ -211,8 +206,8 @@ def _prs_squarefree_degree(p):
 
 class TestModularPath:
     """The exact power-sum Hankel rank, and the Krylov certificate mod
-    P = 2^27 - 79 that may end it once the chain is wider than 2^127,
-    against the Berkowitz scheme and the Z[x] remainder sequence."""
+    P = 2^27 - 79 that may end it right after the witness pair, against the
+    Berkowitz scheme and the Z[x] remainder sequence."""
 
     def test_symmetric_matrices_match_berkowitz(self):
         for m in _symmetric_corpus():
@@ -266,13 +261,14 @@ class TestModularPath:
         omega = pow(5, (charpoly.P - 1) // 3, charpoly.P)
         assert omega != 1 and (omega * omega + omega + 1) % charpoly.P == 0
         x = omega + 1 + (charpoly.P << 101)
-        assert x >= charpoly.SWITCH and (x * x - x + 1) % charpoly.P == 0
+        assert x >= 2**127 and (x * x - x + 1) % charpoly.P == 0
         assert minpoly_degree(_diagonal(x, 1, 0)) == 3
 
     @staticmethod
-    def spy_count(monkeypatch, gram):
-        """(minpoly_degree(gram), products taken, Krylov dimensions found)."""
-        products, dims = [], []
+    def spy(monkeypatch, count, *args):
+        """(count(*args), chain products taken, Krylov dimensions found, and
+        for each dimension the number of products taken before it)."""
+        products, dims, before = [], [], []
         product, krylov_dim = charpoly.product, charpoly._krylov_dim
 
         def product_spy(a, b):
@@ -280,39 +276,85 @@ class TestModularPath:
             return products[-1]
 
         def krylov_spy(g, p):
+            before.append(len(products))
             dims.append(krylov_dim(g, p))
             return dims[-1]
 
         monkeypatch.setattr(charpoly, "product", product_spy)
         monkeypatch.setattr(charpoly, "_krylov_dim", krylov_spy)
-        return minpoly_degree(gram), products, dims
+        return count(*args), products, dims, before
 
-    def test_certificate_ends_the_count_at_the_switch(self, monkeypatch):
-        for seed in (0, 1):
-            k, products, dims = self.spy_count(monkeypatch, _dense_gram(seed))
-            assert (k, dims) == (40, [40])
-            # the chain stops at its first power wider than 2^127
-            widths = [max(map(max, p)) >= charpoly.SWITCH for p in products]
-            assert widths[-1] and not any(widths[:-1]) and len(products) < 10
+    def test_certificate_ends_the_count_at_step_one(self, monkeypatch):
+        # with no witness asked for, the certificate comes at the end of
+        # step 1, before any product, and proves k = r on both dense grams
+        grams = [_dense_gram(seed) for seed in (0, 1)]
+
+        def count():
+            return [minpoly_degree(gram) for gram in grams]
+        assert self.spy(monkeypatch, count) == ([40, 40], [], [40, 40], [0, 0])
+
+    def test_certificate_right_after_the_witness_pair(self, monkeypatch):
+        # depth 3 takes G and G^2 = G G, one product per report, and then
+        # the certificate; q is also the dominance oracle's witness
+        dense = [InclusionMatrix(dense_rows(random.Random(seed), 40)) for seed in (0, 1)]
+
+        def reports():
+            return [charpoly.bound_and_witness(m, 3) for m in dense]
+        results, products, dims, before = self.spy(monkeypatch, reports)
+        assert results == [(79, 530624843), (79, 581986561)]
+        assert [q for _, q in results] == [has_depth(m, 3) for m in dense]
+        assert (len(products), dims, before) == (2, [40, 40], [1, 2])
 
     def test_certificate_miss_counts_on_exactly(self, monkeypatch):
         # v = (1, 2) is an eigenvector of [[0, 2], [2, 3]] for 4, and -1 is
-        # its other eigenvalue, so the dimension is 1 while k = 2
-        gram = IntMatrix([[0, 2**131], [2**131, 3 * 2**130]])
-        assert self.spy_count(monkeypatch, gram) == (2, [], [1])
+        # its other eigenvalue. With r = 2 no Hankel step is left after
+        # step 1 for the certificate to save, so it is not tried.
+        two = IntMatrix([[0, 2], [2, 3]])
+        assert self.spy(monkeypatch, minpoly_degree, two) == (2, [], [], [])
+        # with a third eigenvalue 1 for (0, 0, 3), v = (1, 2, 3) spans a
+        # dimension of 2 while k = 3, so the chain goes on to G^2
+        three = IntMatrix([[0, 2, 0], [2, 3, 0], [0, 0, 1]])
+        k, products, dims, before = self.spy(monkeypatch, minpoly_degree, three)
+        assert (k, len(products), dims, before) == (3, 1, [2], [0])
 
     @pytest.mark.parametrize("source", ["repeated rows", "S_10 <= S_16"])
     def test_one_chain_per_count(self, monkeypatch, source):
         # the certificate misses (dimension < r) and the chain goes on
-        # exactly from the switch through G^k, with no second pass
+        # exactly through G^k, with no second pass
         if source == "repeated rows":
             gram, want = _repeated_rows_gram(), (40, 21, 21)
         else:
             gram, want = tower_matrix(10, 16).gram, (42, 10, 10)
-        k, products, dims = self.spy_count(monkeypatch, gram)
+        k, products, dims, before = self.spy(monkeypatch, minpoly_degree, gram)
         assert (gram.rows, k, *dims) == want
         assert len(products) == k - 1 <= gram.rows - 1
-        assert max(map(max, products[-1])) >= charpoly.SWITCH
+        # the one certificate came at step max(exact, 1) = 1, before any product
+        assert before == [0]
+
+
+class TestKrylovDim:
+    """The packed Krylov dimension against the list elimination it replaced
+    (_oracles.krylov_dim_reference), mod P in word slots and mod 2^127 - 1
+    in byte slots."""
+
+    @staticmethod
+    def matrices():
+        yield from _symmetric_corpus()
+        rng = random.Random(21)
+        for k in range(1, 5):
+            for high in (1, 9, 10**6, 10**30):
+                yield _repeated_spectrum(rng, k, high)
+        for n in range(4, 14):
+            yield branching_matrix(n).gram
+        yield from (_dense_gram(0), _dense_gram(1), _repeated_rows_gram())
+        for x in (0, 1, charpoly.P, 2**127 - 1, 1 << 200):
+            yield IntMatrix([[x]])
+        yield IntMatrix([[0, 2], [2, 3]])
+
+    @pytest.mark.parametrize("p", [charpoly.P, 2**127 - 1], ids=["P", "2^127 - 1"])
+    def test_matches_list_elimination(self, p):
+        for m in self.matrices():
+            assert charpoly._krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
 
 
 class TestDepthUpperBound:

@@ -11,8 +11,8 @@ from incdepth import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
                       parse_matrix)
 from incdepth.depth import _stabilize
 
-from _oracles import (berkowitz_char_poly, bracketed_power, depth_upper_bound,
-                      has_depth, inclusion_rejection, min_depth_exact,
+from _oracles import (berkowitz_char_poly, bracketed_power, dense_rows,
+                      depth_upper_bound, has_depth, inclusion_rejection, min_depth_exact,
                       min_hdepth_exact, naive_bracketed_powers, poly_gcd,
                       random_inclusion, right_chain_depths, sorted_binary_inclusions,
                       zero_count)
@@ -208,6 +208,20 @@ def wide_inclusions():
     return out
 
 
+def repeated_row_inclusions():
+    """Inclusion matrices whose g = supp(M M^t) has equal rows: two seeded
+    dense 40x60 ones, where g is all ones, a 40x60 one with 20 distinct
+    rows, each twice, and S3S4 (+) an all-ones 3x4 block."""
+    out = [InclusionMatrix(dense_rows(random.Random(seed), 40)) for seed in (0, 1)]
+    rng = random.Random(23)
+    cells = 2 * dense_rows(rng, 20)
+    rng.shuffle(cells)
+    out.append(InclusionMatrix(cells))
+    cells = [[*row, 0, 0, 0, 0] for row in S3S4.matrix.entries]
+    out.append(InclusionMatrix(cells + [[0] * 5 + [1] * 4] * 3))
+    return out
+
+
 class TestSupportChains:
     """The left-multiplied chains against the right-multiplied ones they
     replaced (_oracles.stabilize_right)."""
@@ -224,6 +238,13 @@ class TestSupportChains:
 
     @pytest.mark.parametrize("m", wide_inclusions(), ids=lambda m: f"{m.rows}x{m.cols}")
     def test_wide(self, m):
+        assert self.depths(m) == right_chain_depths(m)
+
+    @pytest.mark.parametrize("m", repeated_row_inclusions(),
+                             ids=["dense 0", "dense 1", "repeated rows", "S3S4 + ones"])
+    def test_repeated_rows(self, m):
+        supp = m.support
+        assert len(set((supp * supp.transpose()).masks)) < m.rows
         assert self.depths(m) == right_chain_depths(m)
 
     def test_cap_raises(self):
@@ -443,7 +464,7 @@ class TestWitnessFromChain:
          [1, 1, 1]],
     ])
     def test_witness_powers_above_p(self, cells):
-        # the chain passes 2^127 by G^2 and stays exact through G^a, past
+        # the chain passes 2^127 by G^2 and stays exact through G^a, right after
         # which the Krylov certificate mod P proves k = r; with a = 3, G^2
         # is also the lower witness power
         m = InclusionMatrix(cells)
