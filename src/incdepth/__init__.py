@@ -8,8 +8,7 @@ both from one exact Gram-power chain, and generates symmetric-group
 inclusion matrices from the Young branching rule. All arithmetic is exact.
 """
 
-from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, SupportMatrix,
-                       dominance_q)
+from .exactmat import InclusionMatrix, IntMatrix, MatrixError, dominance_q
 from .depth import (DepthReport, depth_report, min_depth, min_hdepth,
                     min_odd_depth_symmetric)
 from .bigraph import (BipartiteGraph, build_graph, min_even_depth_graph,

@@ -27,7 +27,7 @@ rounded up to odd, less 1 when L is even (-1 for an isolated dot).
 
 from __future__ import annotations
 
-from .exactmat import InclusionMatrix, MatrixError
+from .exactmat import InclusionMatrix, MatrixError, set_bits
 
 
 class BipartiteGraph:
@@ -36,6 +36,9 @@ class BipartiteGraph:
     __slots__ = ("black_count", "white_count", "edges", "_far")
 
     def __init__(self, black_count: int, white_count: int, edges):
+        if not (isinstance(black_count, int) and isinstance(white_count, int)):
+            raise MatrixError(
+                f"dot counts {(black_count, white_count)!r} are not integers")
         if black_count < 1 or white_count < 1:
             raise MatrixError("graph needs at least one black and one white dot")
         edges = [(b, w) for b, w in edges]
@@ -93,14 +96,8 @@ class BipartiteGraph:
 
 def build_graph(m: InclusionMatrix) -> BipartiteGraph:
     """Incidence graph of an inclusion matrix: edge (i,j) iff entry > 0."""
-    supp = m.support
-    edges = []
-    for i, mask in enumerate(supp.masks):
-        while mask:
-            low = mask & -mask
-            edges.append((i, low.bit_length() - 1))
-            mask ^= low
-    return BipartiteGraph(supp.rows, supp.cols, edges)
+    edges = [(i, j) for i, mask in enumerate(m.support) for j in set_bits(mask)]
+    return BipartiteGraph(m.rows, m.cols, edges)
 
 
 def black_diameter(g: BipartiteGraph) -> int:

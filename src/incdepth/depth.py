@@ -15,52 +15,58 @@ and M^t M have strictly positive diagonals. Multiplying a nonnegative
 matrix by a positive-diagonal matrix can only grow its support, hence
 supp(M^[n-1]) is contained in supp(M^[n+1]) and the dominance inequality
 holds for some q exactly when the two zero patterns coincide. The
-searches below therefore run on boolean support matrices, whose cells
-never grow, and exact big-integer powers are only computed afterwards to
-extract the minimal witness q.
+searches below therefore run on supports, tuples of row bitsets whose
+set bits never clear, and exact big-integer powers are only computed
+afterwards to extract the minimal witness q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from . import bigraph, charpoly
-from .exactmat import InclusionMatrix, IntMatrix, MatrixError, SupportMatrix
+from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, set_bits,
+                       transpose_support)
 
 
-def _stabilize(g: SupportMatrix, chain) -> int:
+def _select_or(picks, rows) -> list[int]:
+    """The boolean product A X as row bitsets: row i ORs the rows of X
+    that the set bits of row i of A select, listed in picks[i]."""
+    out = []
+    for pick in picks:
+        acc = 0
+        for j in pick:
+            acc |= rows[j]
+        out.append(acc)
+    return out
+
+
+def _identity(n: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(n))
+
+
+def _stabilize(g, chain) -> int:
     """Least n >= 1 with X_(n-1+gap) == X_(n-1) in the support chain
 
         X_0, ..., X_(gap-1) = chain,   X_(k+gap) = g * X_k,   gap = len(chain).
 
-    The sparse g sits on the left, and each X_k is a tuple of row masks.
-    The set bits of each distinct row of g are found once, so a step costs
-    one OR per set bit of each distinct row, however full X_k has grown,
-    and equal rows of g share their row of X_(k+gap). Supports in the chain
-    only grow, and stabilize well below the cap (the spectral bound gives
+    g and each X_k are supports. The sparse g sits on the left. The set
+    bits of each distinct row of g are found once, so a step costs one OR
+    per set bit of each distinct row, however full X_k has grown, and equal
+    rows of g share their row of X_(k+gap). Supports in the chain only
+    grow, and stabilize well below the cap (the spectral bound gives
     d <= 2*min(r,s) - 1); hitting it means a bug.
     """
-    cap = 2 * (g.rows + chain[-1].cols) + 2
-    chain = [x.masks for x in chain]
+    cap = 2 * (len(g) + max(chain[-1]).bit_length()) + 2
+    chain = list(chain)
     distinct = {}  # row of g -> its position among the distinct rows
-    for mask in g.masks:
+    for mask in g:
         distinct.setdefault(mask, len(distinct))
-    spread = [distinct[mask] for mask in g.masks]
-    picks = []  # the set bits of each distinct row
-    for mask in distinct:
-        pick = []
-        while mask:
-            bit = mask & -mask
-            pick.append(bit.bit_length() - 1)
-            mask ^= bit
-        picks.append(pick)
+    spread = [distinct[mask] for mask in g]
+    picks = list(map(set_bits, distinct))
     for n in range(1, cap + 1):
         low = chain.pop(0)
-        get = low.__getitem__
-        rows = [reduce(or_, map(get, pick), 0) for pick in picks]
-        high = tuple(map(rows.__getitem__, spread))
+        high = tuple(map(_select_or(picks, low).__getitem__, spread))
         if high == low:
             return n
         chain.append(high)
@@ -74,15 +80,15 @@ def min_depth(m: InclusionMatrix) -> int:
     one left product by supp(M M^t), since M^[n+1] = (M M^t) M^[n-1].
     """
     supp = m.support
-    return _stabilize(supp * supp.transpose(),
-                      (SupportMatrix.identity(m.rows), supp))
+    gram = _select_or(map(set_bits, supp), transpose_support(supp))
+    return _stabilize(gram, (_identity(m.rows), supp))
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
     """Minimum H-depth, the least odd 2n-1 with S^n <= q S^{n-1} for S = M^t M."""
     supp = m.support
-    return 2 * _stabilize(supp.transpose() * supp,
-                          (SupportMatrix.identity(m.cols),)) - 1
+    s = _select_or(map(set_bits, transpose_support(supp)), supp)
+    return 2 * _stabilize(s, (_identity(m.cols),)) - 1
 
 
 def min_odd_depth_symmetric(sym: IntMatrix) -> int:
@@ -99,7 +105,7 @@ def min_odd_depth_symmetric(sym: IntMatrix) -> int:
     for i in range(sym.rows):
         if sym.entries[i][i] <= 0:
             raise MatrixError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
-    return 2 * _stabilize(sym.support(), (SupportMatrix.identity(sym.rows),)) - 1
+    return 2 * _stabilize(sym.support(), (_identity(sym.rows),)) - 1
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
-"""Exact integer matrices, their boolean support patterns, and inclusion matrices.
+"""Exact integer matrices, their supports, and inclusion matrices.
+
+A support, the zero pattern of a nonnegative matrix, is a tuple of row
+bitsets: one int per row, with bit j set when entry j of the row is
+nonzero. set_bits walks the set bits of one row.
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -54,13 +58,6 @@ class IntMatrix:
         self.cols = width
         self.entries = data
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        if n < 1:
-            raise MatrixError("identity size must be positive")
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n))
-                         for i in range(n)))
-
     def __getitem__(self, key) -> int:
         i, j = key
         return self.entries[i][j]
@@ -89,8 +86,11 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
 
-    def support(self) -> "SupportMatrix":
-        """Zero pattern as a SupportMatrix; only defined for nonnegative input."""
+    def support(self) -> tuple[int, ...]:
+        """Zero pattern as row bitsets; only defined for nonnegative input.
+
+        Row i is one int with bit j set when entry (i, j) is nonzero.
+        """
         masks = []
         for i, row in enumerate(self.entries):
             mask = 0
@@ -100,7 +100,7 @@ class IntMatrix:
                         raise MatrixError(f"negative entry {e} at ({i + 1},{j + 1})")
                     mask |= 1 << j
             masks.append(mask)
-        return SupportMatrix(masks, self.cols)
+        return tuple(masks)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -162,69 +162,28 @@ def product(a, b) -> list[tuple[int, ...]]:
             for row in a]
 
 
-class SupportMatrix:
-    """Boolean zero-pattern of a nonnegative matrix; True marks a nonzero cell.
+def set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask >= 0, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
-    Row i is stored as one int bitset, `masks[i]`, with bit j set when cell
-    (i, j) is nonzero, so a boolean product ORs together the right-hand rows
-    that a left row's set bits select.
+
+def transpose_support(rows) -> tuple[int, ...]:
+    """Row bitsets of the transposed pattern, from the row bitsets rows.
+
+    The column count is max(rows).bit_length(), which is exact for a
+    support with no zero column and for an identity.
     """
-
-    __slots__ = ("rows", "cols", "masks")
-
-    def __init__(self, masks, cols: int):
-        masks = tuple(masks)
-        if not masks or cols < 1:
-            raise MatrixError("support matrix needs at least one row and one column")
-        if min(masks) < 0 or max(masks) >> cols:
-            raise MatrixError(f"row bitset out of range for {cols} columns")
-        self.rows = len(masks)
-        self.cols = cols
-        self.masks = masks
-
-    @classmethod
-    def identity(cls, n: int) -> "SupportMatrix":
-        return cls([1 << i for i in range(n)], n)
-
-    def __mul__(self, other: "SupportMatrix"):
-        """OR-AND product over the boolean semiring."""
-        if not isinstance(other, SupportMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise MatrixError(
-                f"cannot multiply {self.rows}x{self.cols} "
-                f"by {other.rows}x{other.cols}")
-        right = other.masks
-        out = []
-        for mask in self.masks:
-            acc = 0
-            while mask:
-                low = mask & -mask
-                acc |= right[low.bit_length() - 1]
-                mask ^= low
-            out.append(acc)
-        return SupportMatrix(out, other.cols)
-
-    def transpose(self) -> "SupportMatrix":
-        cols = [0] * self.cols
-        for i, mask in enumerate(self.masks):
-            bit = 1 << i
-            while mask:
-                low = mask & -mask
-                cols[low.bit_length() - 1] |= bit
-                mask ^= low
-        return SupportMatrix(cols, self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SupportMatrix) and self.cols == other.cols
-                and self.masks == other.masks)
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.masks))
-
-    def __repr__(self) -> str:
-        cells = [[mask >> j & 1 for j in range(self.cols)] for mask in self.masks]
-        return f"SupportMatrix({cells!r})"
+    cols = [0] * max(rows).bit_length()
+    for i, mask in enumerate(rows):
+        bit = 1 << i
+        for j in set_bits(mask):
+            cols[j] |= bit
+    return tuple(cols)
 
 
 class InclusionMatrix:
@@ -241,12 +200,12 @@ class InclusionMatrix:
         if not isinstance(matrix, IntMatrix):
             matrix = IntMatrix(matrix)
         support = matrix.support()  # rejects negative entries
-        if 0 in support.masks:
-            i = support.masks.index(0)
+        if 0 in support:
+            i = support.index(0)
             raise MatrixError(f"zero row {i + 1}", row=i)
-        missing = reduce(or_, support.masks) ^ ((1 << matrix.cols) - 1)
+        missing = reduce(or_, support) ^ ((1 << matrix.cols) - 1)
         if missing:
-            raise MatrixError(f"zero column {(missing & -missing).bit_length()}")
+            raise MatrixError(f"zero column {set_bits(missing)[0] + 1}")
         self.matrix = matrix
         self.support = support
         self._gram = None

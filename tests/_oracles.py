@@ -10,12 +10,14 @@ rank of the power-sum Hankel matrix that charpoly counts, direct
 big-integer dominance scans instead of boolean support stabilization,
 the Krylov dimension by list elimination instead of packed rows,
 bracketed powers by repeated squaring instead of the report's Gram-power
-chain, support chains that multiply the growing power on the right
-instead of the left, graph distances by one queue-driven BFS per dot and
-diameters over every pair of dots instead of the bit-parallel BFS from all
-dots at once, the even graph depth over merged classes of black dots
-instead of black-to-white distances, and a counting recurrence instead of
-the partition generator.
+chain, support chains that multiply the growing power on the right by a
+bit test on every column instead of on the left by walking set bits,
+graph distances by one queue-driven BFS per dot and diameters over every
+pair of dots instead of the bit-parallel BFS from all dots at once, the
+even graph depth over merged classes of black dots instead of
+black-to-white distances, two counting recurrences instead of the
+partition generator, and the closed-form spectrum of M M^t on
+symmetric-group towers instead of the Hankel count.
 """
 
 from collections import deque
@@ -25,7 +27,7 @@ from math import gcd
 from operator import mul, or_
 
 from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
-                      SupportMatrix, charpoly, dominance_q)
+                      charpoly, dominance_q)
 
 
 class IntPolynomial:
@@ -66,6 +68,13 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
 
+def identity(n: int) -> IntMatrix:
+    """The n x n identity matrix."""
+    if n < 1:
+        raise MatrixError("identity size must be positive")
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def naive_multiply(a, b):
     """Triple-loop product of two list-of-list integer matrices."""
     rows, inner, cols = len(a), len(b), len(b[0])
@@ -102,7 +111,7 @@ def bracketed_power(m: InclusionMatrix, n: int) -> IntMatrix:
             square = square * square
     if n % 2:
         return mat if power is None else power * mat
-    return IntMatrix.identity(mat.rows) if power is None else power
+    return identity(mat.rows) if power is None else power
 
 
 def has_depth(m: InclusionMatrix, n: int) -> int | None:
@@ -174,10 +183,9 @@ def entrywise_le(a: IntMatrix, b: IntMatrix) -> bool:
                for x, y in zip(ra, rb))
 
 
-def support_bits(s: SupportMatrix) -> tuple[tuple[bool, ...], ...]:
-    """Row-major tuple-of-bool view of a support pattern."""
-    return tuple(tuple(bool(mask >> j & 1) for j in range(s.cols))
-                 for mask in s.masks)
+def support_bits(s, cols: int) -> tuple[tuple[bool, ...], ...]:
+    """Row-major tuple-of-bool view of a support with cols columns."""
+    return tuple(tuple(bool(mask >> j & 1) for j in range(cols)) for mask in s)
 
 
 def zero_count(m: IntMatrix) -> int:
@@ -185,9 +193,22 @@ def zero_count(m: IntMatrix) -> int:
     return sum(1 for row in m.entries for e in row if e == 0)
 
 
-def support_as_int_matrix(s) -> IntMatrix:
-    """The 0/1 matrix with the zero pattern of a SupportMatrix."""
-    return IntMatrix([[1 if b else 0 for b in row] for row in support_bits(s)])
+def support_as_int_matrix(s, cols: int) -> IntMatrix:
+    """The 0/1 matrix with the zero pattern of a support with cols columns."""
+    return IntMatrix([[1 if b else 0 for b in row] for row in support_bits(s, cols)])
+
+
+def naive_support_product(a, b) -> tuple[int, ...]:
+    """supp(A B) from the supports of A and B: row i ORs the rows b_j of
+    every j < len(b) whose bit is set in row i of A."""
+    return tuple(reduce(or_, [b[j] for j in range(len(b)) if mask >> j & 1], 0)
+                 for mask in a)
+
+
+def naive_support_transpose(s, cols: int) -> tuple[int, ...]:
+    """Support of the transpose of a support with cols columns."""
+    return tuple(sum(1 << i for i, mask in enumerate(s) if mask >> j & 1)
+                 for j in range(cols))
 
 
 def inclusion_rejection(cells) -> tuple[str, int | None] | None:
@@ -326,19 +347,22 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(a)
 
 
-def stabilize_right(factors: tuple[SupportMatrix, ...], gap: int) -> int:
+def stabilize_right(factors, gap: int) -> int:
     """Least n >= 1 with X_(n-1+gap) == X_(n-1) in the support chain
 
         X_0 = I,   X_(k+1) = X_k * factors[k % len(factors)].
 
-    Supports in the chain only grow, and stabilize well below the cap (the
-    spectral bound gives d <= 2*min(r,s) - 1); hitting it means a bug.
+    The factors are supports; the first has r rows and s columns, the
+    second, if any, s rows. Supports in the chain only grow, and stabilize
+    well below the cap (the spectral bound gives d <= 2*min(r,s) - 1);
+    hitting it means a bug.
     """
-    first = factors[0]
-    cap = 2 * (first.rows + first.cols) + 2
-    chain = [SupportMatrix.identity(first.rows)]
+    r, s = len(factors[0]), len(factors[-1])
+    cap = 2 * (r + s) + 2
+    chain = [tuple(1 << i for i in range(r))]
     for k in range(cap + gap - 1):
-        chain.append(chain[-1] * factors[k % len(factors)])  # X_(k+1)
+        factor = factors[k % len(factors)]
+        chain.append(naive_support_product(chain[-1], factor))  # X_(k+1)
         if len(chain) > gap:
             if chain[-1] == chain[0]:
                 return k + 2 - gap
@@ -349,10 +373,11 @@ def stabilize_right(factors: tuple[SupportMatrix, ...], gap: int) -> int:
 def right_chain_depths(m: InclusionMatrix) -> tuple[int, int, int, int]:
     """d(M), d(M^t), H-depth and the odd depth of M M^t, each from the
     support chain that multiplies the growing X_k on the right."""
-    supp, supp_t = m.support, m.support.transpose()
+    supp = m.support
+    supp_t = naive_support_transpose(supp, m.cols)
     return (stabilize_right((supp, supp_t), 2),
             stabilize_right((supp_t, supp), 2),
-            2 * stabilize_right((supp_t * supp,), 1) - 1,
+            2 * stabilize_right((naive_support_product(supp_t, supp),), 1) - 1,
             2 * stabilize_right((m.gram.support(),), 1) - 1)
 
 
@@ -368,7 +393,7 @@ def min_hdepth_exact(m: InclusionMatrix) -> int:
     """Least odd 2n-1 with S^n <= q S^{n-1}, by exact big-integer powers."""
     s = m.matrix.transpose() * m.matrix
     cap = minpoly_degree(s) + 1
-    power_prev = IntMatrix.identity(s.rows)
+    power_prev = identity(s.rows)
     for n in range(1, cap + 1):
         power = power_prev * s
         if dominance_q(power, power_prev) is not None:
@@ -447,6 +472,41 @@ def count_partitions(n: int, max_part: int | None = None) -> int:
         return 0
     return sum(count_partitions(n - first, first)
                for first in range(1, min(n, max_part) + 1))
+
+
+def pentagonal_partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n), by Euler's pentagonal number recurrence
+
+        p(k) = sum over i >= 1 of (-1)^(i+1) (p(k - i(3i-1)/2) + p(k - i(3i+1)/2)).
+    """
+    p = [1] + [0] * n
+    for k in range(1, n + 1):
+        i = 1
+        while i * (3 * i - 1) // 2 <= k:
+            sign = 1 if i % 2 else -1
+            for pentagonal in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2):
+                if pentagonal <= k:
+                    p[k] += sign * p[k - pentagonal]
+            i += 1
+    return p
+
+
+def tower_spectrum(m: int, n: int) -> list[tuple[int, int]]:
+    """(eigenvalue, multiplicity) pairs of M M^t for the tower S_m <= S_n,
+    in increasing order, with the zero multiplicities left out.
+
+    Young's lattice is a 1-differential poset, DU - UD = I (Stanley,
+    J. Amer. Math. Soc. 1, 1988), and M M^t is D^j U^j on rank m, with
+    j = n - m. Its eigenvalue e (e + 1) ... (e + j - 1) for e = i + 1 has
+    multiplicity p(m - i) - p(m - i - 1), for i = 0..m, with p(-1) = 0.
+    """
+    p = pentagonal_partition_counts(m) + [0]  # p[-1] reads the trailing 0
+    spectrum = []
+    for i in range(m + 1):
+        mult = p[m - i] - p[m - i - 1]
+        if mult:
+            spectrum.append((reduce(mul, range(i + 1, i + 1 + n - m), 1), mult))
+    return spectrum
 
 
 def _remove_boxes(parts):

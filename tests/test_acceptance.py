@@ -14,7 +14,7 @@ from incdepth import (InclusionMatrix, IntMatrix, build_graph, depth_report,
 from incdepth.cli import main
 
 from _oracles import (all_binary_inclusions, char_poly, count_partitions,
-                      depth_upper_bound, has_depth, min_depth_exact,
+                      depth_upper_bound, has_depth, identity, min_depth_exact,
                       min_hdepth_exact, poly_at_matrix, random_inclusion, scale,
                       zero_count)
 
@@ -153,7 +153,7 @@ def test_criterion_7_cayley_hamilton():
             for j in range(i, 5):
                 cells[i][j] = cells[j][i] = rng.randint(-9, 9)
         m = IntMatrix(cells)
-        if poly_at_matrix(char_poly(m), m) != scale(IntMatrix.identity(5), 0):
+        if poly_at_matrix(char_poly(m), m) != scale(identity(5), 0):
             failures += 1
     _line(7, failures == 0,
           f"Cayley-Hamilton exact on 100 random symmetric 5x5, {failures} failures")

@@ -2,18 +2,18 @@ import random
 
 import pytest
 
-from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
+from incdepth import (BipartiteGraph, InclusionMatrix, MatrixError,
                       build_graph, min_depth, min_even_depth_graph, min_hdepth,
                       min_hdepth_graph, min_odd_depth_graph, to_dot,
                       tower_matrix)
 from incdepth.bigraph import black_diameter
 
-from _oracles import (bfs_distances, graph_depths_by_pairs,
+from _oracles import (bfs_distances, graph_depths_by_pairs, identity,
                       min_even_depth_merged, random_inclusion)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
-IDENT2 = InclusionMatrix(IntMatrix.identity(2))
+IDENT2 = InclusionMatrix(identity(2))
 
 
 def test_build_graph_edges_are_support():
@@ -43,6 +43,12 @@ def test_edges_must_be_integers(edge):
     # no coercion: int(0.9), int("1") and int(1.0) would name valid dots
     with pytest.raises(MatrixError, match="not a pair of integers"):
         BipartiteGraph(2, 2, [(0, 0), edge])
+
+
+@pytest.mark.parametrize("counts", [(2.5, 1), (1, 2.5), ("2", 1), (1.0, 1), (1, None)])
+def test_dot_counts_must_be_integers(counts):
+    with pytest.raises(MatrixError, match="not integers"):
+        BipartiteGraph(*counts, [])
 
 
 def small_graphs():

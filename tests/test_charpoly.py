@@ -7,8 +7,10 @@ from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
 from incdepth import charpoly
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
-                      dense_rows, depth_upper_bound, has_depth, krylov_dim_reference,
-                      minpoly_degree, poly_at_matrix, poly_gcd, random_inclusion, scale)
+                      count_partitions, dense_rows, depth_upper_bound, has_depth,
+                      identity, krylov_dim_reference, minpoly_degree, naive_multiply,
+                      pentagonal_partition_counts, poly_at_matrix, poly_gcd,
+                      random_inclusion, scale, tower_spectrum)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -42,7 +44,7 @@ class TestCharPoly:
 
     def test_identity_2x2(self):
         # (x - 1)^2
-        assert char_poly(IntMatrix.identity(2)) == IntPolynomial([1, -2, 1])
+        assert char_poly(identity(2)) == IntPolynomial([1, -2, 1])
 
     def test_s3s4_gram(self):
         # x^3 - 7x^2 + 14x - 8 = (x-1)(x-2)(x-4), 3x3 determinant by hand
@@ -80,7 +82,7 @@ class TestCharPoly:
                 for j in range(i, n):
                     cells[i][j] = cells[j][i] = rng.randint(-5, 5)
             m = IntMatrix(cells)
-            assert poly_at_matrix(char_poly(m), m) == scale(IntMatrix.identity(n), 0)
+            assert poly_at_matrix(char_poly(m), m) == scale(identity(n), 0)
 
 
 class TestPolyGcd:
@@ -106,7 +108,7 @@ class TestMinpolyDegree:
         assert minpoly_degree(IntMatrix([[1, 1], [1, 1]])) == 2
 
     def test_identity(self):
-        assert minpoly_degree(IntMatrix.identity(3)) == 1
+        assert minpoly_degree(identity(3)) == 1
 
     def test_s3s4_gram(self):
         assert minpoly_degree(IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 2]])) == 3
@@ -357,6 +359,43 @@ class TestKrylovDim:
             assert charpoly._krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
 
 
+class TestTowerSpectrum:
+    """The spectral bound, the power sums and the Krylov certificate on
+    every tower S_m <= S_n against the closed-form spectrum of M M^t
+    (_oracles.tower_spectrum), whose m distinct eigenvalues give k = m."""
+
+    def test_pentagonal_counts(self):
+        assert pentagonal_partition_counts(30) == [count_partitions(n) for n in range(31)]
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_spectral_bound(self, n):
+        for m in range(1, n):
+            tower, spectrum = tower_matrix(m, n), tower_spectrum(m, n)
+            assert sum(mult for _, mult in spectrum) == tower.rows
+            bound, _ = charpoly.bound_and_witness(tower, 1)
+            assert bound == 2 * len(spectrum) - 1 == 2 * m - 1, (m, n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_power_traces(self, n):
+        for m in range(1, n):
+            g = tower_matrix(m, n).gram.entries
+            power, traces = g, []
+            for _ in range(4):
+                traces.append(sum(power[i][i] for i in range(len(g))))
+                power = naive_multiply(power, g)
+            assert traces == [sum(mult * value**j for value, mult in tower_spectrum(m, n))
+                              for j in range(1, 5)], (m, n)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_certificate_dimension(self, n):
+        # the dimension is k = m on every tower, so it proves k = r = p(m)
+        # only for m <= 3 and misses from m = 4 on
+        for m in range(1, n):
+            gram = tower_matrix(m, n).gram
+            assert charpoly._krylov_dim(gram.entries, charpoly.P) == m, (m, n)
+            assert (m == gram.rows) == (m <= 3)
+
+
 class TestDepthUpperBound:
     def test_s3s4(self):
         assert depth_upper_bound(S3S4) == 5
@@ -368,7 +407,7 @@ class TestDepthUpperBound:
         assert min_depth(m) <= 3
 
     def test_identity(self):
-        m = InclusionMatrix(IntMatrix.identity(4))
+        m = InclusionMatrix(identity(4))
         assert depth_upper_bound(m) == 1
         assert min_depth(m) == 1
 
