@@ -39,8 +39,17 @@ P = (1 << 27) - 79  # the prime of the Krylov certificate
 
 
 def _inner(a, b) -> int:
-    """Frobenius product sum_ij a_ij b_ij of two row-major matrices."""
-    return sum(sum(map(mul, x, y)) for x, y in zip(a, b))
+    """Frobenius product sum_ij a_ij b_ij of two symmetric row-major matrices.
+
+    Both a and b must be symmetric, as every power of G is: the sum is then
+    the diagonal plus twice the strict upper triangle, the only cells this
+    reads, so on other matrices the result is wrong.
+    """
+    diagonal = upper = 0
+    for i, (x, y) in enumerate(zip(a, b)):
+        diagonal += x[i] * y[i]
+        upper += sum(map(mul, x[i + 1:], y[i + 1:]))
+    return diagonal + 2 * upper
 
 
 def _krylov_dim(g, p: int) -> int:

@@ -10,6 +10,7 @@ by whitespace. Exit codes: 0 success, 1 a requested check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -244,7 +245,14 @@ def cmd_check(args) -> int:
     return 0 if all(passed for _, passed, _ in checks) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main call.
+
+    Parsing reads the parser and never changes it, so concurrent calls may
+    share it. Each subcommand's handler is looked up by name when main
+    runs it, so a cmd_* function patched after the build is still called.
+    """
     parser = argparse.ArgumentParser(
         prog="incdepth",
         description="Depth, H-depth and transpose depth of inclusion matrices.")
@@ -256,9 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="symmetric-group inclusion matrix from branching")
     check = sub.add_parser("check",
                            help="run the depth inequality checks on one matrix")
-    for p, func in ((compute, cmd_compute), (graph, cmd_graph), (sym, cmd_sym),
-                    (check, cmd_check)):
-        p.set_defaults(func=func)
+    for p in (compute, graph, sym, check):
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of text")
     for p in (compute, graph, check):
@@ -283,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:  # MatrixError, and UnicodeDecodeError from read_text
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,8 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
 
     partitions(0) is the single empty partition, by convention.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"partitions need an integer n, got {n!r}")
     if n < 0:
         raise ValueError(f"partitions need n >= 0, got {n}")
     return tuple(_descending(n, n))
@@ -41,6 +43,8 @@ def branching_matrix(n: int) -> InclusionMatrix:
     exactly when column j is row i with one box added. Entries are 0/1
     because the branching rule is multiplicity-free.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"branching matrix needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError(f"branching matrix needs n >= 2, got {n}")
     col_index = {p: j for j, p in enumerate(partitions(n))}
@@ -63,6 +67,8 @@ def tower_matrix(k: int, n: int) -> InclusionMatrix:
     Induction composes along the tower, so the matrix is
     branching_matrix(k+1) * ... * branching_matrix(n).
     """
+    if not (isinstance(k, int) and isinstance(n, int)):
+        raise ValueError(f"tower needs integers k and n, got k={k!r}, n={n!r}")
     if k < 1 or n <= k:
         raise ValueError(f"tower needs 1 <= k < n, got k={k}, n={n}")
     product = branching_matrix(k + 1).matrix

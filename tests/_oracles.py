@@ -9,6 +9,8 @@ squarefree part by a primitive remainder sequence over Z[x] instead of the
 rank of the power-sum Hankel matrix that charpoly counts, direct
 big-integer dominance scans instead of boolean support stabilization,
 the Krylov dimension by list elimination instead of packed rows,
+the Frobenius product over every cell instead of the diagonal and upper
+triangle,
 bracketed powers by repeated squaring instead of the report's Gram-power
 chain, support chains that multiply the growing power on the right by a
 bit test on every column instead of on the left by walking set bits,
@@ -160,6 +162,11 @@ def krylov_dim_reference(g, p: int) -> int:
         basis.append((col, [x * inverse % p for x in w]))
         v = [sum(map(mul, row, v)) % p for row in g]
     return len(basis)
+
+
+def frobenius(a, b) -> int:
+    """Frobenius product sum_ij a_ij b_ij over every cell of a and b."""
+    return sum(sum(map(mul, x, y)) for x, y in zip(a, b))
 
 
 def depth_upper_bound(m: InclusionMatrix) -> int:

@@ -7,10 +7,10 @@ from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
 from incdepth import charpoly
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
-                      count_partitions, dense_rows, depth_upper_bound, has_depth,
-                      identity, krylov_dim_reference, minpoly_degree, naive_multiply,
-                      pentagonal_partition_counts, poly_at_matrix, poly_gcd,
-                      random_inclusion, scale, tower_spectrum)
+                      count_partitions, dense_rows, depth_upper_bound, frobenius,
+                      has_depth, identity, krylov_dim_reference, minpoly_degree,
+                      naive_multiply, pentagonal_partition_counts, poly_at_matrix,
+                      poly_gcd, random_inclusion, scale, tower_spectrum)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -332,6 +332,36 @@ class TestModularPath:
         assert len(products) == k - 1 <= gram.rows - 1
         # the one certificate came at step max(exact, 1) = 1, before any product
         assert before == [0]
+
+
+class TestFrobeniusSums:
+    """charpoly._inner reads the diagonal and upper triangle only, which is
+    exact on symmetric pairs; every pair the chain hands it must be
+    symmetric and give the full sum over every cell (_oracles.frobenius)."""
+
+    @pytest.mark.parametrize("source", [*(f"S_{n}" for n in range(4, 15)),
+                                        "dense 0", "dense 1"])
+    def test_every_chain_pair(self, monkeypatch, source):
+        if source.startswith("S_"):
+            gram = branching_matrix(int(source[2:])).gram.entries
+        else:
+            rng = random.Random(int(source.split()[1]))
+            gram = InclusionMatrix(dense_rows(rng, 12)).gram.entries
+        inner, pairs = charpoly._inner, []
+
+        def spy(a, b):
+            pairs.append((a, b))
+            return inner(a, b)
+
+        monkeypatch.setattr(charpoly, "_inner", spy)
+        # asking for G^r keeps the certificate from ending the chain early
+        k, _ = charpoly._hankel_rank(gram, len(gram))
+        # steps 1..k add Hankel rows, but no step past r - 1 does
+        assert len(pairs) == 2 * min(k, len(gram) - 1)
+        for a, b in pairs:
+            assert list(map(tuple, a)) == list(zip(*a))
+            assert list(map(tuple, b)) == list(zip(*b))
+            assert inner(a, b) == frobenius(a, b)
 
 
 class TestKrylovDim:

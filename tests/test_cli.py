@@ -10,6 +10,7 @@ import pytest
 import incdepth
 from incdepth import (InclusionMatrix, MatrixParseError, fixture_path,
                       parse_int_matrix, parse_matrix, render_matrix)
+from incdepth import cli
 from incdepth.cli import main
 
 from _oracles import random_inclusion
@@ -157,14 +158,7 @@ class TestComputeCommand:
         assert "error" in capsys.readouterr().err
 
     def test_internal_failure_exits_3(self, capsys, monkeypatch):
-        import incdepth.cli as cli_mod
-
-        def boom(_):
-            raise AssertionError("forced invariant breach")
-
-        monkeypatch.setattr(cli_mod, "depth_report", boom)
-        assert main(["compute", "--matrix", str(fixture_path("s3s4.mat"))]) == 3
-        assert "internal error" in capsys.readouterr().err
+        _assert_internal_failure(capsys, monkeypatch)
 
     def test_module_entry_point(self):
         import subprocess
@@ -402,14 +396,17 @@ def _readme_json_report() -> str:
     return section.split("```json\n", 1)[1].split("```", 1)[0]
 
 
-@pytest.mark.parametrize("argv, fixture, expected", [
+STDOUT_BYTES = [
     (["compute"], "s3s4.mat", S3S4_TEXT),
     (["compute", "--json"], "s3s4.mat", _readme_json_report()),
     (["graph"], "s3s4.mat", S3S4_GRAPH),
     (["check"], "s3s4.mat", S3S4_CHECK),
     (["check", "--json"], "s3s4.mat", S3S4_CHECK_JSON),
     (["compute", "--symmetric-odd"], "h8_mmt.mat", "min_odd_depth: 3\n"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, fixture, expected", STDOUT_BYTES)
 def test_stdout_bytes(argv, fixture, expected, capsys):
     assert main(argv + ["--matrix", str(fixture_path(fixture))]) == 0
     out, err = capsys.readouterr()
@@ -418,18 +415,29 @@ def test_stdout_bytes(argv, fixture, expected, capsys):
 
 
 def test_disagreement_flag_bytes(capsys, monkeypatch):
+    _assert_disagreement_flags(capsys, monkeypatch)
+
+
+def _assert_internal_failure(capsys, monkeypatch):
+    def boom(_):
+        raise AssertionError("forced invariant breach")
+
+    monkeypatch.setattr(cli, "depth_report", boom)
+    assert main(["compute", "--matrix", str(fixture_path("s3s4.mat"))]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+
+def _assert_disagreement_flags(capsys, monkeypatch):
     import dataclasses
 
-    import incdepth.cli as cli_mod
-
-    real = cli_mod.depth_report
+    real = cli.depth_report
 
     def parity_off(m):
         rep = real(m)
         return dataclasses.replace(
             rep, methods_agree={**rep.methods_agree, "transpose_parity": False})
 
-    monkeypatch.setattr(cli_mod, "depth_report", parity_off)
+    monkeypatch.setattr(cli, "depth_report", parity_off)
     path = str(fixture_path("s3s4.mat"))
     flags = "graph_depth=yes graph_hdepth=yes transpose_parity=NO"
     assert main(["compute", "--matrix", path]) == 0
@@ -439,7 +447,7 @@ def test_disagreement_flag_bytes(capsys, monkeypatch):
         f"FAIL  graph agrees with matrix   ({flags})"
 
 
-@pytest.mark.parametrize("text, message", [
+PARSE_DIAGNOSTICS = [
     ("", "empty input: expected a 'rows cols' header"),
     ("# only a comment\n\n", "empty input: expected a 'rows cols' header"),
     ("3\n1 1 1\n", "line 1: malformed header, expected 'rows cols'"),
@@ -464,7 +472,10 @@ def test_disagreement_flag_bytes(capsys, monkeypatch):
     ("2 2\n0 0\n1 0\n", "line 2: zero row 1"),
     ("2 2\n1 0\n1 0\n", "zero column 2"),
     ("2 3\n# mid\n0 1 0\n\n1 1 0\n", "zero column 3"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_DIAGNOSTICS)
 def test_parse_diagnostics(text, message):
     with pytest.raises(MatrixParseError) as info:
         parse_matrix(text)
@@ -516,3 +527,80 @@ def test_all_names_documented_in_readme():
     assert [name for name in incdepth.__all__
             if not re.search(rf"\b{name}\b", text)] == []
     assert all(hasattr(incdepth, name) for name in incdepth.__all__)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every later call reuses it."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        import subprocess
+        script = ("import sys, incdepth, incdepth.cli\n"
+                  "sys.exit(incdepth.cli._build_parser.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=_subprocess_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_second_pass_repeats_every_byte(self, capsysbinary, monkeypatch):
+        import io
+        calls = [(argv + ["--matrix", str(fixture_path(fixture))], "")
+                 for argv, fixture, _ in STDOUT_BYTES]
+        calls += [(["compute", "--matrix", "-"], text)
+                  for text, _ in PARSE_DIAGNOSTICS]
+        calls += [([command, "--help"], "")
+                  for command in ("compute", "graph", "sym", "check")]
+        calls.append((["sym", "--n", "4", "--matrix", "x"], ""))
+
+        def run(argv, stdin):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsysbinary.readouterr())
+
+        first = [run(*call) for call in calls]
+        assert [run(*call) for call in calls] == first
+        reports, diagnostics = len(STDOUT_BYTES), len(PARSE_DIAGNOSTICS)
+        assert first[:reports] == [(0, expected.encode(), b"")
+                                   for _, _, expected in STDOUT_BYTES]
+        assert first[reports:reports + diagnostics] == \
+            [(2, b"", f"error: {message}\n".encode()) for _, message in PARSE_DIAGNOSTICS]
+        assert all(code == 0 and out.startswith(b"usage: incdepth ") and err == b""
+                   for code, out, err in first[-5:-1])
+        code, out, err = first[-1]
+        assert (code, out) == (2, b"")
+        assert b"unrecognized arguments: --matrix x" in err
+
+    def test_transpose_does_not_carry_over(self, capsys):
+        argv = ["compute", "--json", "--matrix", str(fixture_path("s3s4.mat"))]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(["compute", "--transpose", *argv[1:]]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 5
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)["rows"] == 3
+
+    @pytest.mark.parametrize("order", ["failure first", "flags first"])
+    def test_patched_depth_report_in_either_order(self, order, capsys, monkeypatch):
+        # the parser exists before each patch, and main still finds it
+        checks = [_assert_internal_failure, _assert_disagreement_flags]
+        if order == "flags first":
+            checks.reverse()
+        argv = ["compute", "--matrix", str(fixture_path("s3s4.mat"))]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        for check in checks:
+            check(capsys, monkeypatch)
+            monkeypatch.undo()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_patched_handler_is_called(self, monkeypatch):
+        cli._build_parser()
+        monkeypatch.setattr(cli, "cmd_sym", lambda args: 7)
+        assert main(["sym", "--n", "4"]) == 7

@@ -132,6 +132,16 @@ class TestTowerMatrix:
             "2fc327a3181df3f4e2047e875912f1e2e3b91eab5703c931f6fffcd5d7072851")
 
 
+@pytest.mark.parametrize("call, args", [
+    (partitions, (2.5,)), (partitions, (3.0,)), (partitions, ("3",)),
+    (branching_matrix, (2.5,)), (branching_matrix, (4.0,)),
+    (tower_matrix, (1, 2.5)), (tower_matrix, (1.5, 3)), (tower_matrix, (2, 4.0)),
+])
+def test_non_integer_n_rejected(call, args):
+    with pytest.raises(ValueError, match="integer"):
+        call(*args)
+
+
 def test_branching_n4_depths():
     m = branching_matrix(4)
     assert min_depth(m) == 5
