@@ -47,7 +47,10 @@ class BipartiteGraph:
                 raise MatrixError(f"edge {(b, w)!r} is not a pair of integers")
             if not (0 <= b < black_count and 0 <= w < white_count):
                 raise MatrixError(f"edge ({b},{w}) out of range")
-        pairs = frozenset(edges)
+        self._build(black_count, white_count, frozenset(edges))
+
+    def _build(self, black_count: int, white_count: int, pairs: frozenset) -> None:
+        """Fill in the graph from checked edges and run the BFS."""
         self.black_count = black_count
         self.white_count = white_count
         self.edges = pairs
@@ -96,8 +99,10 @@ class BipartiteGraph:
 
 def build_graph(m: InclusionMatrix) -> BipartiteGraph:
     """Incidence graph of an inclusion matrix: edge (i,j) iff entry > 0."""
-    edges = [(i, j) for i, mask in enumerate(m.support) for j in set_bits(mask)]
-    return BipartiteGraph(m.rows, m.cols, edges)
+    graph = object.__new__(BipartiteGraph)  # the support's edges need no check
+    graph._build(m.rows, m.cols, frozenset(
+        (i, j) for i, mask in enumerate(m.support) for j in set_bits(mask)))
+    return graph
 
 
 def black_diameter(g: BipartiteGraph) -> int:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import mul
 
-from .exactmat import InclusionMatrix, IntMatrix, dominance_q, product, slots
+from .exactmat import InclusionMatrix, combine, dominance_q, made, product, slots
 
 P = (1 << 27) - 79  # the prime of the Krylov certificate
 
@@ -97,6 +97,8 @@ def _hankel_rank(g, exact: int = 0):
     r = len(g)
     check = max(exact, 1)  # the step that tries the Krylov certificate
     low, power = [[int(i == j) for j in range(r)] for i in range(r)], g  # G^(n-1), G^n
+    head = r.bit_length() + max(map(max, g)).bit_length()  # G's share of product's bound
+    width = packed = None  # the slot width of the last step and its packed sums
     powers = None
     sums = [r]  # s_0, s_1, ..., s_(2n)
     pivots = [r]  # det H_1, ..., det H_n
@@ -106,8 +108,13 @@ def _hankel_rank(g, exact: int = 0):
     for n in range(1, max(r, exact + 1)):
         if n > 1:
             low = power
-            # G^(n-1) is symmetric, so its rows are also its columns
-            power = product(g, low)
+            # G^n = G G^(n-1) by product's kernel; the sums that formed G^(n-1)
+            # are its packed rows, packed anew only when the slot width moves
+            step, pack, unpack = slots(head + max(map(max, low)).bit_length(), r)
+            if step != width:
+                width, packed = step, list(map(pack, low))
+            packed = combine(g, packed)
+            power = [tuple(unpack(x)) for x in packed]
         if n == exact:
             powers = low, power
         if n == r:
@@ -144,7 +151,7 @@ def bound_and_witness(m: InclusionMatrix, d: int):
     k, powers = _hankel_rank(m.gram.entries, (d + 1) // 2)
     if powers is None:
         return 2 * k - 1, None
-    low, high = map(IntMatrix, powers)
     if d % 2 == 0:
-        low, high = low * m.matrix, high * m.matrix
+        powers = [product(power, m.matrix.entries) for power in powers]
+    low, high = map(made, powers)
     return 2 * k - 1, dominance_q(high, low)

@@ -84,11 +84,16 @@ def min_depth(m: InclusionMatrix) -> int:
     return _stabilize(gram, (_identity(m.rows), supp))
 
 
+def _transposed(m: InclusionMatrix):
+    """supp(M^t), S = supp(M^t M) and I_s, from which d(M^t) and d_H step."""
+    supp_t = transpose_support(m.support)
+    return supp_t, _select_or(map(set_bits, supp_t), m.support), _identity(m.cols)
+
+
 def min_hdepth(m: InclusionMatrix) -> int:
     """Minimum H-depth, the least odd 2n-1 with S^n <= q S^{n-1} for S = M^t M."""
-    supp = m.support
-    s = _select_or(map(set_bits, transpose_support(supp)), supp)
-    return 2 * _stabilize(s, (_identity(m.cols),)) - 1
+    _, s, identity = _transposed(m)
+    return 2 * _stabilize(s, (identity,)) - 1
 
 
 def min_odd_depth_symmetric(sym: IntMatrix) -> int:
@@ -136,8 +141,11 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     rule tying H-depth to d(M^t), are recorded as flags.
     """
     d = min_depth(m)
-    d_t = min_depth(m.transposed())
-    d_h = min_hdepth(m)
+    # d(M^t) and d_H step one S = supp(M^t M) in two separate chains, so
+    # the flags and checks that tie them compare independent results
+    supp_t, s, identity = _transposed(m)
+    d_t = _stabilize(s, (identity, supp_t))
+    d_h = 2 * _stabilize(s, (identity,)) - 1
     graph = bigraph.build_graph(m)
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)

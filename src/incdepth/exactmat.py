@@ -81,10 +81,10 @@ class IntMatrix:
                 f"by {other.rows}x{other.cols}")
         if min(map(min, self.entries)) < 0 or min(map(min, other.entries)) < 0:
             raise MatrixError("products need nonnegative matrices")
-        return IntMatrix(product(self.entries, other.entries))
+        return made(product(self.entries, other.entries))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
+        return made(zip(*self.entries))
 
     def support(self) -> tuple[int, ...]:
         """Zero pattern as row bitsets; only defined for nonnegative input.
@@ -157,9 +157,20 @@ def product(a, b) -> list[tuple[int, ...]]:
     bits = (len(b).bit_length() + max(map(max, a)).bit_length()
             + max(map(max, b)).bit_length())
     _, pack, unpack = slots(bits, len(b[0]))
-    packed = list(map(pack, b))
-    return [tuple(unpack(sum(map(mul, compress(row, row), compress(packed, row)))))
-            for row in a]
+    return [tuple(unpack(x)) for x in combine(a, list(map(pack, b)))]
+
+
+def combine(a, packed) -> list[int]:
+    """The packed rows of a * b, from the packed rows of b (see product)."""
+    return [sum(map(mul, compress(row, row), compress(packed, row))) for row in a]
+
+
+def made(rows) -> IntMatrix:
+    """IntMatrix of rows of ints that the package made or checked: no new check."""
+    matrix = object.__new__(IntMatrix)
+    matrix.entries = entries = tuple(map(tuple, rows))
+    matrix.rows, matrix.cols = len(entries), len(entries[0])
+    return matrix
 
 
 def set_bits(mask: int) -> list[int]:
@@ -248,16 +259,13 @@ def dominance_q(a: IntMatrix, b: IntMatrix) -> int | None:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise MatrixError(
             f"cannot compare {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    if min(map(min, a.entries)) < 0 or min(map(min, b.entries)) < 0:
+        raise MatrixError("dominance needs nonnegative matrices")
     q = 1
     for ra, rb in zip(a.entries, b.entries):
         for x, y in zip(ra, rb):
-            if x < 0 or y < 0:
-                raise MatrixError("dominance needs nonnegative matrices")
-            if y == 0:
-                if x > 0:
+            if x > q * y:  # a cell past q*b raises q to its own need
+                if not y:
                     return None
-            else:
-                need = -(-x // y)
-                if need > q:
-                    q = need
+                q = -(-x // y)
     return q

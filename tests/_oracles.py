@@ -3,7 +3,9 @@
 Everything here but minpoly_degree, which wraps the program's own count,
 deliberately avoids the code paths it is used to check: naive triple-loop
 products instead of IntMatrix.__mul__ where the product itself is under
-test or an operand is signed, the characteristic polynomial (cofactor
+test or an operand is signed, Gram powers by plain sums of products
+instead of the chain's carried packed rows, the least dominance witness
+by trying every q, the characteristic polynomial (cofactor
 determinants and the division-free Berkowitz scheme) and the degree of its
 squarefree part by a primitive remainder sequence over Z[x] instead of the
 rank of the power-sum Hankel matrix that charpoly counts, direct
@@ -83,6 +85,19 @@ def naive_multiply(a, b):
     assert len(a[0]) == inner
     return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
             for i in range(rows)]
+
+
+def naive_powers(g, top: int) -> list[list[list[int]]]:
+    """I, G, ..., G^top: entry (i, j) of G^n sums g_ik times entry (k, j) of
+    G^(n-1) over the nonzero g_ik, one plain product on from the one before."""
+    r = len(g)
+    nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in g]
+    powers = [[[int(i == j) for j in range(r)] for i in range(r)]]
+    for _ in range(top):
+        low = powers[-1]
+        powers.append([[sum(x * low[k][j] for k, x in terms) for j in range(r)]
+                       for terms in nonzero])
+    return powers
 
 
 def naive_bracketed_powers(m: InclusionMatrix, top: int) -> list[IntMatrix]:
@@ -172,6 +187,18 @@ def frobenius(a, b) -> int:
 def depth_upper_bound(m: InclusionMatrix) -> int:
     """Spectral depth bound 2*d - 1, d = deg of the minimal polynomial of M M^t."""
     return 2 * minpoly_degree(m.gram) - 1
+
+
+def dominance_brute(a: IntMatrix, b: IntMatrix) -> int | None:
+    """Least q with a <= q*b, trying q = 1, 2, ... in turn, or None.
+
+    A witness never exceeds max(a, 1), as every nonzero cell of b is at
+    least 1, so the search stops there. Only for small entries.
+    """
+    for q in range(1, max(1, *map(max, a.entries)) + 1):
+        if entrywise_le(a, scale(b, q)):
+            return q
+    return None
 
 
 def scale(m: IntMatrix, k: int) -> IntMatrix:
@@ -541,6 +568,18 @@ def dense_rows(rng, count):
     """count rows of 60 cells, each 0 with probability 0.2 and else 1..1000."""
     return [[0 if rng.random() < 0.2 else rng.randint(1, 1000) for _ in range(60)]
             for _ in range(count)]
+
+
+def block_diagonal(*blocks) -> InclusionMatrix:
+    """The inclusion matrices blocks down the diagonal, zeros elsewhere."""
+    cols = sum(block.cols for block in blocks)
+    cells, offset = [], 0
+    for block in blocks:
+        for row in block.matrix.entries:
+            cells.append([0] * offset + list(row)
+                         + [0] * (cols - offset - block.cols))
+        offset += block.cols
+    return InclusionMatrix(cells)
 
 
 def random_inclusion(rng, max_dim=6, max_entry=3) -> InclusionMatrix:

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from incdepth import (BipartiteGraph, InclusionMatrix, MatrixError,
+from incdepth import (BipartiteGraph, InclusionMatrix, MatrixError, branching_matrix,
                       build_graph, min_depth, min_even_depth_graph, min_hdepth,
                       min_hdepth_graph, min_odd_depth_graph, to_dot,
                       tower_matrix)
 from incdepth.bigraph import black_diameter
 
-from _oracles import (bfs_distances, graph_depths_by_pairs, identity,
-                      min_even_depth_merged, random_inclusion)
+from _oracles import (bfs_distances, block_diagonal, dense_rows, graph_depths_by_pairs,
+                      identity, min_even_depth_merged, random_inclusion)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
@@ -31,6 +31,25 @@ def test_build_graph_flattens_multiplicities():
 def test_build_graph_small_cases():
     assert build_graph(IDENT2).edges == frozenset({(0, 0), (1, 1)})
     assert build_graph(C2M2).edges == frozenset({(0, 0), (1, 0)})
+
+
+@pytest.mark.parametrize("name", [*(f"S_{n}" for n in range(4, 15)), "block diagonal",
+                                  *(f"dense {seed}" for seed in range(3))])
+def test_build_graph_equals_checked_constructor(name):
+    # build_graph skips the constructor's edge checks; the graph it builds,
+    # eccentricities included, is the one the checked constructor builds
+    # from the positive entries
+    if name.startswith("S_"):
+        m = branching_matrix(int(name[2:]))
+    elif name == "block diagonal":
+        m = block_diagonal(S3S4, S3S4.transposed(), C2M2)
+    else:
+        m = InclusionMatrix(dense_rows(random.Random(int(name[6:])), 40))
+    edges = [(i, j) for i, row in enumerate(m.matrix.entries)
+             for j, e in enumerate(row) if e > 0]
+    g, checked = build_graph(m), BipartiteGraph(m.rows, m.cols, edges)
+    assert type(g) is BipartiteGraph
+    assert g == checked and hash(g) == hash(checked) and g._far == checked._far
 
 
 def test_edge_range_validated():
@@ -66,17 +85,6 @@ def small_graphs():
         density = rng.random()
         yield BipartiteGraph(r, s, [(b, w) for b in range(r) for w in range(s)
                                     if rng.random() < density])
-
-
-def block_diagonal(*blocks):
-    cols = sum(block.cols for block in blocks)
-    cells, offset = [], 0
-    for block in blocks:
-        for row in block.matrix.entries:
-            cells.append([0] * offset + list(row)
-                         + [0] * (cols - offset - block.cols))
-        offset += block.cols
-    return InclusionMatrix(cells)
 
 
 def graph_values(g):

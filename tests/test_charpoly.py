@@ -9,8 +9,8 @@ from incdepth import charpoly
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
                       count_partitions, dense_rows, depth_upper_bound, frobenius,
                       has_depth, identity, krylov_dim_reference, minpoly_degree,
-                      naive_multiply, pentagonal_partition_counts, poly_at_matrix,
-                      poly_gcd, random_inclusion, scale, tower_spectrum)
+                      naive_multiply, naive_powers, pentagonal_partition_counts,
+                      poly_at_matrix, poly_gcd, random_inclusion, scale, tower_spectrum)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -269,12 +269,14 @@ class TestModularPath:
     @staticmethod
     def spy(monkeypatch, count, *args):
         """(count(*args), chain products taken, Krylov dimensions found, and
-        for each dimension the number of products taken before it)."""
+        for each dimension the number of products taken before it). A chain
+        product is one call of the kernel's combine from charpoly, each
+        forming one power G^n."""
         products, dims, before = [], [], []
-        product, krylov_dim = charpoly.product, charpoly._krylov_dim
+        combine, krylov_dim = charpoly.combine, charpoly._krylov_dim
 
-        def product_spy(a, b):
-            products.append(product(a, b))
+        def product_spy(a, packed):
+            products.append(combine(a, packed))
             return products[-1]
 
         def krylov_spy(g, p):
@@ -282,7 +284,7 @@ class TestModularPath:
             dims.append(krylov_dim(g, p))
             return dims[-1]
 
-        monkeypatch.setattr(charpoly, "product", product_spy)
+        monkeypatch.setattr(charpoly, "combine", product_spy)
         monkeypatch.setattr(charpoly, "_krylov_dim", krylov_spy)
         return count(*args), products, dims, before
 
@@ -362,6 +364,70 @@ class TestFrobeniusSums:
             assert list(map(tuple, a)) == list(zip(*a))
             assert list(map(tuple, b)) == list(zip(*b))
             assert inner(a, b) == frobenius(a, b)
+
+
+def _near_million_gram():
+    """Seeded symmetric 16x16 cells in [10^6 - 1000, 10^6]: every power needs
+    wider slots than the one before, and k = r."""
+    rng = random.Random(41)
+    cells = [[rng.randint(10**6 - 1000, 10**6) for _ in range(16)] for _ in range(16)]
+    return [tuple(cells[max(i, j)][min(i, j)] for j in range(16)) for i in range(16)]
+
+
+class TestCarriedChain:
+    """Each chain step's packed sums serve the next step as its packed rows
+    while the slot width holds, and are packed anew when it moves. Every
+    power the chain forms must equal the plain product (_oracles.naive_powers):
+    each power reaches _inner(G^n, G^n), and the witness pair is returned."""
+
+    @staticmethod
+    def source(name):
+        """(rows of G, the exact power asked for, the slot width of each
+        product G^n = G G^(n-1) from n = 2 on, or None where not pinned)."""
+        if name == "near 10^6":
+            return _near_million_gram(), 16, None
+        if name.startswith("dense"):
+            # the certificate proves k = r at step 12, after G^12
+            return _dense_gram(int(name.split()[1])).entries, 12, None
+        if name == "S_16 <= S_17":
+            m = branching_matrix(17)
+        elif name == "S_12 <= S_18":
+            m = tower_matrix(12, 18)
+        else:
+            m = branching_matrix(int(name[2:]))
+        # the report's exact power: a = (d + 1) // 2
+        return m.gram.entries, (min_depth(m) + 1) // 2, {
+            # words through G^14; G^15 and G^16 need 9-byte slots
+            "S_16 <= S_17": [8] * 13 + [9] * 2,
+            # a wider slot at every step, so every step packs anew
+            "S_12 <= S_18": [8, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36],
+        }.get(name)
+
+    @pytest.mark.parametrize("name", [*(f"S_{n}" for n in range(4, 15)), "dense 0",
+                                      "dense 1", "S_16 <= S_17", "S_12 <= S_18",
+                                      "near 10^6"])
+    def test_every_power_matches_the_oracle(self, monkeypatch, name):
+        gram, exact, widths = self.source(name)
+        inner, pairs = charpoly._inner, []
+
+        def spy(a, b):
+            pairs.append((a, b))
+            return inner(a, b)
+
+        monkeypatch.setattr(charpoly, "_inner", spy)
+        k, witness = charpoly._hankel_rank(gram, exact)
+        formed = [b for _, b in pairs[1::2]]  # _inner(G^n, G^n) for n = 1, 2, ...
+        want = [tuple(map(tuple, p)) for p in naive_powers(gram, max(len(formed), exact))]
+        assert [tuple(map(tuple, p)) for p in formed] == want[1:len(formed) + 1]
+        if 1 <= exact <= k:
+            assert tuple(tuple(map(tuple, p)) for p in witness) == tuple(want[exact - 1:exact + 1])
+        else:
+            assert witness is None
+        if widths is not None:
+            head = len(gram).bit_length() + max(map(max, gram)).bit_length()
+            bits = [head + max(map(max, p)).bit_length() for p in want[1:len(widths) + 1]]
+            assert [8 if b <= 64 else (b + 7) // 8 for b in bits] == widths
+            assert len(formed) == len(widths) + 1  # the chain formed G^2, ..., G^k
 
 
 class TestKrylovDim:

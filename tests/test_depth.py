@@ -7,15 +7,16 @@ import pytest
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
                       build_graph, depth_report, dominance_q, fixture_path,
                       min_depth, min_even_depth_graph, min_hdepth, min_hdepth_graph,
-                      min_odd_depth_graph, min_odd_depth_symmetric, parse_matrix)
+                      min_odd_depth_graph, min_odd_depth_symmetric, parse_matrix,
+                      tower_matrix)
 from incdepth.depth import _stabilize
 
-from _oracles import (berkowitz_char_poly, bracketed_power, dense_rows,
-                      depth_upper_bound, has_depth, identity, inclusion_rejection,
-                      min_depth_exact, min_hdepth_exact, naive_bracketed_powers,
-                      naive_support_product, naive_support_transpose, poly_gcd,
-                      random_inclusion, right_chain_depths, sorted_binary_inclusions,
-                      zero_count)
+from _oracles import (all_binary_inclusions, berkowitz_char_poly, block_diagonal,
+                      bracketed_power, dense_rows, depth_upper_bound, has_depth,
+                      identity, inclusion_rejection, min_depth_exact, min_hdepth_exact,
+                      naive_bracketed_powers, naive_support_product,
+                      naive_support_transpose, poly_gcd, random_inclusion,
+                      right_chain_depths, sorted_binary_inclusions, zero_count)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
@@ -422,6 +423,32 @@ class TestDepthReport:
                 [[m.matrix[i, j] for j in cols] for i in rows])
             assert min_depth(shuffled) == min_depth(m)
             assert min_hdepth(shuffled) == min_hdepth(m)
+
+
+def shared_support_inclusions():
+    """Every 0/1 inclusion matrix up to 3x3, 500 seeded random ones up to
+    7x7, S_4..S_14, two towers and S3S4 (+) S3S4^t (+) C2M2."""
+    yield from all_binary_inclusions(3, 3)
+    rng = random.Random(43)
+    for _ in range(500):
+        yield random_inclusion(rng, max_dim=7)
+    yield from map(branching_matrix, range(4, 15))
+    yield tower_matrix(5, 9)
+    yield tower_matrix(8, 11)
+    yield block_diagonal(S3S4, S3S4.transposed(), C2M2)
+
+
+def test_report_shares_one_transposed_support():
+    # depth_report steps d(M^t) and d_H from one transposed support and one
+    # supp(M^t M); each must be what the public function gives on its own,
+    # and what the right-multiplied chains of the oracle give
+    count = 0
+    for m in shared_support_inclusions():
+        rep = depth_report(m)
+        want = (min_depth(m.transposed()), min_hdepth(m))
+        assert (rep.depth_transpose, rep.h_depth) == want == right_chain_depths(m)[1:3], m
+        count += 1
+    assert count == 841
 
 
 class TestWitnessFromChain:

@@ -7,7 +7,8 @@ from incdepth import IntMatrix, MatrixError, dominance_q
 from incdepth.depth import _select_or
 from incdepth.exactmat import set_bits, transpose_support
 
-from _oracles import (entrywise_le, identity, naive_multiply, naive_support_product,
+from _oracles import (dominance_brute, entrywise_le, identity, naive_multiply,
+                      naive_support_product,
                       naive_support_transpose, scale, support_as_int_matrix,
                       support_bits, zero_count)
 
@@ -205,6 +206,82 @@ class TestDominance:
             assert entrywise_le(a, scale(b, q))
             if q > 1:
                 assert not entrywise_le(a, scale(b, q - 1))
+
+
+def dominance_pair(rng, high, mismatch):
+    """Seeded same-shape pair (a, b) up to 5x5 with entries up to high, a zero
+    wherever b is, but for one cell of a made positive where b is zero when
+    mismatch is set."""
+    r, s = rng.randint(1, 5), rng.randint(1, 5)
+    b = [[rng.randint(1, high) if rng.random() < 0.7 else 0 for _ in range(s)]
+         for _ in range(r)]
+    a = [[rng.randint(0, high) if y else 0 for y in row] for row in b]
+    zeros = [(i, j) for i in range(r) for j in range(s) if not b[i][j]]
+    if mismatch and zeros:
+        i, j = rng.choice(zeros)
+        a[i][j] = rng.randint(1, high)
+    return IntMatrix(a), IntMatrix(b)
+
+
+class TestDominanceOracle:
+    """dominance_q divides only where a cell passes q*b; against trying every
+    q on small entries (_oracles.dominance_brute), and against the defining
+    inequalities a <= q*b and not a <= (q-1)*b on entries above 2^200."""
+
+    def test_small_entries_match_every_q(self):
+        rng = random.Random(47)
+        nones = 0
+        for k in range(3000):
+            a, b = dominance_pair(rng, rng.choice((1, 3, 50)), k % 3 == 0)
+            q = dominance_q(a, b)
+            assert q == dominance_brute(a, b), (a, b)
+            nones += q is None
+        assert 500 < nones < 1000  # mismatched patterns, and their pairs with no zero
+
+    def test_entries_above_2_to_the_200(self):
+        rng = random.Random(53)
+        for k in range(400):
+            a, b = dominance_pair(rng, 1 << 220, k % 4 == 0)
+            q = dominance_q(a, b)
+            if q is None:
+                assert any(x and not y for ra, rb in zip(a.entries, b.entries)
+                           for x, y in zip(ra, rb)), (a, b)
+            else:
+                assert entrywise_le(a, scale(b, q)), (a, b)
+                assert q == 1 or not entrywise_le(a, scale(b, q - 1)), (a, b)
+        huge = 1 << 200
+        assert dominance_q(IntMatrix([[3 * huge + 1, 0]]), IntMatrix([[huge, 1]])) == 4
+
+    def test_q_one(self):
+        assert dominance_q(IntMatrix([[2, 0], [5, 7]]), IntMatrix([[2, 0], [5, 7]])) == 1
+        assert dominance_q(IntMatrix([[1, 0], [2, 0]]), IntMatrix([[3, 9], [2, 1]])) == 1
+        assert dominance_q(IntMatrix([[0]]), IntMatrix([[0]])) == 1
+
+    def test_mismatched_zero_pattern_anywhere(self):
+        # a positive cell over a zero of b gives None, first or last, before
+        # or after a cell that raised q
+        b = IntMatrix([[1, 1], [1, 1]])
+        for i in range(2):
+            for j in range(2):
+                zero = IntMatrix([[int((i, j) != (r, c)) for c in range(2)] for r in range(2)])
+                a = IntMatrix([[9, 9], [9, 9]])
+                assert dominance_q(a, zero) is None
+                assert dominance_q(zero, b) == 1
+        assert dominance_q(IntMatrix([[8, 1]]), IntMatrix([[1, 0]])) is None
+
+    @pytest.mark.parametrize("a, b", [
+        ([[-1]], [[1]]), ([[1]], [[-1]]), ([[0, 2], [1, -3]], [[1, 1], [1, 1]]),
+        # the negative cell comes after one that has no witness
+        ([[1, -1]], [[0, 1]]), ([[5, 1]], [[0, -2]])])
+    def test_negative_rejected(self, a, b):
+        with pytest.raises(MatrixError, match="dominance needs nonnegative matrices"):
+            dominance_q(IntMatrix(a), IntMatrix(b))
+
+    @pytest.mark.parametrize("a, b", [([[1, 2]], [[1], [2]]), ([[1]], [[1, 1]]),
+                                      ([[1], [1]], [[1]])])
+    def test_shape_error(self, a, b):
+        with pytest.raises(MatrixError, match=r"cannot compare \d+x\d+ and \d+x\d+"):
+            dominance_q(IntMatrix(a), IntMatrix(b))
 
 
 def bool_product(a, b):
