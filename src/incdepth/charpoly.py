@@ -11,13 +11,20 @@ N <= k and singular for N = k + 1, whatever the signs of G's entries: k is
 the least N with det H_(N+1) = 0.
 
 The leading minors det H_N are the pivots of a fraction-free elimination
-(Bareiss, Math. Comp. 1968) that adds one Hankel row per power of G, from
-the chain G^(j+1) = G G^j: s_(2j) = <G^j, G^j>, s_(2j+1) = <G^j, G^(j+1)>.
-Chain and elimination are exact. The count tries a certificate once: the
-minimal polynomial of G is monic in Z[x] (Gauss's lemma), so its reduction
-mod the prime P annihilates G mod P, and the dimension of the Krylov space
-span(v, Gv, G^2 v, ...) mod P is at most k (Wiedemann, IEEE Trans. Inf.
-Theory 1986). A dimension of r proves k = r and ends the count; otherwise
+(Bareiss, Math. Comp. 1968) over the power sums of the chain
+G^n = G G^(n-1). Up to t = min(exact, r - 1), where exact is the power a
+depth report asks for (0 when none is), each s_n is a trace, read off the
+diagonal of G^n as step n forms it; each sum above t is a Frobenius
+product, s_(2n-1) = <G^(n-1), G^n> and s_(2n) = <G^n, G^n>, taken at step
+n. Hankel row m needs s_m, ..., s_2m, so below step t a row waits for its
+sums, step t eliminates every row through t, and each step after it one
+row. t is capped at r - 1, the last step that adds a Hankel row
+(det H_(r+1) is always 0), so that every sum that step needs is known by
+its end. Chain and elimination are exact. The count tries a certificate
+once: the minimal polynomial of G is monic in Z[x] (Gauss's lemma), so
+its reduction mod the prime P annihilates G mod P, and the dimension of
+the Krylov space span(v, Gv, G^2 v, ...) mod P is at most k (Wiedemann,
+IEEE Trans. Inf. Theory 1986). A dimension of r proves k = r and ends the count; otherwise
 the same chain goes on exactly. No step is probabilistic and every answer
 is exact.
 
@@ -30,26 +37,65 @@ last Hankel row.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
+from sys import byteorder
 
 from .exactmat import InclusionMatrix, combine, dominance_q, made, product, slots
 
 P = (1 << 27) - 79  # the prime of the Krylov certificate
 
 
-def _inner(a, b) -> int:
-    """Frobenius product sum_ij a_ij b_ij of two symmetric row-major matrices.
+def _frobenius(a, b) -> int:
+    """Frobenius product sum_ij A_ij B_ij of two symmetric matrices A and B.
 
-    Both a and b must be symmetric, as every power of G is: the sum is then
-    the diagonal plus twice the strict upper triangle, the only cells this
-    reads, so on other matrices the result is wrong.
+    a[i] and b[i] are the upper rows of A and B: row i from column i on,
+    the diagonal first. Both matrices must be symmetric, as every power of G
+    is: the sum is then twice the sum over the upper rows less the diagonal,
+    which that sum counted once, so on other matrices the result is wrong.
     """
-    diagonal = upper = 0
-    for i, (x, y) in enumerate(zip(a, b)):
-        diagonal += x[i] * y[i]
-        upper += sum(map(mul, x[i + 1:], y[i + 1:]))
-    return diagonal + 2 * upper
+    diagonal = sum([x[0] * y[0] for x, y in zip(a, b)])
+    return 2 * sum(map(mul, chain.from_iterable(a), chain.from_iterable(b))) - diagonal
+
+
+def _widen(packed, old: int, new: int, count: int) -> list[int]:
+    """Rows of count entries packed in slots of old bytes, in slots of new.
+
+    Slot j of a packed row is bytes old j to old (j + 1) of its native-order
+    bytes (exactmat.slots), its low byte first on a little-endian host and
+    last on a big-endian one. So byte t of every old slot becomes byte t,
+    or t + new - old, of the new slot: one strided copy per t over all rows
+    at once, and the other bytes stay zero.
+    """
+    data = b"".join([x.to_bytes(old * count, byteorder) for x in packed])
+    out = bytearray(new * count * len(packed))
+    pad = 0 if byteorder == "little" else new - old
+    for t in range(old):
+        out[pad + t::new] = data[t::old]
+    size, view = new * count, memoryview(out)
+    return [int.from_bytes(view[i:i + size], byteorder) for i in range(0, len(out), size)]
+
+
+def _eliminate(v, pivots, rows) -> int:
+    """Add Hankel row m = len(pivots), whose entries s_m, ..., s_2m are v, to
+    the elimination, and return its pivot det H_(m+1).
+
+    pivots holds det H_1, ..., det H_m and rows[k][j - k] entry (k, j) of H
+    after k elimination steps. By symmetry, the new row's entry in column k
+    after k steps is also entry (k, m) of pivot row k. A nonzero pivot
+    starts pivot row m.
+    """
+    m = len(pivots)
+    divisors = [1, *pivots]
+    for k, (pivot, row) in enumerate(zip(pivots, rows)):
+        mult = v[k]
+        row.append(mult)
+        v[k + 1:] = [(pivot * x - mult * y) // divisors[k]
+                     for x, y in zip(v[k + 1:], row[1:])]
+    if v[m]:
+        pivots.append(v[m])
+        rows.append([v[m]])
+    return v[m]
 
 
 def _krylov_dim(g, p: int) -> int:
@@ -90,49 +136,63 @@ def _hankel_rank(g, exact: int = 0):
 
     k is the least N with det H_(N+1) = 0. powers is the exact pair
     (G^(exact-1), G^exact) once the chain has formed G^exact, which it does
-    whenever 1 <= exact <= k, and None otherwise. The Krylov certificate is
-    tried once, at the end of step max(exact, 1), unless that is step r - 1
-    or later and no Hankel step is left for it to save.
+    whenever 1 <= exact <= k, and None otherwise. With t = min(exact, r - 1),
+    s_1, ..., s_t are the traces of G, ..., G^t, and only the sums above t
+    are Frobenius products. Hankel rows below t are eliminated once their
+    sums are known, and all rows through t by the end of step t. The
+    Krylov certificate is tried once, at the end of step max(exact, 1),
+    unless that is step r - 1 or later and no Hankel step is left for it
+    to save.
+
+    Each step unpacks the upper rows of G^n, from the diagonal on, for its
+    sums and for the slot width of the next product, which is exact as
+    G^n is symmetric; only the witness pair is unpacked whole, and its
+    upper rows sliced from there.
     """
     r = len(g)
+    top = min(exact, r - 1)  # s_1, ..., s_top are traces
     check = max(exact, 1)  # the step that tries the Krylov certificate
-    low, power = [[int(i == j) for j in range(r)] for i in range(r)], g  # G^(n-1), G^n
     head = r.bit_length() + max(map(max, g)).bit_length()  # G's share of product's bound
-    width = packed = None  # the slot width of the last step and its packed sums
-    powers = None
-    sums = [r]  # s_0, s_1, ..., s_(2n)
-    pivots = [r]  # det H_1, ..., det H_n
-    rows = [[r]]  # rows[k][j - k]: entry (k, j) of H after k elimination steps
+    low = [[1] + [0] * (r - 1 - i) for i in range(r)]  # the upper rows of G^(n-1)
+    upper = [row[i:] for i, row in enumerate(g)]  # and of G^n
+    whole = g  # G^n whole, for n = 1 and the witness pair
+    width, packed = 0, None  # the slot width and the packed rows of G^n, from n = 2 on
+    powers = ([[int(i == j) for j in range(r)] for i in range(r)], g) if exact == 1 else None
+    sums = [r] + [None] * (2 * r - 2)  # s_0, ..., s_(2r-2), each set once known
+    pivots = [r]  # det H_1, ..., det H_(m+1) for the rows eliminated so far
+    rows = [[r]]  # pivot row k after k elimination steps, from column k on
     # Steps 1..r-1 add Hankel rows; det H_(r+1) = 0 always, so step r only
     # forms G^r, when it is asked for.
     for n in range(1, max(r, exact + 1)):
         if n > 1:
-            low = power
             # G^n = G G^(n-1) by product's kernel; the sums that formed G^(n-1)
-            # are its packed rows, packed anew only when the slot width moves
-            step, pack, unpack = slots(head + max(map(max, low)).bit_length(), r)
-            if step != width:
-                width, packed = step, list(map(pack, low))
+            # are its packed rows, widened byte by byte when the slots grow
+            step, pack, read = slots(head + max(map(max, upper)).bit_length(), r)
+            if step > width:
+                packed = _widen(packed, width, step, r) if packed else list(map(pack, g))
+                width, unpack = step, read
             packed = combine(g, packed)
-            power = [tuple(unpack(x)) for x in packed]
-        if n == exact:
-            powers = low, power
+            low = upper
+            if exact - 1 <= n <= exact:
+                last, whole = whole, list(map(unpack, packed))
+                upper = [row[i:] for i, row in enumerate(whole)]
+                if n == exact:
+                    powers = last, whole
+            else:
+                upper = [unpack(x, i) for i, x in enumerate(packed)]
         if n == r:
             break
-        sums += _inner(low, power), _inner(power, power)
-        # Row n of H_(n+1) is s_n, ..., s_2n; by symmetry, its entry in
-        # column k after k steps is also entry (k, n) of the pivot row k.
-        v = sums[n:]
-        divisors = [1, *pivots]
-        for k, (pivot, row) in enumerate(zip(pivots, rows)):
-            mult = v[k]
-            row.append(mult)
-            v[k + 1:] = [(pivot * x - mult * y) // divisors[k]
-                         for x, y in zip(v[k + 1:], row[1:])]
-        if not v[n]:
-            return n, powers
-        pivots.append(v[n])
-        rows.append([v[n]])
+        if n <= top:
+            sums[n] = sum([x[0] for x in upper])
+        if 2 * n - 1 > top:
+            sums[2 * n - 1] = _frobenius(low, upper)
+        if 2 * n > top:
+            sums[2 * n] = _frobenius(upper, upper)
+        known = 2 * n if n >= top else n  # s_0, ..., s_known are all set
+        while 2 * len(pivots) <= known:
+            m = len(pivots)
+            if not _eliminate(sums[m:2 * m + 1], pivots, rows):
+                return m, powers if m >= exact else None
         if n == check < r - 1 and _krylov_dim(g, P) == r:
             return r, powers
     return r, powers

@@ -20,7 +20,7 @@ from pathlib import Path
 from .bigraph import (build_graph, min_even_depth_graph, min_hdepth_graph,
                       min_odd_depth_graph, to_dot)
 from .depth import depth_report, min_odd_depth_symmetric
-from .exactmat import InclusionMatrix, IntMatrix, MatrixError
+from .exactmat import InclusionMatrix, IntMatrix, MatrixError, made
 from .symgroup import tower_matrix
 
 
@@ -89,7 +89,8 @@ def _parse_grid(text: str):
     if extra is not None:
         raise MatrixParseError(
             f"line {extra[0]}: unexpected content after {rows} matrix rows")
-    return IntMatrix(grid), row_lines
+    # the ints and the row widths are checked above, so IntMatrix's scan is not needed
+    return made(grid), row_lines
 
 
 def parse_int_matrix(text: str) -> IntMatrix:

@@ -115,10 +115,13 @@ def slots(bits: int, count: int):
     """(width, pack, unpack) for rows of count nonnegative entries below 2^bits.
 
     pack turns a row into one int, entry j in the j-th slot of width bytes,
-    and unpack reads such an int back into its entries. When bits is at most
-    64 the slots are machine words, which array packs and a memoryview cast
-    reads back; wider slots are whole bytes, sliced. Both use the native
-    byte order, which array and memoryview need. A sum of packed rows reads
+    and unpack(packed, start) reads such an int back into a list of its
+    entries from slot start on. When bits is at most 64 the slots are
+    machine words, which array packs and a memoryview cast reads back;
+    wider slots are whole bytes, sliced. Both use the native byte order,
+    which array and memoryview need: slot j is bytes width j to
+    width (j + 1) of the int's native-order bytes on either byte order, so
+    unpack skips slots by slicing those bytes. A sum of packed rows reads
     back as the rows' sum as long as no slot of it reaches 2^(8 width).
     """
     if bits <= 64:
@@ -127,8 +130,9 @@ def slots(bits: int, count: int):
         def pack(row):
             return int.from_bytes(array("Q", row).tobytes(), byteorder)
 
-        def unpack(packed):
-            return memoryview(packed.to_bytes(8 * count, byteorder)).cast("Q").tolist()
+        def unpack(packed, start=0):
+            view = memoryview(packed.to_bytes(8 * count, byteorder))
+            return view[8 * start:].cast("Q").tolist()
     else:
         width = (bits + 7) // 8
         cuts = range(0, width * count, width)
@@ -137,9 +141,10 @@ def slots(bits: int, count: int):
             return int.from_bytes(b"".join([x.to_bytes(width, byteorder) for x in row]),
                                   byteorder)
 
-        def unpack(packed):
+        def unpack(packed, start=0):
             view = memoryview(packed.to_bytes(width * count, byteorder))
-            return map(int.from_bytes, [view[j:j + width] for j in cuts], repeat(byteorder))
+            return list(map(int.from_bytes, [view[j:j + width] for j in cuts[start:]],
+                            repeat(byteorder)))
     return width, pack, unpack
 
 

@@ -11,8 +11,8 @@ squarefree part by a primitive remainder sequence over Z[x] instead of the
 rank of the power-sum Hankel matrix that charpoly counts, direct
 big-integer dominance scans instead of boolean support stabilization,
 the Krylov dimension by list elimination instead of packed rows,
-the Frobenius product over every cell instead of the diagonal and upper
-triangle,
+the Frobenius product over every cell instead of twice the upper rows
+less the diagonal,
 bracketed powers by repeated squaring instead of the report's Gram-power
 chain, support chains that multiply the growing power on the right by a
 bit test on every column instead of on the left by walking set bits,

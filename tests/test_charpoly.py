@@ -1,10 +1,12 @@
 import random
+from sys import byteorder
 
 import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
                       min_depth, tower_matrix)
 from incdepth import charpoly
+from incdepth.exactmat import slots
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
                       count_partitions, dense_rows, depth_upper_bound, frobenius,
@@ -336,34 +338,117 @@ class TestModularPath:
         assert before == [0]
 
 
+def _upper(power):
+    """The upper rows of a square matrix: row i from column i on."""
+    return [list(row[i:]) for i, row in enumerate(power)]
+
+
+def _read_slots(packed, width, count):
+    """The count slots of width bytes of a packed row, in native byte order."""
+    data = packed.to_bytes(width * count, byteorder)
+    return [int.from_bytes(data[j:j + width], byteorder) for j in range(0, width * count, width)]
+
+
+def _spy_chain(monkeypatch):
+    """Lists that fill as charpoly._hankel_rank runs: the (a, b, sum) of each
+    Frobenius product, the sums s_m, ..., s_2m each eliminated Hankel row
+    reads, the packed rows each chain product returns, and the start slot
+    of each unpack that the chain's slots hand out."""
+    pairs, sums, products, starts = [], [], [], []
+    frobenius_sum, eliminate, combine, slots = (charpoly._frobenius, charpoly._eliminate,
+                                                charpoly.combine, charpoly.slots)
+
+    def frobenius_spy(a, b):
+        pairs.append((a, b, frobenius_sum(a, b)))
+        return pairs[-1][2]
+
+    def eliminate_spy(v, pivots, rows):
+        sums.append(list(v))
+        return eliminate(v, pivots, rows)
+
+    def combine_spy(a, packed):
+        products.append(combine(a, packed))
+        return products[-1]
+
+    def slots_spy(bits, count):
+        width, pack, unpack = slots(bits, count)
+
+        def unpack_spy(packed, start=0):
+            starts.append(start)
+            return unpack(packed, start)
+        return width, pack, unpack_spy
+
+    for name, spy in (("_frobenius", frobenius_spy), ("_eliminate", eliminate_spy),
+                      ("combine", combine_spy), ("slots", slots_spy)):
+        monkeypatch.setattr(charpoly, name, spy)
+    return pairs, sums, products, starts
+
+
+def _check_sums(gram, exact, last, pairs, sums, want):
+    """The spied sums of a chain asked for G^exact whose Hankel steps ran
+    through step last, against want = naive_powers(gram, top), top >= last."""
+    r = len(gram)
+    t = min(exact, r - 1)
+    # no Frobenius product for s_1, ..., s_t: one for each s_j, t < j <= 2 last,
+    # from the upper rows of G^(j // 2) and G^((j + 1) // 2)
+    assert len(pairs) == len(range(t + 1, 2 * last + 1))
+    for j, (a, b, got) in zip(range(t + 1, 2 * last + 1), pairs):
+        low, high = want[j // 2], want[(j + 1) // 2]
+        assert [list(x) for x in a] == _upper(low), j
+        assert [list(x) for x in b] == _upper(high), j
+        assert got == frobenius(low, high), j
+    # Hankel rows 1, ..., last, each reading s_m, ..., s_2m; s_j = tr G^j is
+    # also <G^(j // 2), G^((j + 1) // 2)> over every cell, as G is symmetric
+    traces = [frobenius(want[j // 2], want[(j + 1) // 2]) for j in range(2 * last + 1)]
+    assert [len(v) - 1 for v in sums] == list(range(1, last + 1))
+    for v in sums:
+        m = len(v) - 1
+        assert v == traces[m:2 * m + 1], m
+
+
+def _same_pair(witness, want, exact):
+    return [list(map(list, p)) for p in witness] == want[exact - 1:exact + 1]
+
+
 class TestFrobeniusSums:
-    """charpoly._inner reads the diagonal and upper triangle only, which is
-    exact on symmetric pairs; every pair the chain hands it must be
-    symmetric and give the full sum over every cell (_oracles.frobenius)."""
+    """Up to t = min(exact, r - 1) the chain reads each power sum off the
+    diagonal of a power it forms; charpoly._frobenius takes each sum above t
+    from the upper rows of two powers, which is exact on symmetric pairs.
+    With the Krylov certificate made to miss, the chain runs its Hankel
+    steps through min(k, r - 1): every sum the elimination reads must be
+    tr G^j, every Frobenius product the full sum over every cell
+    (_oracles.frobenius), and only the witness pair is unpacked whole."""
 
     @pytest.mark.parametrize("source", [*(f"S_{n}" for n in range(4, 15)),
                                         "dense 0", "dense 1"])
     def test_every_chain_pair(self, monkeypatch, source):
         if source.startswith("S_"):
-            gram = branching_matrix(int(source[2:])).gram.entries
+            n = int(source[2:])
+            gram, k = branching_matrix(n).gram.entries, n - 1  # d = 2n - 3 = 2k - 1
         else:
             rng = random.Random(int(source.split()[1]))
-            gram = InclusionMatrix(dense_rows(rng, 12)).gram.entries
-        inner, pairs = charpoly._inner, []
-
-        def spy(a, b):
-            pairs.append((a, b))
-            return inner(a, b)
-
-        monkeypatch.setattr(charpoly, "_inner", spy)
-        # asking for G^r keeps the certificate from ending the chain early
-        k, _ = charpoly._hankel_rank(gram, len(gram))
-        # steps 1..k add Hankel rows, but no step past r - 1 does
-        assert len(pairs) == 2 * min(k, len(gram) - 1)
-        for a, b in pairs:
-            assert list(map(tuple, a)) == list(zip(*a))
-            assert list(map(tuple, b)) == list(zip(*b))
-            assert inner(a, b) == frobenius(a, b)
+            gram, k = InclusionMatrix(dense_rows(rng, 12)).gram.entries, 12
+        r, last = len(gram), min(k, len(gram) - 1)
+        want = naive_powers(gram, k)
+        monkeypatch.setattr(charpoly, "_krylov_dim", lambda g, p: 0)
+        spied = _spy_chain(monkeypatch)
+        pairs, sums, products, starts = spied
+        for exact in sorted({0, 1, k // 2, k}):
+            for seen in spied:
+                seen.clear()
+            found, witness = charpoly._hankel_rank(gram, exact)
+            assert found == k
+            _check_sums(gram, exact, last, pairs, sums, want)
+            # products G^2, ..., G^max(last, exact), each unpacked from its
+            # diagonal on but for the powers of the witness pair, which the
+            # chain unpacks whole
+            formed = range(2, max(last, exact) + 1)
+            assert len(products) == len(formed)
+            whole = [n for n in formed if exact - 1 <= n <= exact]
+            unpacked = [starts.count(i) for i in range(r)]
+            assert unpacked[1:] == [len(formed) - len(whole)] * (r - 1)
+            assert unpacked[0] == len(formed) - len(whole) + r * len(whole)
+            assert _same_pair(witness, want, exact) if exact else witness is None
 
 
 def _near_million_gram():
@@ -375,20 +460,22 @@ def _near_million_gram():
 
 
 class TestCarriedChain:
-    """Each chain step's packed sums serve the next step as its packed rows
-    while the slot width holds, and are packed anew when it moves. Every
-    power the chain forms must equal the plain product (_oracles.naive_powers):
-    each power reaches _inner(G^n, G^n), and the witness pair is returned."""
+    """Each chain step's packed sums serve the next step as its packed rows,
+    widened by a byte copy when the slots grow. Every product the chain
+    takes must read back, at its step's slot width, as the plain power
+    (_oracles.naive_powers), its power sums must be right, and the witness
+    pair is returned."""
 
     @staticmethod
     def source(name):
-        """(rows of G, the exact power asked for, the slot width of each
+        """(rows of G, the exact power asked for, the step at which the
+        certificate ends the count or None, and the slot width of each
         product G^n = G G^(n-1) from n = 2 on, or None where not pinned)."""
         if name == "near 10^6":
-            return _near_million_gram(), 16, None
+            return _near_million_gram(), 16, None, None
         if name.startswith("dense"):
             # the certificate proves k = r at step 12, after G^12
-            return _dense_gram(int(name.split()[1])).entries, 12, None
+            return _dense_gram(int(name.split()[1])).entries, 12, 12, None
         if name == "S_16 <= S_17":
             m = branching_matrix(17)
         elif name == "S_12 <= S_18":
@@ -396,10 +483,10 @@ class TestCarriedChain:
         else:
             m = branching_matrix(int(name[2:]))
         # the report's exact power: a = (d + 1) // 2
-        return m.gram.entries, (min_depth(m) + 1) // 2, {
+        return m.gram.entries, (min_depth(m) + 1) // 2, None, {
             # words through G^14; G^15 and G^16 need 9-byte slots
             "S_16 <= S_17": [8] * 13 + [9] * 2,
-            # a wider slot at every step, so every step packs anew
+            # a wider slot at every step, so every step widens its rows
             "S_12 <= S_18": [8, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36],
         }.get(name)
 
@@ -407,27 +494,75 @@ class TestCarriedChain:
                                       "dense 1", "S_16 <= S_17", "S_12 <= S_18",
                                       "near 10^6"])
     def test_every_power_matches_the_oracle(self, monkeypatch, name):
-        gram, exact, widths = self.source(name)
-        inner, pairs = charpoly._inner, []
-
-        def spy(a, b):
-            pairs.append((a, b))
-            return inner(a, b)
-
-        monkeypatch.setattr(charpoly, "_inner", spy)
+        gram, exact, last, widths = self.source(name)
+        pairs, sums, products, _ = _spy_chain(monkeypatch)
         k, witness = charpoly._hankel_rank(gram, exact)
-        formed = [b for _, b in pairs[1::2]]  # _inner(G^n, G^n) for n = 1, 2, ...
-        want = [tuple(map(tuple, p)) for p in naive_powers(gram, max(len(formed), exact))]
-        assert [tuple(map(tuple, p)) for p in formed] == want[1:len(formed) + 1]
+        r = len(gram)
+        last = last or min(k, r - 1)
+        want = naive_powers(gram, max(last, exact))
+        assert len(products) == max(last, exact) - 1
+        # each product's slots hold r max(G) max(G^(n-1)), and never narrow
+        head = r.bit_length() + max(map(max, gram)).bit_length()
+        steps = []
+        for power in want[1:len(products) + 1]:
+            bits = head + max(map(max, power)).bit_length()
+            steps.append(max(steps[-1:] + [8 if bits <= 64 else (bits + 7) // 8]))
+        for n, (width, packed) in enumerate(zip(steps, products), 2):
+            assert [_read_slots(x, width, r) for x in packed] == want[n], n
+        if widths is not None:
+            assert steps == widths  # the chain formed G^2, ..., G^k
+        _check_sums(gram, exact, last, pairs, sums, want)
         if 1 <= exact <= k:
-            assert tuple(tuple(map(tuple, p)) for p in witness) == tuple(want[exact - 1:exact + 1])
+            assert _same_pair(witness, want, exact)
         else:
             assert witness is None
-        if widths is not None:
-            head = len(gram).bit_length() + max(map(max, gram)).bit_length()
-            bits = [head + max(map(max, p)).bit_length() for p in want[1:len(widths) + 1]]
-            assert [8 if b <= 64 else (b + 7) // 8 for b in bits] == widths
-            assert len(formed) == len(widths) + 1  # the chain formed G^2, ..., G^k
+
+
+class TestExactPower:
+    """k does not depend on the power the chain is asked for, and the
+    witness pair is the plain one exactly when 1 <= exact <= k."""
+
+    def test_k_and_witness_for_every_exact(self):
+        block = IntMatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])
+        for m in (*_symmetric_corpus(), block, branching_matrix(3).gram):
+            g, r = m.entries, m.rows
+            k = minpoly_degree(m)
+            want = naive_powers(g, k)
+            for exact in range(r + 3):
+                found, witness = charpoly._hankel_rank(g, exact)
+                assert found == k, (m, exact)
+                if 1 <= exact <= k:
+                    assert _same_pair(witness, want, exact), (m, exact)
+                else:
+                    assert witness is None, (m, exact)
+
+    def test_pinned_cases(self):
+        # eigenvalues 1 and 3 twice each: a cap of the traces at exact = r
+        # instead of r - 1 left s_r unset, and a prototype counted k = 4
+        block = IntMatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])
+        assert charpoly._hankel_rank(block.entries, 4) == (2, None)
+        # S_2 <= S_3: d = 3, so a = k = r = 2, and the chain forms G^2 = G G
+        # after its one Hankel step
+        m = branching_matrix(3)
+        assert (m.rows, minpoly_degree(m.gram), min_depth(m)) == (2, 2, 3)
+        assert charpoly.bound_and_witness(m, 3) == (3, has_depth(m, 3))
+
+
+class TestWiden:
+    """charpoly._widen copies every slot into a wider one byte by byte; it
+    must give the rows packed at the wider width directly."""
+
+    @pytest.mark.parametrize("old, new", [(8, 9), (8, 13), (10, 15)])
+    def test_matches_packing_at_the_new_width(self, old, new):
+        rng = random.Random(old * new)
+        top = (1 << 8 * old) - 1
+        for count in (1, 3, 17):
+            rows = [[top] * count, [rng.randint(0, top) for _ in range(count)],
+                    [0] * count, [top if j % 2 else 1 for j in range(count)]]
+            narrow, wide = slots(8 * old, count), slots(8 * new, count)
+            assert (narrow[0], wide[0]) == (old, new)
+            packed = list(map(narrow[1], rows))
+            assert charpoly._widen(packed, old, new, count) == list(map(wide[1], rows))
 
 
 class TestKrylovDim:

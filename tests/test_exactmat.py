@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from incdepth import IntMatrix, MatrixError, dominance_q
 from incdepth.depth import _select_or
-from incdepth.exactmat import set_bits, transpose_support
+from incdepth.exactmat import set_bits, slots, transpose_support
 
 from _oracles import (dominance_brute, entrywise_le, identity, naive_multiply,
                       naive_support_product,
@@ -439,3 +439,22 @@ class TestPackedProduct:
             IntMatrix([[1, 2]]) * 3
         with pytest.raises(TypeError):
             2 * IntMatrix([[1, 2]])
+
+
+class TestSlots:
+    """unpack(packed, start) reads the slots from start on, on the word
+    path (at most 64 bits) and the byte path (wider)."""
+
+    @pytest.mark.parametrize("bits", [1, 63, 64, 65, 80, 200])
+    def test_unpack_from_a_start_slot(self, bits):
+        rng = random.Random(bits)
+        top = (1 << bits) - 1
+        for count in (1, 2, 7, 33):
+            row = [top, *(rng.randint(0, top) for _ in range(count - 1))]
+            width, pack, unpack = slots(bits, count)
+            assert width == (8 if bits <= 64 else (bits + 7) // 8)
+            packed = pack(row)
+            assert unpack(packed) == row
+            for start in range(count):
+                assert unpack(packed, start) == unpack(packed)[start:] == row[start:]
+
