@@ -16,7 +16,12 @@ Diameters are taken over pairs inside a common connected component;
 unreachable pairs impose no constraint (this is what agreement with the
 matrix method forces on block-diagonal inputs).
 
-All three come from each dot's eccentricity, its largest distance to any
+A graph is built from its adjacency lists: for each black the whites it
+touches, and for each white the blacks. For an inclusion matrix these are
+one walk of its support, the set bits of each row of supp(M) and of
+supp(M^t) (exactmat.walk_support), which a depth report also uses for its
+support chains; the edge set is read off the same lists. All three
+values come from each dot's eccentricity, its largest distance to any
 dot of its component, which the graph computes once when it is built by a
 breadth-first search from every dot at once. The graph is bipartite, so
 distances between dots of one colour are even and those between colours
@@ -27,7 +32,9 @@ rounded up to odd, less 1 when L is even (-1 for an isolated dot).
 
 from __future__ import annotations
 
-from .exactmat import InclusionMatrix, MatrixError, set_bits
+from itertools import chain, repeat
+
+from .exactmat import InclusionMatrix, MatrixError, walk_support
 
 
 class BipartiteGraph:
@@ -47,41 +54,41 @@ class BipartiteGraph:
                 raise MatrixError(f"edge {(b, w)!r} is not a pair of integers")
             if not (0 <= b < black_count and 0 <= w < white_count):
                 raise MatrixError(f"edge ({b},{w}) out of range")
-        self._build(black_count, white_count, frozenset(edges))
+        blacks = [[] for _ in range(black_count)]
+        whites = [[] for _ in range(white_count)]
+        for b, w in set(edges):
+            blacks[b].append(w)
+            whites[w].append(b)
+        self._build(blacks, whites)
 
-    def _build(self, black_count: int, white_count: int, pairs: frozenset) -> None:
-        """Fill in the graph from checked edges and run the BFS."""
-        self.black_count = black_count
-        self.white_count = white_count
-        self.edges = pairs
-        # unified vertex ids: 0..r-1 blacks, r..r+s-1 whites
-        adj = [[] for _ in range(black_count + white_count)]
-        for b, w in pairs:
-            adj[b].append(black_count + w)
-            adj[black_count + w].append(b)
-        # Bit-parallel BFS from every dot at once: after round k, balls[v]
-        # is the bitset of dots within k edges of v. Each round ORs in the
-        # neighbours' balls of the round before, all read before any is
-        # written. A ball that stops growing is its whole component and
-        # stays so, and the last round in which it grew is v's eccentricity.
-        balls = [1 << v for v in range(len(adj))]
-        far = [0] * len(adj)
-        growing = [v for v, vs in enumerate(adj) if vs]
+    def _build(self, blacks, whites) -> None:
+        """Fill in the graph from checked adjacency lists and run the BFS.
+
+        blacks[b] lists the whites joined to black b, whites[w] the blacks
+        joined to white w, each dot once.
+        """
+        r, s = self.black_count, self.white_count = len(blacks), len(whites)
+        self.edges = frozenset(chain.from_iterable(map(zip, map(repeat, range(r)), blacks)))
+        # Bit-parallel BFS from every dot at once: after round k, the ball
+        # of a dot is the bitset of dots within k edges of it, blacks at
+        # bits 0..r-1 and whites at r..r+s-1. Each round ORs into a dot's
+        # ball its neighbours' balls of the round before: the blacks read
+        # the whites before these grow, and the whites read a copy of the
+        # blacks' balls from before theirs grew. A ball that stops growing
+        # is its whole component and stays so, and the last round in
+        # which it grew is the dot's eccentricity.
+        black_balls = [1 << b for b in range(r)]
+        white_balls = [1 << (r + w) for w in range(s)]
+        black_far, white_far = [0] * r, [0] * s
+        growing_b = [b for b in range(r) if blacks[b]]
+        growing_w = [w for w in range(s) if whites[w]]
         rounds = 0
-        while growing:
+        while growing_b or growing_w:
             rounds += 1
-            before = balls[:]
-            still = []
-            for v in growing:
-                ball = before[v]
-                for u in adj[v]:
-                    ball |= before[u]
-                if ball != before[v]:
-                    balls[v] = ball
-                    far[v] = rounds
-                    still.append(v)
-            growing = still
-        self._far = tuple(far)
+            black_before = black_balls[:]
+            growing_b = _grow(growing_b, blacks, black_balls, white_balls, black_far, rounds)
+            growing_w = _grow(growing_w, whites, white_balls, black_before, white_far, rounds)
+        self._far = tuple(black_far + white_far)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
@@ -97,12 +104,34 @@ class BipartiteGraph:
                 f"{sorted(self.edges)!r})")
 
 
+def _grow(growing, adj, balls, other, far, rounds) -> list[int]:
+    """One BFS round for the growing dots of one colour, whose balls it
+    grows in place from the balls other of the other colour, which adj
+    indexes; returns the dots whose ball grew."""
+    still = []
+    for v in growing:
+        ball = balls[v]
+        for u in adj[v]:
+            ball |= other[u]
+        if ball != balls[v]:
+            balls[v] = ball
+            far[v] = rounds
+            still.append(v)
+    return still
+
+
+def from_walk(row_bits, col_bits) -> BipartiteGraph:
+    """Incidence graph of a support from its walk (exactmat.walk_support):
+    black i joins the whites row_bits[i], white j the blacks col_bits[j]."""
+    graph = object.__new__(BipartiteGraph)  # the support's edges need no check
+    graph._build(row_bits, col_bits)
+    return graph
+
+
 def build_graph(m: InclusionMatrix) -> BipartiteGraph:
     """Incidence graph of an inclusion matrix: edge (i,j) iff entry > 0."""
-    graph = object.__new__(BipartiteGraph)  # the support's edges need no check
-    graph._build(m.rows, m.cols, frozenset(
-        (i, j) for i, mask in enumerate(m.support) for j in set_bits(mask)))
-    return graph
+    row_bits, col_bits, _ = walk_support(m.support, m.cols)
+    return from_walk(row_bits, col_bits)
 
 
 def black_diameter(g: BipartiteGraph) -> int:

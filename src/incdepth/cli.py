@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -165,7 +164,7 @@ def cmd_compute(args) -> int:
     m = parse_matrix(text)
     if args.transpose:
         m = m.transposed()
-    values = asdict(depth_report(m))
+    values = dict(vars(depth_report(m)))
     if not args.json:
         values["methods_agree"] = _flags(values["methods_agree"])
     _emit(values, args.json)

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bigraph, charpoly
-from .exactmat import (InclusionMatrix, IntMatrix, MatrixError, set_bits,
-                       transpose_support)
+from .exactmat import InclusionMatrix, IntMatrix, MatrixError, set_bits, walk_support
 
 
 def _select_or(picks, rows) -> list[int]:
@@ -73,27 +72,28 @@ def _stabilize(g, chain) -> int:
     raise AssertionError("support stabilization exceeded its iteration cap")
 
 
+def _depth(m: InclusionMatrix, row_bits, supp_t) -> int:
+    """d(M) from the walk of supp(M): the even and odd chains from I and
+    supp(M) step together by supp(M M^t), since M^[n+1] = (M M^t) M^[n-1]."""
+    return _stabilize(_select_or(row_bits, supp_t), (_identity(m.rows), m.support))
+
+
+def _odd_depth(g) -> int:
+    """Least odd 2n-1 with supp(g^n) == supp(g^(n-1)), for a square support g
+    with a full diagonal."""
+    return 2 * _stabilize(g, (_identity(len(g)),)) - 1
+
+
 def min_depth(m: InclusionMatrix) -> int:
-    """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1]).
-
-    Runs the even and odd chains from I and supp(M) together, each step
-    one left product by supp(M M^t), since M^[n+1] = (M M^t) M^[n-1].
-    """
-    supp = m.support
-    gram = _select_or(map(set_bits, supp), transpose_support(supp))
-    return _stabilize(gram, (_identity(m.rows), supp))
-
-
-def _transposed(m: InclusionMatrix):
-    """supp(M^t), S = supp(M^t M) and I_s, from which d(M^t) and d_H step."""
-    supp_t = transpose_support(m.support)
-    return supp_t, _select_or(map(set_bits, supp_t), m.support), _identity(m.cols)
+    """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
+    row_bits, _, supp_t = walk_support(m.support, m.cols)
+    return _depth(m, row_bits, supp_t)
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
     """Minimum H-depth, the least odd 2n-1 with S^n <= q S^{n-1} for S = M^t M."""
-    _, s, identity = _transposed(m)
-    return 2 * _stabilize(s, (identity,)) - 1
+    _, col_bits, _ = walk_support(m.support, m.cols)
+    return _odd_depth(_select_or(col_bits, m.support))
 
 
 def min_odd_depth_symmetric(sym: IntMatrix) -> int:
@@ -110,7 +110,7 @@ def min_odd_depth_symmetric(sym: IntMatrix) -> int:
     for i in range(sym.rows):
         if sym.entries[i][i] <= 0:
             raise MatrixError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
-    return 2 * _stabilize(sym.support(), (_identity(sym.rows),)) - 1
+    return _odd_depth(sym.support())
 
 
 @dataclass(frozen=True)
@@ -140,13 +140,16 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     bad input. Agreement between the matrix and graph methods, and the parity
     rule tying H-depth to d(M^t), are recorded as flags.
     """
-    d = min_depth(m)
-    # d(M^t) and d_H step one S = supp(M^t M) in two separate chains, so
-    # the flags and checks that tie them compare independent results
-    supp_t, s, identity = _transposed(m)
-    d_t = _stabilize(s, (identity, supp_t))
-    d_h = 2 * _stabilize(s, (identity,)) - 1
-    graph = bigraph.build_graph(m)
+    # One walk of supp(M) gives supp(M^t) and the set bits of both; they
+    # form supp(M M^t) and S = supp(M^t M) and are the graph's adjacency.
+    row_bits, col_bits, supp_t = walk_support(m.support, m.cols)
+    d = _depth(m, row_bits, supp_t)
+    # d(M^t) and d_H step one S in two separate chains, so the flags and
+    # checks that tie them compare independent results
+    s = _select_or(col_bits, m.support)
+    d_t = _stabilize(s, (_identity(m.cols), supp_t))
+    d_h = _odd_depth(s)
+    graph = bigraph.from_walk(row_bits, col_bits)
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)
     graph_h = bigraph.min_hdepth_graph(graph)

@@ -2,7 +2,8 @@
 
 A support, the zero pattern of a nonnegative matrix, is a tuple of row
 bitsets: one int per row, with bit j set when entry j of the row is
-nonzero. set_bits walks the set bits of one row.
+nonzero. set_bits walks the set bits of one row, and walk_support walks
+every row once, forming the transposed support in the same pass.
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -188,18 +189,23 @@ def set_bits(mask: int) -> list[int]:
     return bits
 
 
-def transpose_support(rows) -> tuple[int, ...]:
-    """Row bitsets of the transposed pattern, from the row bitsets rows.
+def walk_support(support, cols: int):
+    """(row_bits, col_bits, supp_t): one walk of a support and its transpose.
 
-    The column count is max(rows).bit_length(), which is exact for a
-    support with no zero column and for an identity.
+    row_bits[i] lists the set bits of row i, by set_bits; col_bits[j] lists
+    the rows whose bit j is set, lowest first; supp_t is the transposed
+    support, with cols rows. The same pass over row_bits fills col_bits
+    and supp_t, so each row is walked once and the transpose reads no mask.
     """
-    cols = [0] * max(rows).bit_length()
-    for i, mask in enumerate(rows):
+    row_bits = list(map(set_bits, support))
+    col_bits = [[] for _ in range(cols)]
+    supp_t = [0] * cols
+    for i, bits in enumerate(row_bits):
         bit = 1 << i
-        for j in set_bits(mask):
-            cols[j] |= bit
-    return tuple(cols)
+        for j in bits:
+            col_bits[j].append(i)
+            supp_t[j] |= bit
+    return row_bits, col_bits, tuple(supp_t)
 
 
 class InclusionMatrix:

@@ -34,17 +34,25 @@ def test_build_graph_small_cases():
 
 
 @pytest.mark.parametrize("name", [*(f"S_{n}" for n in range(4, 15)), "block diagonal",
-                                  *(f"dense {seed}" for seed in range(3))])
+                                  *(f"dense {seed}" for seed in range(3)),
+                                  "1x70", "70x1", *(f"identity {n}" for n in (1, 64, 65)),
+                                  *(f"S_{k} <= S_9" for k in range(1, 9))])
 def test_build_graph_equals_checked_constructor(name):
-    # build_graph skips the constructor's edge checks; the graph it builds,
-    # eccentricities included, is the one the checked constructor builds
-    # from the positive entries
-    if name.startswith("S_"):
+    # build_graph skips the constructor's edge checks; the graph it builds
+    # from the walk of the support, eccentricities included, is the one the
+    # checked constructor builds from the positive entries
+    if name.endswith("<= S_9"):
+        m = tower_matrix(int(name[2]), 9)
+    elif name.startswith("S_"):
         m = branching_matrix(int(name[2:]))
     elif name == "block diagonal":
         m = block_diagonal(S3S4, S3S4.transposed(), C2M2)
-    else:
+    elif name.startswith("dense"):
         m = InclusionMatrix(dense_rows(random.Random(int(name[6:])), 40))
+    elif name.startswith("identity"):
+        m = InclusionMatrix(identity(int(name[9:])))
+    else:
+        m = InclusionMatrix([[1] * 70] if name == "1x70" else [[1]] * 70)
     edges = [(i, j) for i, row in enumerate(m.matrix.entries)
              for j, e in enumerate(row) if e > 0]
     g, checked = build_graph(m), BipartiteGraph(m.rows, m.cols, edges)

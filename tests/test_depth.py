@@ -4,11 +4,12 @@ from math import comb
 
 import pytest
 
-from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
-                      build_graph, depth_report, dominance_q, fixture_path,
+from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
+                      branching_matrix, build_graph, depth_report, dominance_q, fixture_path,
                       min_depth, min_even_depth_graph, min_hdepth, min_hdepth_graph,
                       min_odd_depth_graph, min_odd_depth_symmetric, parse_matrix,
                       tower_matrix)
+from incdepth import depth, exactmat
 from incdepth.depth import _stabilize
 
 from _oracles import (all_binary_inclusions, berkowitz_char_poly, block_diagonal,
@@ -427,28 +428,70 @@ class TestDepthReport:
 
 def shared_support_inclusions():
     """Every 0/1 inclusion matrix up to 3x3, 500 seeded random ones up to
-    7x7, S_4..S_14, two towers and S3S4 (+) S3S4^t (+) C2M2."""
+    7x7, S_4..S_14, the towers S_k <= S_n for n <= 9 and S_8 <= S_11,
+    S3S4 (+) S3S4^t (+) C2M2, 1x70 and 70x1 rows of ones, identities of
+    sizes around a 64-bit word and two seeded dense 40x60 matrices."""
     yield from all_binary_inclusions(3, 3)
     rng = random.Random(43)
     for _ in range(500):
         yield random_inclusion(rng, max_dim=7)
     yield from map(branching_matrix, range(4, 15))
-    yield tower_matrix(5, 9)
+    yield from (tower_matrix(k, n) for n in range(2, 10) for k in range(1, n))
     yield tower_matrix(8, 11)
     yield block_diagonal(S3S4, S3S4.transposed(), C2M2)
+    yield InclusionMatrix([[1] * 70])
+    yield InclusionMatrix([[1]] * 70)
+    yield from (InclusionMatrix(identity(n)) for n in (1, 2, 63, 64, 65))
+    for seed in (1, 2):
+        yield InclusionMatrix(dense_rows(random.Random(seed), 40))
 
 
 def test_report_shares_one_transposed_support():
-    # depth_report steps d(M^t) and d_H from one transposed support and one
-    # supp(M^t M); each must be what the public function gives on its own,
-    # and what the right-multiplied chains of the oracle give
+    # depth_report walks supp(M) once, and steps d(M^t) and d_H from the
+    # transposed support and the one supp(M^t M) of that walk; each must be
+    # what the public function gives on its own, with d(M^t) from a support
+    # validated afresh off the transposed entries, and what the
+    # right-multiplied chains of the oracle give. Its graph values must be
+    # those of the checked constructor on the positive entries.
     count = 0
     for m in shared_support_inclusions():
         rep = depth_report(m)
         want = (min_depth(m.transposed()), min_hdepth(m))
         assert (rep.depth_transpose, rep.h_depth) == want == right_chain_depths(m)[1:3], m
+        graph = BipartiteGraph(m.rows, m.cols, [
+            (i, j) for i, row in enumerate(m.matrix.entries) for j, e in enumerate(row) if e])
+        assert (rep.min_odd_depth, rep.min_even_depth) == (
+            min_odd_depth_graph(graph), min_even_depth_graph(graph)), m
+        assert rep.methods_agree["graph_hdepth"] == (rep.h_depth == min_hdepth_graph(graph))
         count += 1
-    assert count == 841
+    assert count == 885
+
+
+@pytest.mark.parametrize("m", [tower_matrix(5, 6),
+                               InclusionMatrix(dense_rows(random.Random(3), 40))],
+                         ids=["S_5 <= S_6", "dense 40x60"])
+def test_report_walks_each_support_once(monkeypatch, m):
+    # one set_bits call per row of supp(M), all in the one walk_support call,
+    # and one per distinct row of the factor each of the three chains steps
+    # by: supp(M M^t) for d(M), and S = supp(M^t M) for d(M^t) and for d_H
+    calls = {"set_bits": 0, "walk_support": 0}
+
+    def counted(name, function):
+        def spy(*args):
+            calls[name] += 1
+            return function(*args)
+        return spy
+
+    for name in calls:
+        spy = counted(name, getattr(exactmat, name))
+        for module in (exactmat, depth):
+            monkeypatch.setattr(module, name, spy)
+    rep, counts = depth_report(m), dict(calls)
+    gram = m.gram.support()
+    s = (m.matrix.transpose() * m.matrix).support()
+    assert counts == {"set_bits": m.rows + len(set(gram)) + 2 * len(set(s)),
+                      "walk_support": 1}, counts
+    assert rep.all_methods_agree()
 
 
 class TestWitnessFromChain:

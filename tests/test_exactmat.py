@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from incdepth import IntMatrix, MatrixError, dominance_q
 from incdepth.depth import _select_or
-from incdepth.exactmat import set_bits, slots, transpose_support
+from incdepth.exactmat import set_bits, slots, walk_support
 
 from _oracles import (dominance_brute, entrywise_le, identity, naive_multiply,
                       naive_support_product,
@@ -313,10 +313,11 @@ class TestBoolMultiply:
     @pytest.mark.parametrize("m", [m for pair in WIDE_PAIRS for m in pair])
     def test_wide_transpose_and_bits_round_trip(self, m):
         s, t = m.support(), m.transpose().support()
-        # transpose_support reads the column count off the highest set bit,
-        # so zero columns at the right end of m drop off its result
-        width = max(s).bit_length()
-        assert transpose_support(s) == t[:width] and not any(t[width:])
+        # zero rows and columns, at either end of a 64-bit word, are walked
+        # as empty lists and transposed as zero masks
+        row_bits, col_bits, supp_t = walk_support(s, m.cols)
+        assert supp_t == t
+        assert row_bits == list(map(set_bits, s)) and col_bits == list(map(set_bits, t))
         assert naive_support_transpose(s, m.cols) == t
         assert support_bits(s, m.cols) == tuple(tuple(e > 0 for e in row)
                                                 for row in m.entries)
