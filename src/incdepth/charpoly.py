@@ -28,20 +28,20 @@ IEEE Trans. Inf. Theory 1986). A dimension of r proves k = r and ends the count;
 the same chain goes on exactly. No step is probabilistic and every answer
 is exact.
 
-A depth report also takes the exact pair G^(a-1), G^a from this chain,
-for the witness q of depth 2a-1 or 2a, and tries the certificate right
-after that pair, at the end of chain step max(a, 1), unless no Hankel
-step is left for it to save. When a = r the chain forms G^r after its
-last Hankel row.
+A depth report also takes the upper rows of G^(a-1) and G^a from this
+chain, for the witness q of depth 2a-1 or 2a, and tries the certificate
+right after that pair, at the end of chain step max(a, 1), unless no
+Hankel step is left for it to save. When a = r the chain forms G^r after
+its last Hankel row.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain
 from operator import mul
 from sys import byteorder
 
-from .exactmat import InclusionMatrix, combine, dominance_q, made, product, slots
+from .exactmat import InclusionMatrix, combine, least_q, product, slots
 
 P = (1 << 27) - 79  # the prime of the Krylov certificate
 
@@ -127,17 +127,17 @@ def _krylov_dim(g, p: int) -> int:
             break
         inverse = pow(w[col], -1, p)
         basis.append((col, pack([x * inverse % p for x in w])))
-        v = [x % p for x in unpack(sum(map(mul, compress(v, v), compress(rows, v))))]
+        v = [x % p for x in unpack(combine([v], rows)[0])]
     return len(basis)
 
 
 def _hankel_rank(g, exact: int = 0):
     """(k, powers) for the nonnegative symmetric rows g of G, such as M M^t.
 
-    k is the least N with det H_(N+1) = 0. powers is the exact pair
-    (G^(exact-1), G^exact) once the chain has formed G^exact, which it does
-    whenever 1 <= exact <= k, and None otherwise. With t = min(exact, r - 1),
-    s_1, ..., s_t are the traces of G, ..., G^t, and only the sums above t
+    k is the least N with det H_(N+1) = 0. powers is the upper rows of
+    G^(exact-1) and G^exact once the chain has formed G^exact, which it
+    does whenever 1 <= exact <= k, and None otherwise. With
+    t = min(exact, r - 1), s_1, ..., s_t are the traces of G, ..., G^t, and only the sums above t
     are Frobenius products. Hankel rows below t are eliminated once their
     sums are known, and all rows through t by the end of step t. The
     Krylov certificate is tried once, at the end of step max(exact, 1),
@@ -145,9 +145,8 @@ def _hankel_rank(g, exact: int = 0):
     to save.
 
     Each step unpacks the upper rows of G^n, from the diagonal on, for its
-    sums and for the slot width of the next product, which is exact as
-    G^n is symmetric; only the witness pair is unpacked whole, and its
-    upper rows sliced from there.
+    sums, for the slot width of the next product and for the witness pair,
+    which is exact as G^n is symmetric.
     """
     r = len(g)
     top = min(exact, r - 1)  # s_1, ..., s_top are traces
@@ -155,9 +154,8 @@ def _hankel_rank(g, exact: int = 0):
     head = r.bit_length() + max(map(max, g)).bit_length()  # G's share of product's bound
     low = [[1] + [0] * (r - 1 - i) for i in range(r)]  # the upper rows of G^(n-1)
     upper = [row[i:] for i, row in enumerate(g)]  # and of G^n
-    whole = g  # G^n whole, for n = 1 and the witness pair
     width, packed = 0, None  # the slot width and the packed rows of G^n, from n = 2 on
-    powers = ([[int(i == j) for j in range(r)] for i in range(r)], g) if exact == 1 else None
+    powers = None  # the upper rows of G^(exact-1) and G^exact, once formed
     sums = [r] + [None] * (2 * r - 2)  # s_0, ..., s_(2r-2), each set once known
     pivots = [r]  # det H_1, ..., det H_(m+1) for the rows eliminated so far
     rows = [[r]]  # pivot row k after k elimination steps, from column k on
@@ -172,14 +170,9 @@ def _hankel_rank(g, exact: int = 0):
                 packed = _widen(packed, width, step, r) if packed else list(map(pack, g))
                 width, unpack = step, read
             packed = combine(g, packed)
-            low = upper
-            if exact - 1 <= n <= exact:
-                last, whole = whole, list(map(unpack, packed))
-                upper = [row[i:] for i, row in enumerate(whole)]
-                if n == exact:
-                    powers = last, whole
-            else:
-                upper = [unpack(x, i) for i, x in enumerate(packed)]
+            low, upper = upper, [unpack(x, i) for i, x in enumerate(packed)]
+        if n == exact:
+            powers = [low, upper]
         if n == r:
             break
         if n <= top:
@@ -204,14 +197,18 @@ def bound_and_witness(m: InclusionMatrix, d: int):
     k is the degree of the minimal polynomial of G = M M^t. With
     a = (d + 1) // 2, M^[d-1] and M^[d+1] are G^(a-1) and G^a, times M for
     even d. The chain that counts the distinct eigenvalues stays exact
-    through G^a and hands those two powers over. q is the least q with
-    M^[d+1] <= q M^[d-1] whenever d is within the bound; past the bound the
-    chain may stop short of G^a, and q is None.
+    through G^a and hands over the upper rows of those two symmetric powers,
+    which hold every entry. q is the least q with M^[d+1] <= q M^[d-1]
+    whenever d is within the bound; past the bound the chain may stop short
+    of G^a, and q is None.
     """
     k, powers = _hankel_rank(m.gram.entries, (d + 1) // 2)
     if powers is None:
         return 2 * k - 1, None
-    if d % 2 == 0:
-        powers = [product(power, m.matrix.entries) for power in powers]
-    low, high = map(made, powers)
-    return 2 * k - 1, dominance_q(high, low)
+    if d % 2 == 0:  # row i of a power is, by symmetry, column i of its upper
+        # rows padded to the left, down to the diagonal, then upper row i
+        for t, upper in enumerate(powers):
+            columns = zip(*[[0] * i + [*row] for i, row in enumerate(upper)])
+            whole = [[*col[:i], *row] for i, (col, row) in enumerate(zip(columns, upper))]
+            powers[t] = product(whole, m.matrix.entries)
+    return 2 * k - 1, least_q(powers[1], powers[0])

@@ -59,10 +59,6 @@ class IntMatrix:
         self.cols = width
         self.entries = data
 
-    def __getitem__(self, key) -> int:
-        i, j = key
-        return self.entries[i][j]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.entries == other.entries
 
@@ -261,19 +257,22 @@ class InclusionMatrix:
 
 
 def dominance_q(a: IntMatrix, b: IntMatrix) -> int | None:
-    """Least positive integer q with a <= q*b entrywise, or None if no q exists.
-
-    No q exists exactly when some cell has a > 0 where b = 0. The witness is
-    minimal: a <= q*b holds, and unless q == 1, a <= (q-1)*b fails. Both
-    matrices must be nonnegative and of the same shape.
-    """
+    """Least positive integer q with a <= q*b entrywise, or None if no q
+    exists: least_q of two nonnegative matrices of the same shape."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise MatrixError(
             f"cannot compare {a.rows}x{a.cols} and {b.rows}x{b.cols}")
     if min(map(min, a.entries)) < 0 or min(map(min, b.entries)) < 0:
         raise MatrixError("dominance needs nonnegative matrices")
+    return least_q(a.entries, b.entries)
+
+
+def least_q(a, b) -> int | None:
+    """Least positive q with a <= q*b over the paired entries of the rows a
+    and b, which must be nonnegative, or None if a cell has a > 0 where
+    b = 0. The witness is minimal: unless q == 1, a <= (q-1)*b fails."""
     q = 1
-    for ra, rb in zip(a.entries, b.entries):
+    for ra, rb in zip(a, b):
         for x, y in zip(ra, rb):
             if x > q * y:  # a cell past q*b raises q to its own need
                 if not y:

@@ -116,7 +116,7 @@ def test_criterion_5_property_suite():
         cols = list(range(m.cols))
         rng.shuffle(rows)
         rng.shuffle(cols)
-        permuted = InclusionMatrix([[m.matrix[i, j] for j in cols] for i in rows])
+        permuted = InclusionMatrix([[m.matrix.entries[i][j] for j in cols] for i in rows])
         checks["h_permutation_invariant"] = (min_depth(permuted) == d
                                              and min_hdepth(permuted) == d_h)
         bad = [name for name, ok in checks.items() if not ok]

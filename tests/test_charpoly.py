@@ -272,14 +272,17 @@ class TestModularPath:
     def spy(monkeypatch, count, *args):
         """(count(*args), chain products taken, Krylov dimensions found, and
         for each dimension the number of products taken before it). A chain
-        product is one call of the kernel's combine from charpoly, each
-        forming one power G^n."""
+        product is one call of the kernel's combine from charpoly with the
+        r >= 2 rows of G, each forming one power G^n; the certificate's
+        matrix-vector steps combine one row, the vector."""
         products, dims, before = [], [], []
         combine, krylov_dim = charpoly.combine, charpoly._krylov_dim
 
         def product_spy(a, packed):
-            products.append(combine(a, packed))
-            return products[-1]
+            result = combine(a, packed)
+            if len(a) > 1:
+                products.append(result)
+            return result
 
         def krylov_spy(g, p):
             before.append(len(products))
@@ -353,7 +356,9 @@ def _spy_chain(monkeypatch):
     """Lists that fill as charpoly._hankel_rank runs: the (a, b, sum) of each
     Frobenius product, the sums s_m, ..., s_2m each eliminated Hankel row
     reads, the packed rows each chain product returns, and the start slot
-    of each unpack that the chain's slots hand out."""
+    of each unpack that the chain's slots hand out. A chain product combines
+    the r >= 2 rows of G; the Krylov certificate's matrix-vector steps,
+    which combine one row, the vector, are not recorded."""
     pairs, sums, products, starts = [], [], [], []
     frobenius_sum, eliminate, combine, slots = (charpoly._frobenius, charpoly._eliminate,
                                                 charpoly.combine, charpoly.slots)
@@ -367,8 +372,10 @@ def _spy_chain(monkeypatch):
         return eliminate(v, pivots, rows)
 
     def combine_spy(a, packed):
-        products.append(combine(a, packed))
-        return products[-1]
+        result = combine(a, packed)
+        if len(a) > 1:
+            products.append(result)
+        return result
 
     def slots_spy(bits, count):
         width, pack, unpack = slots(bits, count)
@@ -407,7 +414,8 @@ def _check_sums(gram, exact, last, pairs, sums, want):
 
 
 def _same_pair(witness, want, exact):
-    return [list(map(list, p)) for p in witness] == want[exact - 1:exact + 1]
+    """Whether witness is the upper rows of the pair G^(exact-1), G^exact."""
+    return [list(map(list, p)) for p in witness] == list(map(_upper, want[exact - 1:exact + 1]))
 
 
 class TestFrobeniusSums:
@@ -417,7 +425,8 @@ class TestFrobeniusSums:
     With the Krylov certificate made to miss, the chain runs its Hankel
     steps through min(k, r - 1): every sum the elimination reads must be
     tr G^j, every Frobenius product the full sum over every cell
-    (_oracles.frobenius), and only the witness pair is unpacked whole."""
+    (_oracles.frobenius), and every power, the witness pair's too, is
+    unpacked from its diagonal on."""
 
     @pytest.mark.parametrize("source", [*(f"S_{n}" for n in range(4, 15)),
                                         "dense 0", "dense 1"])
@@ -440,14 +449,10 @@ class TestFrobeniusSums:
             assert found == k
             _check_sums(gram, exact, last, pairs, sums, want)
             # products G^2, ..., G^max(last, exact), each unpacked from its
-            # diagonal on but for the powers of the witness pair, which the
-            # chain unpacks whole
+            # diagonal on
             formed = range(2, max(last, exact) + 1)
             assert len(products) == len(formed)
-            whole = [n for n in formed if exact - 1 <= n <= exact]
-            unpacked = [starts.count(i) for i in range(r)]
-            assert unpacked[1:] == [len(formed) - len(whole)] * (r - 1)
-            assert unpacked[0] == len(formed) - len(whole) + r * len(whole)
+            assert starts == list(range(r)) * len(formed)
             assert _same_pair(witness, want, exact) if exact else witness is None
 
 
@@ -463,8 +468,8 @@ class TestCarriedChain:
     """Each chain step's packed sums serve the next step as its packed rows,
     widened by a byte copy when the slots grow. Every product the chain
     takes must read back, at its step's slot width, as the plain power
-    (_oracles.naive_powers), its power sums must be right, and the witness
-    pair is returned."""
+    (_oracles.naive_powers), its power sums must be right, and the upper
+    rows of the witness pair are returned."""
 
     @staticmethod
     def source(name):
@@ -520,7 +525,8 @@ class TestCarriedChain:
 
 class TestExactPower:
     """k does not depend on the power the chain is asked for, and the
-    witness pair is the plain one exactly when 1 <= exact <= k."""
+    witness pair is the upper rows of the plain one exactly when
+    1 <= exact <= k."""
 
     def test_k_and_witness_for_every_exact(self):
         block = IntMatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])

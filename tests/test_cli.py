@@ -190,7 +190,7 @@ class TestComputeCommand:
             "import incdepth.charpoly\n"
             "from incdepth import fixture_path\n"
             "from incdepth.cli import main\n"
-            "incdepth.charpoly.dominance_q = lambda a, b: None\n"
+            "incdepth.charpoly.least_q = lambda a, b: None\n"
             "sys.exit(main(['compute', '--matrix', str(fixture_path('s3s4.mat'))]))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True,

@@ -308,9 +308,9 @@ class TestMonotonicity:
                 low = bracketed_power(m, n - 1)
                 high = bracketed_power(m, n + 1)
                 zeros_high = {(i, j) for i in range(high.rows)
-                              for j in range(high.cols) if high[i, j] == 0}
+                              for j in range(high.cols) if high.entries[i][j] == 0}
                 zeros_low = {(i, j) for i in range(low.rows)
-                             for j in range(low.cols) if low[i, j] == 0}
+                             for j in range(low.cols) if low.entries[i][j] == 0}
                 assert zeros_high <= zeros_low
                 assert zero_count(bracketed_power(m, n + 2)) <= \
                     zero_count(bracketed_power(m, n))
@@ -421,7 +421,7 @@ class TestDepthReport:
             rng.shuffle(rows)
             rng.shuffle(cols)
             shuffled = InclusionMatrix(
-                [[m.matrix[i, j] for j in cols] for i in rows])
+                [[m.matrix.entries[i][j] for j in cols] for i in rows])
             assert min_depth(shuffled) == min_depth(m)
             assert min_hdepth(shuffled) == min_hdepth(m)
 
@@ -504,9 +504,19 @@ class TestWitnessFromChain:
         assert rep.q_witness == has_depth(m, rep.depth), m
         return rep
 
-    @pytest.mark.parametrize("n", range(4, 17))
-    def test_branching(self, n):
-        self.agrees(branching_matrix(n))
+    @pytest.mark.parametrize("n, transposed", [
+        *(pytest.param(n, False, id=str(n)) for n in range(4, 17)),
+        # M^t, up to 135 rows: its even depth takes the witness powers times
+        # M. Its rows go in seeded order, as in the Young order the cells that
+        # set q lie on one side of the Gram powers' diagonals.
+        *(pytest.param(n, True, id=f"{n} transposed") for n in range(4, 15))])
+    def test_branching(self, n, transposed):
+        m = branching_matrix(n)
+        if transposed:
+            rows = list(zip(*m.matrix.entries))
+            random.Random(n).shuffle(rows)
+            m = InclusionMatrix(rows)
+        assert self.agrees(m).depth == 2 * n - 3 + transposed
 
     def test_random_both_parities(self):
         rng = random.Random(41)
