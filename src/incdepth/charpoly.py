@@ -32,16 +32,15 @@ A depth report also takes the upper rows of G^(a-1) and G^a from this
 chain, for the witness q of depth 2a-1 or 2a, and tries the certificate
 right after that pair, at the end of chain step max(a, 1), unless no
 Hankel step is left for it to save. When a = r the chain forms G^r after
-its last Hankel row.
+its last Hankel row. Only exactmat knows the layout of the rows it packs.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import mul
-from sys import byteorder
 
-from .exactmat import InclusionMatrix, combine, least_q, product, slots
+from .exactmat import InclusionMatrix, combine, least_q, product, slot_offsets, slots, widen
 
 P = (1 << 27) - 79  # the prime of the Krylov certificate
 
@@ -56,24 +55,6 @@ def _frobenius(a, b) -> int:
     """
     diagonal = sum([x[0] * y[0] for x, y in zip(a, b)])
     return 2 * sum(map(mul, chain.from_iterable(a), chain.from_iterable(b))) - diagonal
-
-
-def _widen(packed, old: int, new: int, count: int) -> list[int]:
-    """Rows of count entries packed in slots of old bytes, in slots of new.
-
-    Slot j of a packed row is bytes old j to old (j + 1) of its native-order
-    bytes (exactmat.slots), its low byte first on a little-endian host and
-    last on a big-endian one. So byte t of every old slot becomes byte t,
-    or t + new - old, of the new slot: one strided copy per t over all rows
-    at once, and the other bytes stay zero.
-    """
-    data = b"".join([x.to_bytes(old * count, byteorder) for x in packed])
-    out = bytearray(new * count * len(packed))
-    pad = 0 if byteorder == "little" else new - old
-    for t in range(old):
-        out[pad + t::new] = data[t::old]
-    size, view = new * count, memoryview(out)
-    return [int.from_bytes(view[i:i + size], byteorder) for i in range(0, len(out), size)]
 
 
 def _eliminate(v, pivots, rows) -> int:
@@ -105,20 +86,20 @@ def _krylov_dim(g, p: int) -> int:
     one int each (exactmat.slots). G is symmetric, so Gv is the sum of v_k
     times packed row k. Each new vector w is reduced against the basis
     found so far by w += (p - c) * row, where c is w's slot at the row's
-    pivot, mod p. Either sum keeps every slot below p + r p^2 <
-    2^(2 bits(p) + bits(r) + 1), so nothing carries. The count takes at
-    most r matrix-vector products.
+    pivot (at the offset exactmat.slot_offsets gives), mod p. Either sum
+    keeps every slot below p + r p^2 < 2^(2 bits(p) + bits(r) + 1), so
+    nothing carries. The count takes at most r matrix-vector products.
     """
     r = len(g)
     width, pack, unpack = slots(2 * p.bit_length() + r.bit_length() + 1, r)
-    shift, mask = 8 * width, (1 << 8 * width) - 1
+    offsets, mask = slot_offsets(width, r), (1 << 8 * width) - 1
     rows = [pack([x % p for x in row]) for row in g]
     basis = []  # (pivot column, packed row mod p with 1 in that column)
     v = list(range(1, r + 1))
     while len(basis) < r:
         w = pack(v)
         for col, row in basis:
-            c = (w >> col * shift & mask) % p
+            c = (w >> offsets[col] & mask) % p
             if c:
                 w += (p - c) * row
         w = [x % p for x in unpack(w)]
@@ -167,7 +148,7 @@ def _hankel_rank(g, exact: int = 0):
             # are its packed rows, widened byte by byte when the slots grow
             step, pack, read = slots(head + max(map(max, upper)).bit_length(), r)
             if step > width:
-                packed = _widen(packed, width, step, r) if packed else list(map(pack, g))
+                packed = widen(packed, width, step, r) if packed else list(map(pack, g))
                 width, unpack = step, read
             packed = combine(g, packed)
             low, upper = upper, [unpack(x, i) for i, x in enumerate(packed)]

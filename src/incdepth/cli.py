@@ -4,7 +4,7 @@ Matrix text format: lines starting with '#' are comments and ignored (as
 are blank lines); the first remaining line is 'rows cols'; then exactly
 `rows` lines each holding `cols` nonnegative decimal integers separated
 by whitespace. Exit codes: 0 success, 1 a requested check failed,
-2 input error, 3 internal invariant violation.
+2 input error or a closed stdout, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from .bigraph import (build_graph, min_even_depth_graph, min_hdepth_graph,
                       min_odd_depth_graph, to_dot)
-from .depth import depth_report, min_odd_depth_symmetric
+from .depth import depth_report, inequalities, min_odd_depth_symmetric
 from .exactmat import InclusionMatrix, IntMatrix, MatrixError, made
 from .symgroup import tower_matrix
 
@@ -211,38 +212,17 @@ def cmd_sym(args) -> int:
 
 
 def cmd_check(args) -> int:
-    m = parse_matrix(_read_matrix_text(args.matrix))
-    rep = depth_report(m)
-    checks = [
-        ("|d - d_H| <= 2",
-         abs(rep.depth - rep.h_depth) <= 2,
-         f"d={rep.depth} d_H={rep.h_depth}"),
-        ("|d(Mt) - d(M)| <= 1",
-         abs(rep.depth_transpose - rep.depth) <= 1,
-         f"d(Mt)={rep.depth_transpose} d={rep.depth}"),
-        ("0 <= d_H - d(Mt) <= 1",
-         0 <= rep.h_depth - rep.depth_transpose <= 1,
-         f"d_H={rep.h_depth} d(Mt)={rep.depth_transpose}"),
-        ("d <= spectral bound",
-         rep.depth <= rep.spectral_bound,
-         f"d={rep.depth} bound={rep.spectral_bound}"),
-        ("d_H is odd",
-         rep.h_depth % 2 == 1,
-         f"d_H={rep.h_depth}"),
-        ("graph agrees with matrix",
-         rep.all_methods_agree(),
-         _flags(rep.methods_agree)),
-    ]
+    rep = depth_report(parse_matrix(_read_matrix_text(args.matrix)))
+    checks = [*inequalities(rep.depth, rep.depth_transpose, rep.h_depth, rep.spectral_bound),
+              ("graph agrees with matrix", rep.all_methods_agree(), _flags(rep.methods_agree))]
+    all_pass = all(passed for _, passed, _ in checks)
     if args.json:
-        _emit({
-            "checks": [{"name": name, "passed": passed, "detail": detail}
-                       for name, passed, detail in checks],
-            "all_pass": all(passed for _, passed, _ in checks),
-        }, True)
+        _emit({"checks": [dict(zip(("name", "passed", "detail"), row)) for row in checks],
+               "all_pass": all_pass}, True)
     else:
         for name, passed, detail in checks:
             print(f"{'PASS' if passed else 'FAIL'}  {name:<26} ({detail})")
-    return 0 if all(passed for _, passed, _ in checks) else 1
+    return 0 if all_pass else 1
 
 
 @functools.cache
@@ -289,7 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        status = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # so a closed reader fails here, not at exit
+        return status
+    except BrokenPipeError as exc:  # the reader left: devnull takes what stdout buffers
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:  # MatrixError, and UnicodeDecodeError from read_text
         print(f"error: {exc}", file=sys.stderr)
         return 2

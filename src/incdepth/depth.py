@@ -132,6 +132,17 @@ class DepthReport:
         return all(self.methods_agree.values())
 
 
+def inequalities(d: int, d_t: int, d_h: int, bound: int) -> list[tuple[str, bool, str]]:
+    """(name, holds, detail) for each theorem tying d, d(M^t), d_H and the bound."""
+    return [
+        ("|d - d_H| <= 2", abs(d - d_h) <= 2, f"d={d} d_H={d_h}"),
+        ("|d(Mt) - d(M)| <= 1", abs(d_t - d) <= 1, f"d(Mt)={d_t} d={d}"),
+        ("0 <= d_H - d(Mt) <= 1", 0 <= d_h - d_t <= 1, f"d_H={d_h} d(Mt)={d_t}"),
+        ("d <= spectral bound", d <= bound, f"d={d} bound={bound}"),
+        ("d_H is odd", d_h % 2 == 1, f"d_H={d_h}"),
+    ]
+
+
 def depth_report(m: InclusionMatrix) -> DepthReport:
     """Compute d, d(M^t), H-depth, graph values, the spectral bound and witness q.
 
@@ -155,18 +166,14 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     graph_h = bigraph.min_hdepth_graph(graph)
     bound, q = charpoly.bound_and_witness(m, d)
     # Explicit raises, not asserts, so the checks also run under python -O.
-    # q is None only when d exceeds the bound, so that check comes first.
-    for holds, message in (
-        (d <= bound, f"d={d} exceeds spectral bound {bound}"),
-        (q is not None, f"no dominance witness at minimum depth {d}"),
-        (d >= 1 and d_h >= 1, f"depths must be positive: d={d}, d_H={d_h}"),
-        (d_h % 2 == 1, f"H-depth must be odd: {d_h}"),
-        (abs(d - d_h) <= 2, f"|d - d_H| > 2: d={d}, d_H={d_h}"),
-        (abs(d_t - d) <= 1, f"|d(M^t) - d| > 1: d(M^t)={d_t}, d={d}"),
-        (0 <= d_h - d_t <= 1, f"d_H - d(M^t) out of [0,1]: d_H={d_h}, d(M^t)={d_t}"),
-    ):
+    # q is None only when d exceeds the bound, so the inequalities come first.
+    for name, holds, detail in inequalities(d, d_t, d_h, bound):
         if not holds:
-            raise AssertionError(message)
+            raise AssertionError(f"{name} fails ({detail})")
+    if q is None:
+        raise AssertionError(f"no dominance witness at minimum depth {d}")
+    if d < 1 or d_h < 1:
+        raise AssertionError(f"depths must be positive: d={d}, d_H={d_h}")
     return DepthReport(
         rows=m.rows,
         cols=m.cols,

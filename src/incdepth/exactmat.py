@@ -3,7 +3,9 @@
 A support, the zero pattern of a nonnegative matrix, is a tuple of row
 bitsets: one int per row, with bit j set when entry j of the row is
 nonzero. set_bits walks the set bits of one row, and walk_support walks
-every row once, forming the transposed support in the same pass.
+every row once, forming the transposed support in the same pass. Products
+pack a row into one int, one slot per entry; only this module knows that
+layout, on either byte order (slots, widen and slot_offsets).
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -143,6 +145,30 @@ def slots(bits: int, count: int):
             return list(map(int.from_bytes, [view[j:j + width] for j in cuts[start:]],
                             repeat(byteorder)))
     return width, pack, unpack
+
+
+def widen(packed, old: int, new: int, count: int) -> list[int]:
+    """Rows of count entries packed in slots of old bytes, in slots of new.
+
+    Counted from the int's low end, the t-th slot (slot t on a little-endian
+    host, slot count - 1 - t on a big-endian one) moves from bit 8 old t to
+    bit 8 new t: byte b of each old slot, read little-endian on any host,
+    becomes byte b of the new one, one strided copy per b over all rows.
+    """
+    data = b"".join([x.to_bytes(old * count, "little") for x in packed])
+    out = bytearray(new * count * len(packed))
+    for b in range(old):
+        out[b::new] = data[b::old]
+    size, view = new * count, memoryview(out)
+    return [int.from_bytes(view[i:i + size], "little") for i in range(0, len(out), size)]
+
+
+def slot_offsets(width: int, count: int) -> range:
+    """Bit offset of each slot of count slots of width bytes: slot j of packed
+    is packed >> offsets[j] & (2^(8 width) - 1). Slot 0 is the int's low end
+    on a little-endian host and its high end on a big-endian one."""
+    offsets = range(0, 8 * width * count, 8 * width)
+    return offsets if byteorder == "little" else offsets[::-1]
 
 
 def product(a, b) -> list[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here but minpoly_degree, which wraps the program's own count,
+and tower_closed_forms, which restates the program's own output,
 deliberately avoids the code paths it is used to check: naive triple-loop
 products instead of IntMatrix.__mul__ where the product itself is under
 test or an operand is signed, Gram powers by plain sums of products
@@ -27,7 +28,7 @@ symmetric-group towers instead of the Hankel count.
 from collections import deque
 from functools import cache, reduce
 from itertools import combinations_with_replacement
-from math import gcd
+from math import factorial, gcd
 from operator import mul, or_
 
 from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
@@ -541,6 +542,27 @@ def tower_spectrum(m: int, n: int) -> list[tuple[int, int]]:
         if mult:
             spectrum.append((reduce(mul, range(i + 1, i + 1 + n - m), 1), mult))
     return spectrum
+
+
+def tower_closed_forms(k: int, n: int) -> dict[str, int]:
+    """Report fields of the tower S_k <= S_n, 1 <= k < n, in closed form.
+
+    With d = 2 ceil((n - 1) / (n - k)) - 1: d(M^t) = d + 1, d_H = d + 2,
+    graph odd depth d and even depth d + 1; q = n(n - 1)/2 + 1 for
+    k = n - 1, and q = n! for k = 1, where M M^t is the 1x1 matrix n!.
+    These are regression oracles, read off the program's own output on
+    every tower with n <= 16, not independent evidence. For k = n - 1 the
+    depth 2n - 3 is Burciu-Kadison-Kuelshammer ("On subgroup depth",
+    IEJA 2011); the general form is not checked against the literature.
+    """
+    d = 2 * -(-(n - 1) // (n - k)) - 1
+    forms = {"depth": d, "depth_transpose": d + 1, "h_depth": d + 2,
+             "min_odd_depth": d, "min_even_depth": d + 1}
+    if k == n - 1:
+        forms["q_witness"] = n * (n - 1) // 2 + 1
+    if k == 1:
+        forms["q_witness"] = factorial(n)
+    return forms
 
 
 def _remove_boxes(parts):

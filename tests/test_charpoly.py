@@ -5,8 +5,8 @@ import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
                       min_depth, tower_matrix)
-from incdepth import charpoly
-from incdepth.exactmat import slots
+from incdepth import charpoly, exactmat
+from incdepth.exactmat import slots, widen
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
                       count_partitions, dense_rows, depth_upper_bound, frobenius,
@@ -555,8 +555,9 @@ class TestExactPower:
 
 
 class TestWiden:
-    """charpoly._widen copies every slot into a wider one byte by byte; it
-    must give the rows packed at the wider width directly."""
+    """exactmat.widen, which the chain uses when its slots grow, copies every
+    slot into a wider one byte by byte; it must give the rows packed at the
+    wider width directly."""
 
     @pytest.mark.parametrize("old, new", [(8, 9), (8, 13), (10, 15)])
     def test_matches_packing_at_the_new_width(self, old, new):
@@ -568,7 +569,7 @@ class TestWiden:
             narrow, wide = slots(8 * old, count), slots(8 * new, count)
             assert (narrow[0], wide[0]) == (old, new)
             packed = list(map(narrow[1], rows))
-            assert charpoly._widen(packed, old, new, count) == list(map(wide[1], rows))
+            assert widen(packed, old, new, count) == list(map(wide[1], rows))
 
 
 class TestKrylovDim:
@@ -594,6 +595,49 @@ class TestKrylovDim:
     def test_matches_list_elimination(self, p):
         for m in self.matrices():
             assert charpoly._krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
+
+
+class TestBigEndianLayout:
+    """The packed layout of a big-endian host, simulated on this one.
+
+    With exactmat.byteorder patched to "big", byte slots pack, unpack and
+    widen only through to_bytes and from_bytes in that order, as they would
+    on such a host, so the simulation is faithful. Word slots cannot be
+    simulated: array packs and memoryview reads machine words in the host's
+    native order whatever the patch says. So the certificate runs mod the
+    61-bit prime 2^61 - 1, and the chain on entries up to 2^72 or multiples
+    of 2^70, both of which need byte slots."""
+
+    @staticmethod
+    def few_eigenvalues(factor):
+        """factor (J + 2I), whose eigenvalues are 2 factor and (r + 2) factor."""
+        for r in range(1, 9):
+            yield IntMatrix([[factor * (3 if i == j else 1) for j in range(r)]
+                             for i in range(r)])
+
+    def test_krylov_dim(self, monkeypatch):
+        monkeypatch.setattr(exactmat, "byteorder", "big")
+        p = (1 << 61) - 1
+        rng = random.Random(61)
+        for m in (*_symmetric_corpus(), *self.few_eigenvalues(1),
+                  *(_repeated_spectrum(rng, k, 10**6) for k in range(1, 5))):
+            assert charpoly._krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
+
+    def test_chain_k_and_witness(self, monkeypatch):
+        rng = random.Random(70)
+        cases = [*(_symmetric_matrix(rng, n, 1 << 72, 1.0) for n in range(1, 8)),
+                 *self.few_eigenvalues(1 << 70),
+                 *(scale(_repeated_spectrum(rng, k, 9), 1 << 70) for k in (1, 2, 3))]
+        monkeypatch.setattr(exactmat, "byteorder", "big")
+        monkeypatch.setattr(charpoly, "_krylov_dim", lambda g, p: 0)
+        for m in cases:
+            g = m.entries
+            k = _prs_squarefree_degree(berkowitz_char_poly(m))
+            want = naive_powers(g, k)
+            for exact in range(k + 1):
+                found, witness = charpoly._hankel_rank(g, exact)
+                assert found == k, (m, exact)
+                assert _same_pair(witness, want, exact) if exact else witness is None, (m, exact)
 
 
 class TestTowerSpectrum:

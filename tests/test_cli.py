@@ -182,21 +182,27 @@ class TestComputeCommand:
         assert proc.stderr == ""
 
     def test_invariant_checks_survive_optimize_flag(self):
-        # python -O strips assert statements; the report's checks must stay.
+        # python -O strips assert statements; the report's checks must stay:
+        # a missing witness, and a depth past the spectral bound, each exit 3
         import subprocess
         import sys
-        script = (
-            "import sys\n"
-            "import incdepth.charpoly\n"
-            "from incdepth import fixture_path\n"
-            "from incdepth.cli import main\n"
-            "incdepth.charpoly.least_q = lambda a, b: None\n"
-            "sys.exit(main(['compute', '--matrix', str(fixture_path('s3s4.mat'))]))\n")
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, text=True,
-                              env=_subprocess_env())
-        assert proc.returncode == 3
-        assert "internal error: no dominance witness" in proc.stderr
+        for patch, message in (
+                ("incdepth.charpoly.least_q = lambda a, b: None",
+                 "internal error: no dominance witness"),
+                ("incdepth.charpoly.bound_and_witness = lambda m, d: (1, 7)",
+                 "internal error: d <= spectral bound fails (d=5 bound=1)\n")):
+            script = (
+                "import sys\n"
+                "import incdepth.charpoly\n"
+                "from incdepth import fixture_path\n"
+                "from incdepth.cli import main\n"
+                f"{patch}\n"
+                "sys.exit(main(['compute', '--matrix', str(fixture_path('s3s4.mat'))]))\n")
+            proc = subprocess.run([sys.executable, "-O", "-c", script],
+                                  capture_output=True, text=True,
+                                  env=_subprocess_env())
+            assert proc.returncode == 3, (patch, proc.stderr)
+            assert message in proc.stderr, (patch, proc.stderr)
 
 
 class TestGraphCommand:
@@ -290,6 +296,25 @@ class TestSymCommand:
             assert main(["sym", "--n", str(n)]) == 0
             text = capsys.readouterr().out
             parse_matrix(text)
+
+    @pytest.mark.parametrize("n", [4, 17])
+    def test_closed_stdout_exits_2(self, n):
+        # sym --n 4 fits the stdout buffer, so only main's flush meets the
+        # closed pipe; sym --n 17 (about 137 KB) meets it while writing.
+        # PYTHONUNBUFFERED is dropped so that stdout buffers as in a shell.
+        import subprocess
+        import sys
+        env = _subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "incdepth", "sym", "--n", str(n)],
+                                  stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 class TestCheckCommand:

@@ -2,13 +2,13 @@ import hashlib
 
 import pytest
 
-from incdepth import (InclusionMatrix, branching_matrix, build_graph, min_depth,
-                      min_even_depth_graph, min_hdepth, min_hdepth_graph,
+from incdepth import (InclusionMatrix, branching_matrix, build_graph, depth_report,
+                      min_depth, min_even_depth_graph, min_hdepth, min_hdepth_graph,
                       min_odd_depth_graph, partitions, render_matrix,
                       tower_matrix)
 
 from _oracles import (_remove_boxes, count_partitions, depth_upper_bound,
-                      dim_irreducible)
+                      dim_irreducible, tower_closed_forms)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -159,3 +159,14 @@ def test_branching_closed_form_depths(n):
     assert min(min_odd_depth_graph(graph), min_even_depth_graph(graph)) == d
     assert min_hdepth_graph(graph) == 2 * n - 1
     assert depth_upper_bound(m) == d
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_tower_closed_forms(n):
+    # every tower S_k <= S_n with n <= 16, 120 in all, against the closed
+    # forms its reports have shown (_oracles.tower_closed_forms)
+    for k in range(1, n):
+        report = vars(depth_report(tower_matrix(k, n)))
+        forms = tower_closed_forms(k, n)
+        assert {key: report[key] for key in forms} == forms, (k, n)
+        assert all(report["methods_agree"].values()), (k, n)
