@@ -16,14 +16,17 @@ Diameters are taken over pairs inside a common connected component;
 unreachable pairs impose no constraint (this is what agreement with the
 matrix method forces on block-diagonal inputs).
 
-A graph is built from its adjacency lists: for each black the whites it
-touches, and for each white the blacks. For an inclusion matrix these are
-one walk of its support, the set bits of each row of supp(M) and of
-supp(M^t) (exactmat.walk_support), which a depth report also uses for its
-support chains; the edge set is read off the same lists. All three
-values come from each dot's eccentricity, its largest distance to any
-dot of its component, which the graph computes once when it is built by a
-breadth-first search from every dot at once. The graph is bipartite, so
+A graph is built from its adjacency lists, for each black the whites it
+touches and for each white the blacks, and from the same lists as the
+bitsets supp(M) and supp(M^t). For an inclusion matrix these are one walk
+of its support, the set bits of each row of supp(M) and of supp(M^t)
+(exactmat.walk_support), which a depth report also uses for its support
+chains. The graph keeps the black lists, and forms its edge set from them
+only when asked for. All three values come from each dot's eccentricity,
+its largest distance to any dot of its component, which the graph
+computes once when it is built by a breadth-first search from every dot
+at once. The search reads its first round off the two supports, and a dot
+whose ball holds every dot leaves it. The graph is bipartite, so
 distances between dots of one colour are even and those between colours
 odd; BFS layers are contiguous, so a dot of eccentricity L reaches its own
 colour at most L rounded down to even and the other colour at most L
@@ -40,7 +43,7 @@ from .exactmat import InclusionMatrix, MatrixError, walk_support
 class BipartiteGraph:
     """Immutable bicolored graph; blacks index 0..r-1, whites 0..s-1."""
 
-    __slots__ = ("black_count", "white_count", "edges", "_far")
+    __slots__ = ("black_count", "white_count", "_blacks", "_far")
 
     def __init__(self, black_count: int, white_count: int, edges):
         if not (isinstance(black_count, int) and isinstance(white_count, int)):
@@ -56,39 +59,54 @@ class BipartiteGraph:
                 raise MatrixError(f"edge ({b},{w}) out of range")
         blacks = [[] for _ in range(black_count)]
         whites = [[] for _ in range(white_count)]
+        support, supp_t = [0] * black_count, [0] * white_count
         for b, w in set(edges):
             blacks[b].append(w)
             whites[w].append(b)
-        self._build(blacks, whites)
+            support[b] |= 1 << w
+            supp_t[w] |= 1 << b
+        self._build(blacks, whites, support, supp_t)
 
-    def _build(self, blacks, whites) -> None:
+    def _build(self, blacks, whites, support, supp_t) -> None:
         """Fill in the graph from checked adjacency lists and run the BFS.
 
         blacks[b] lists the whites joined to black b, whites[w] the blacks
-        joined to white w, each dot once.
+        joined to white w, each dot once; support[b] and supp_t[w] are the
+        same lists as bitsets, white w at bit w and black b at bit b.
         """
         r, s = self.black_count, self.white_count = len(blacks), len(whites)
-        self.edges = frozenset(chain.from_iterable(map(zip, map(repeat, range(r)), blacks)))
+        self._blacks = blacks
         # Bit-parallel BFS from every dot at once: after round k, the ball
         # of a dot is the bitset of dots within k edges of it, blacks at
-        # bits 0..r-1 and whites at r..r+s-1. Each round ORs into a dot's
-        # ball its neighbours' balls of the round before: the blacks read
-        # the whites before these grow, and the whites read a copy of the
-        # blacks' balls from before theirs grew. A ball that stops growing
-        # is its whole component and stays so, and the last round in
-        # which it grew is the dot's eccentricity.
-        black_balls = [1 << b for b in range(r)]
-        white_balls = [1 << (r + w) for w in range(s)]
-        black_far, white_far = [0] * r, [0] * s
-        growing_b = [b for b in range(r) if blacks[b]]
-        growing_w = [w for w in range(s) if whites[w]]
-        rounds = 0
+        # bits 0..r-1 and whites at r..r+s-1. Round 1 is read off the
+        # supports. Each later round ORs into a dot's ball its neighbours'
+        # balls of the round before: the blacks read the whites before
+        # these grow, and the whites read a copy of the blacks' balls from
+        # before theirs grew. A ball that stops growing is its whole
+        # component and stays so, and the last round in which it grew is
+        # the dot's eccentricity; a full ball cannot grow, so its dot
+        # leaves the BFS in the round it filled.
+        full = (1 << (r + s)) - 1
+        black_balls = [1 << b | mask << r for b, mask in enumerate(support)]
+        white_balls = [1 << (r + w) | mask for w, mask in enumerate(supp_t)]
+        black_far = [1 if mask else 0 for mask in support]
+        white_far = [1 if mask else 0 for mask in supp_t]
+        growing_b = [b for b in range(r) if black_far[b] and black_balls[b] != full]
+        growing_w = [w for w in range(s) if white_far[w] and white_balls[w] != full]
+        rounds = 1
         while growing_b or growing_w:
             rounds += 1
             black_before = black_balls[:]
-            growing_b = _grow(growing_b, blacks, black_balls, white_balls, black_far, rounds)
-            growing_w = _grow(growing_w, whites, white_balls, black_before, white_far, rounds)
+            growing_b = _grow(growing_b, blacks, black_balls, white_balls, black_far, rounds, full)
+            growing_w = _grow(growing_w, whites, white_balls, black_before, white_far, rounds,
+                              full)
         self._far = tuple(black_far + white_far)
+
+    @property
+    def edges(self) -> frozenset:
+        """The (black, white) pairs joined by an edge, formed on each call."""
+        return frozenset(chain.from_iterable(
+            map(zip, map(repeat, range(self.black_count)), self._blacks)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
@@ -104,10 +122,10 @@ class BipartiteGraph:
                 f"{sorted(self.edges)!r})")
 
 
-def _grow(growing, adj, balls, other, far, rounds) -> list[int]:
+def _grow(growing, adj, balls, other, far, rounds, full) -> list[int]:
     """One BFS round for the growing dots of one colour, whose balls it
     grows in place from the balls other of the other colour, which adj
-    indexes; returns the dots whose ball grew."""
+    indexes; returns the dots whose ball grew and is not yet full."""
     still = []
     for v in growing:
         ball = balls[v]
@@ -116,22 +134,24 @@ def _grow(growing, adj, balls, other, far, rounds) -> list[int]:
         if ball != balls[v]:
             balls[v] = ball
             far[v] = rounds
-            still.append(v)
+            if ball != full:
+                still.append(v)
     return still
 
 
-def from_walk(row_bits, col_bits) -> BipartiteGraph:
+def from_walk(row_bits, col_bits, support, supp_t) -> BipartiteGraph:
     """Incidence graph of a support from its walk (exactmat.walk_support):
-    black i joins the whites row_bits[i], white j the blacks col_bits[j]."""
+    black i joins the whites row_bits[i], white j the blacks col_bits[j],
+    and support and supp_t are the support and its transpose."""
     graph = object.__new__(BipartiteGraph)  # the support's edges need no check
-    graph._build(row_bits, col_bits)
+    graph._build(row_bits, col_bits, support, supp_t)
     return graph
 
 
 def build_graph(m: InclusionMatrix) -> BipartiteGraph:
     """Incidence graph of an inclusion matrix: edge (i,j) iff entry > 0."""
-    row_bits, col_bits, _ = walk_support(m.support, m.cols)
-    return from_walk(row_bits, col_bits)
+    row_bits, col_bits, supp_t = walk_support(m.support, m.cols)
+    return from_walk(row_bits, col_bits, m.support, supp_t)
 
 
 def black_diameter(g: BipartiteGraph) -> int:

@@ -83,32 +83,36 @@ def _krylov_dim(g, p: int) -> int:
     """Dimension of span(v, Gv, G^2 v, ...) mod p for v = (1, 2, ..., r).
 
     The rows of G mod p, the vectors and the echelon basis are packed into
-    one int each (exactmat.slots). G is symmetric, so Gv is the sum of v_k
-    times packed row k. Each new vector w is reduced against the basis
-    found so far by w += (p - c) * row, where c is w's slot at the row's
-    pivot (at the offset exactmat.slot_offsets gives), mod p. Either sum
-    keeps every slot below p + r p^2 < 2^(2 bits(p) + bits(r) + 1), so
-    nothing carries. The count takes at most r matrix-vector products.
+    one int each (exactmat.slots). Each echelon row is kept unscaled, as a
+    reduced vector mod p, with the bit offset of its pivot e
+    (exactmat.slot_offsets) and p - e^-1 mod p. A new vector w is reduced
+    against the basis found so far by w += (c (p - e^-1) mod p) * row, where
+    c is w's slot at the row's pivot. The vector after w is G times the
+    reduced w, not G times w: the two differ by G times a vector of the span
+    so far, which the next span holds, so every span is the same, and the
+    zeros of the reduced w at the pivots skip rows of G. G is symmetric, so
+    Gu is the sum of u_k times packed row k, whose slots stay below r p^2;
+    the reduction adds less than r p^2 more, and 2 r p^2
+    < 2^(2 bits(p) + bits(r) + 1), so nothing carries. The count takes at
+    most r matrix-vector products.
     """
     r = len(g)
     width, pack, unpack = slots(2 * p.bit_length() + r.bit_length() + 1, r)
     offsets, mask = slot_offsets(width, r), (1 << 8 * width) - 1
     rows = [pack([x % p for x in row]) for row in g]
-    basis = []  # (pivot column, packed row mod p with 1 in that column)
-    v = list(range(1, r + 1))
+    basis = []  # (pivot's bit offset, p - pivot^-1 mod p, packed row mod p)
+    w = pack(range(1, r + 1))
     while len(basis) < r:
-        w = pack(v)
-        for col, row in basis:
-            c = (w >> offsets[col] & mask) % p
+        for at, negated, row in basis:
+            c = (w >> at & mask) * negated % p
             if c:
-                w += (p - c) * row
-        w = [x % p for x in unpack(w)]
-        col = next((j for j, x in enumerate(w) if x), None)
+                w += c * row
+        v = [x % p for x in unpack(w)]
+        col = next((j for j, x in enumerate(v) if x), None)
         if col is None:
             break
-        inverse = pow(w[col], -1, p)
-        basis.append((col, pack([x * inverse % p for x in w])))
-        v = [x % p for x in unpack(combine([v], rows)[0])]
+        basis.append((offsets[col], p - pow(v[col], -1, p), pack(v)))
+        w = combine([v], rows)[0]
     return len(basis)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -268,6 +269,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        # Under python -u stdout's binary layer is the raw file: a write that
+        # a leaving reader cuts short returns a short count, which the text
+        # layer drops. A BufferedWriter writes the rest, and so meets the
+        # closed pipe.
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw), out.encoding, out.errors,
+                                      write_through=True)
     try:
         status = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # so a closed reader fails here, not at exit
@@ -285,6 +295,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - exit codes over tracebacks
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if sys.stdout is not out:  # flush to the raw file and leave it open
+            sys.stdout.detach().detach()
+            sys.stdout = out
 
 
 if __name__ == "__main__":

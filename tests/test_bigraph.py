@@ -6,7 +6,8 @@ from incdepth import (BipartiteGraph, InclusionMatrix, MatrixError, branching_ma
                       build_graph, min_depth, min_even_depth_graph, min_hdepth,
                       min_hdepth_graph, min_odd_depth_graph, to_dot,
                       tower_matrix)
-from incdepth.bigraph import black_diameter
+from incdepth.bigraph import black_diameter, from_walk
+from incdepth.exactmat import walk_support
 
 from _oracles import (bfs_distances, block_diagonal, dense_rows, graph_depths_by_pairs,
                       identity, min_even_depth_merged, random_inclusion)
@@ -14,6 +15,11 @@ from _oracles import (bfs_distances, block_diagonal, dense_rows, graph_depths_by
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
 IDENT2 = InclusionMatrix(identity(2))
+
+
+def nonzero_cells(m):
+    return [(i, j) for i, row in enumerate(m.matrix.entries)
+            for j, e in enumerate(row) if e > 0]
 
 
 def test_build_graph_edges_are_support():
@@ -53,9 +59,7 @@ def test_build_graph_equals_checked_constructor(name):
         m = InclusionMatrix(identity(int(name[9:])))
     else:
         m = InclusionMatrix([[1] * 70] if name == "1x70" else [[1]] * 70)
-    edges = [(i, j) for i, row in enumerate(m.matrix.entries)
-             for j, e in enumerate(row) if e > 0]
-    g, checked = build_graph(m), BipartiteGraph(m.rows, m.cols, edges)
+    g, checked = build_graph(m), BipartiteGraph(m.rows, m.cols, nonzero_cells(m))
     assert type(g) is BipartiteGraph
     assert g == checked and hash(g) == hash(checked) and g._far == checked._far
 
@@ -93,6 +97,55 @@ def small_graphs():
         density = rng.random()
         yield BipartiteGraph(r, s, [(b, w) for b in range(r) for w in range(s)
                                     if rng.random() < density])
+
+
+def walked(g):
+    """The graph from_walk builds from the walk of g's support."""
+    support = [0] * g.black_count
+    for b, w in g.edges:
+        support[b] |= 1 << w
+    row_bits, col_bits, supp_t = walk_support(tuple(support), g.white_count)
+    return from_walk(row_bits, col_bits, tuple(support), supp_t)
+
+
+def eccentricity_cases():
+    """(name, graph) from the checked constructor: every small graph, the
+    towers S_(n-1) <= S_n for n <= 16, two disconnected block-diagonal
+    graphs, whose balls never fill, and seeded dense 40 x 60 graphs, whose
+    balls all fill by round 3."""
+    for k, g in enumerate(small_graphs()):
+        yield f"small {k}", g
+    matrices = [(f"S_{n - 1} <= S_{n}", tower_matrix(n - 1, n)) for n in range(2, 17)]
+    matrices += [("block diagonal 3x4", InclusionMatrix([[1, 1, 0, 0], [0, 1, 0, 0],
+                                                        [0, 0, 1, 1]])),
+                 ("block diagonal", block_diagonal(S3S4, S3S4.transposed(), C2M2))]
+    matrices += [(f"dense {seed}", InclusionMatrix(dense_rows(random.Random(seed), 40)))
+                 for seed in range(3)]
+    for name, m in matrices:
+        yield name, BipartiteGraph(m.rows, m.cols, nonzero_cells(m))
+
+
+def test_each_dot_far_is_its_eccentricity():
+    # the BFS's eccentricity of every dot, not only the extremal ones that
+    # the diameters read, through the checked constructor and from_walk
+    for name, g in eccentricity_cases():
+        far = [max(bfs_distances(g, v)) for v in range(g.black_count + g.white_count)]
+        assert list(g._far) == far, name
+        assert list(walked(g)._far) == far, name
+
+
+def test_edge_set_formed_on_demand_matches_checked_constructor():
+    # build_graph keeps only the adjacency lists of its walk; the edge set,
+    # hash, repr and DOT text formed from them are the checked graph's
+    rng = random.Random(29)
+    matrices = [tower_matrix(k, n) for n in range(2, 13) for k in range(1, n)]
+    matrices += [random_inclusion(rng, max_dim=9) for _ in range(200)]
+    for m in matrices:
+        g, checked = build_graph(m), BipartiteGraph(m.rows, m.cols, nonzero_cells(m))
+        assert g.edges == checked.edges == frozenset(nonzero_cells(m))
+        assert hash(g) == hash(checked)
+        assert repr(g) == repr(checked)
+        assert to_dot(g) == to_dot(checked)
 
 
 def graph_values(g):

@@ -316,6 +316,25 @@ class TestSymCommand:
         assert proc.returncode == 2
         assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_leaving_mid_write_exits_2(self, unbuffered):
+        # as in sym --n 17 | head -c 1: the reader takes one byte and leaves
+        # while sym's one write of about 137 KB waits on the full pipe, whose
+        # 64 KB were taken. Under PYTHONUNBUFFERED=1 stdout's binary layer is
+        # the raw file, whose write then returns that short count.
+        import subprocess
+        import sys
+        env = _subprocess_env()
+        env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen([sys.executable, "-m", "incdepth", "sym", "--n", "17"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert os.read(proc.stdout.fileno(), 1) == b"2"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
 
 class TestCheckCommand:
     def test_s3s4_all_pass(self, capsys):
