@@ -16,28 +16,29 @@ Diameters are taken over pairs inside a common connected component;
 unreachable pairs impose no constraint (this is what agreement with the
 matrix method forces on block-diagonal inputs).
 
-A graph is built from its adjacency lists, for each black the whites it
-touches and for each white the blacks, and from the same lists as the
-bitsets supp(M) and supp(M^t). For an inclusion matrix these are one walk
-of its support, the set bits of each row of supp(M) and of supp(M^t)
-(exactmat.walk_support), which a depth report also uses for its support
-chains. The graph keeps the black lists, and forms its edge set from them
-only when asked for. All three values come from each dot's eccentricity,
-its largest distance to any dot of its component, which the graph
-computes once when it is built by a breadth-first search from every dot
-at once. The search reads its first round off the two supports, and a dot
-whose ball holds every dot leaves it. The graph is bipartite, so
-distances between dots of one colour are even and those between colours
-odd; BFS layers are contiguous, so a dot of eccentricity L reaches its own
-colour at most L rounded down to even and the other colour at most L
-rounded up to odd, less 1 when L is even (-1 for an isolated dot).
+A graph has one constructor, which takes the walk of an inclusion
+matrix's support (exactmat.walk_support): for each black the whites it
+touches and for each white the blacks, each list ascending, and the same
+lists as the bitsets supp(M) and supp(M^t). A depth report reads the same
+walk for its support chains. An inclusion matrix has no zero row or
+column, so every dot has a neighbour. The graph keeps the black lists, and
+its edge set and DOT text are formed from them only when asked for. All
+three values come from each dot's eccentricity, its largest distance to
+any dot of its component, which the graph computes once when it is built
+by a breadth-first search from every dot at once. The search reads its
+first round off the two supports, and a dot whose ball holds every dot
+leaves it. The graph is bipartite, so distances between dots of one colour
+are even and those between colours odd; BFS layers are contiguous, so a
+dot of eccentricity L reaches its own colour at most L rounded down to
+even and the other colour at most L rounded up to odd, less 1 when L is
+even.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 
-from .exactmat import InclusionMatrix, MatrixError, walk_support
+from .exactmat import InclusionMatrix, walk_support
 
 
 class BipartiteGraph:
@@ -45,34 +46,13 @@ class BipartiteGraph:
 
     __slots__ = ("black_count", "white_count", "_blacks", "_far")
 
-    def __init__(self, black_count: int, white_count: int, edges):
-        if not (isinstance(black_count, int) and isinstance(white_count, int)):
-            raise MatrixError(
-                f"dot counts {(black_count, white_count)!r} are not integers")
-        if black_count < 1 or white_count < 1:
-            raise MatrixError("graph needs at least one black and one white dot")
-        edges = [(b, w) for b, w in edges]
-        for b, w in edges:
-            if not (isinstance(b, int) and isinstance(w, int)):
-                raise MatrixError(f"edge {(b, w)!r} is not a pair of integers")
-            if not (0 <= b < black_count and 0 <= w < white_count):
-                raise MatrixError(f"edge ({b},{w}) out of range")
-        blacks = [[] for _ in range(black_count)]
-        whites = [[] for _ in range(white_count)]
-        support, supp_t = [0] * black_count, [0] * white_count
-        for b, w in set(edges):
-            blacks[b].append(w)
-            whites[w].append(b)
-            support[b] |= 1 << w
-            supp_t[w] |= 1 << b
-        self._build(blacks, whites, support, supp_t)
-
-    def _build(self, blacks, whites, support, supp_t) -> None:
-        """Fill in the graph from checked adjacency lists and run the BFS.
-
-        blacks[b] lists the whites joined to black b, whites[w] the blacks
-        joined to white w, each dot once; support[b] and supp_t[w] are the
-        same lists as bitsets, white w at bit w and black b at bit b.
+    def __init__(self, blacks, whites, support, supp_t):
+        """The graph of a support from its walk (exactmat.walk_support), and
+        its BFS: black b joins the whites blacks[b], white w the blacks
+        whites[w], each list ascending, and support and supp_t are the same
+        lists as bitsets, white w at bit w of support[b] and black b at bit
+        b of supp_t[w]. The support is an inclusion matrix's, so every dot
+        has a neighbour.
         """
         r, s = self.black_count, self.white_count = len(blacks), len(whites)
         self._blacks = blacks
@@ -89,10 +69,9 @@ class BipartiteGraph:
         full = (1 << (r + s)) - 1
         black_balls = [1 << b | mask << r for b, mask in enumerate(support)]
         white_balls = [1 << (r + w) | mask for w, mask in enumerate(supp_t)]
-        black_far = [1 if mask else 0 for mask in support]
-        white_far = [1 if mask else 0 for mask in supp_t]
-        growing_b = [b for b in range(r) if black_far[b] and black_balls[b] != full]
-        growing_w = [w for w in range(s) if white_far[w] and white_balls[w] != full]
+        black_far, white_far = [1] * r, [1] * s
+        growing_b = [b for b in range(r) if black_balls[b] != full]
+        growing_w = [w for w in range(s) if white_balls[w] != full]
         rounds = 1
         while growing_b or growing_w:
             rounds += 1
@@ -139,19 +118,10 @@ def _grow(growing, adj, balls, other, far, rounds, full) -> list[int]:
     return still
 
 
-def from_walk(row_bits, col_bits, support, supp_t) -> BipartiteGraph:
-    """Incidence graph of a support from its walk (exactmat.walk_support):
-    black i joins the whites row_bits[i], white j the blacks col_bits[j],
-    and support and supp_t are the support and its transpose."""
-    graph = object.__new__(BipartiteGraph)  # the support's edges need no check
-    graph._build(row_bits, col_bits, support, supp_t)
-    return graph
-
-
 def build_graph(m: InclusionMatrix) -> BipartiteGraph:
     """Incidence graph of an inclusion matrix: edge (i,j) iff entry > 0."""
     row_bits, col_bits, supp_t = walk_support(m.support, m.cols)
-    return from_walk(row_bits, col_bits, m.support, supp_t)
+    return BipartiteGraph(row_bits, col_bits, m.support, supp_t)
 
 
 def black_diameter(g: BipartiteGraph) -> int:
@@ -178,9 +148,9 @@ def min_even_depth_graph(g: BipartiteGraph) -> int:
     Every neighbour of a white dot is black, so a white dot that black i
     reaches lies one edge past the nearest member of its class: the largest
     class distance is the largest black-to-white distance less 1, and the
-    even depth is 1 plus that distance, or 2 when no black reaches a white.
+    even depth is 1 plus that distance.
     """
-    return 1 + max(1, *(L - 1 + L % 2 for L in g._far[:g.black_count]))
+    return 1 + max(L - 1 + L % 2 for L in g._far[:g.black_count])
 
 
 def min_hdepth_graph(g: BipartiteGraph) -> int:
@@ -196,7 +166,7 @@ def to_dot(g: BipartiteGraph) -> str:
                      f'fillcolor=black, label=""];')
     for j in range(g.white_count):
         lines.append(f'  w{j + 1} [shape=circle, label=""];')
-    for b, w in sorted(g.edges):
-        lines.append(f"  b{b + 1} -- w{w + 1};")
+    for b, whites in enumerate(g._blacks):
+        lines.extend([f"  b{b + 1} -- w{w + 1};" for w in whites])
     lines.append("}")
     return "\n".join(lines) + "\n"

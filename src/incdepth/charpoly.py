@@ -12,8 +12,8 @@ the least N with det H_(N+1) = 0.
 
 The leading minors det H_N are the pivots of a fraction-free elimination
 (Bareiss, Math. Comp. 1968) over the power sums of the chain
-G^n = G G^(n-1). Up to t = min(exact, r - 1), where exact is the power a
-depth report asks for (0 when none is), each s_n is a trace, read off the
+G^n = G G^(n-1). Up to t = min(exact, r - 1), where exact >= 1 is the
+power a depth report asks for, each s_n is a trace, read off the
 diagonal of G^n as step n forms it; each sum above t is a Frobenius
 product, s_(2n-1) = <G^(n-1), G^n> and s_(2n) = <G^n, G^n>, taken at step
 n. Hankel row m needs s_m, ..., s_2m, so below step t a row waits for its
@@ -24,13 +24,14 @@ its end. Chain and elimination are exact. The count tries a certificate
 once: the minimal polynomial of G is monic in Z[x] (Gauss's lemma), so
 its reduction mod the prime P annihilates G mod P, and the dimension of
 the Krylov space span(v, Gv, G^2 v, ...) mod P is at most k (Wiedemann,
-IEEE Trans. Inf. Theory 1986). A dimension of r proves k = r and ends the count; otherwise
-the same chain goes on exactly. No step is probabilistic and every answer
-is exact.
+IEEE Trans. Inf. Theory 1986). A dimension of r proves k = r and ends the
+count; otherwise the same chain goes on exactly, and the k it finds must
+not be below that dimension. No step is probabilistic and every answer is
+exact.
 
 A depth report also takes the upper rows of G^(a-1) and G^a from this
 chain, for the witness q of depth 2a-1 or 2a, and tries the certificate
-right after that pair, at the end of chain step max(a, 1), unless no
+right after that pair, at the end of chain step a, unless no
 Hankel step is left for it to save. When a = r the chain forms G^r after
 its last Hankel row. Only exactmat knows the layout of the rows it packs.
 """
@@ -40,7 +41,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import mul
 
-from .exactmat import InclusionMatrix, combine, least_q, product, slot_offsets, slots, widen
+from .exactmat import InclusionMatrix, combine, least_q, product, slots, widen
 
 P = (1 << 27) - 79  # the prime of the Krylov certificate
 
@@ -84,21 +85,23 @@ def _krylov_dim(g, p: int) -> int:
 
     The rows of G mod p, the vectors and the echelon basis are packed into
     one int each (exactmat.slots). Each echelon row is kept unscaled, as a
-    reduced vector mod p, with the bit offset of its pivot e
-    (exactmat.slot_offsets) and p - e^-1 mod p. A new vector w is reduced
-    against the basis found so far by w += (c (p - e^-1) mod p) * row, where
-    c is w's slot at the row's pivot. The vector after w is G times the
-    reduced w, not G times w: the two differ by G times a vector of the span
-    so far, which the next span holds, so every span is the same, and the
-    zeros of the reduced w at the pivots skip rows of G. G is symmetric, so
-    Gu is the sum of u_k times packed row k, whose slots stay below r p^2;
-    the reduction adds less than r p^2 more, and 2 r p^2
+    reduced vector mod p, with the bit offset of its pivot e, its lowest
+    nonzero slot, and p - e^-1 mod p. A new vector w is reduced against the
+    basis found so far by w += (c (p - e^-1) mod p) * row, where c is w's
+    slot at the row's pivot, so a reduced vector is zero at every pivot so
+    far and any nonzero slot of it is a new pivot. The vector after w is G
+    times the reduced w, not G times w: the two differ by G times a vector
+    of the span so far, which the next span holds, so every span is the
+    same, and the zeros of the reduced w at the pivots skip rows of G. G is
+    symmetric, so Gu is the sum of u_k times packed row k, whose slots stay
+    below r p^2; the reduction adds less than r p^2 more, and 2 r p^2
     < 2^(2 bits(p) + bits(r) + 1), so nothing carries. The count takes at
     most r matrix-vector products.
     """
     r = len(g)
     width, pack, unpack = slots(2 * p.bit_length() + r.bit_length() + 1, r)
-    offsets, mask = slot_offsets(width, r), (1 << 8 * width) - 1
+    bits = 8 * width
+    mask = (1 << bits) - 1
     rows = [pack([x % p for x in row]) for row in g]
     basis = []  # (pivot's bit offset, p - pivot^-1 mod p, packed row mod p)
     w = pack(range(1, r + 1))
@@ -108,26 +111,28 @@ def _krylov_dim(g, p: int) -> int:
             if c:
                 w += c * row
         v = [x % p for x in unpack(w)]
-        col = next((j for j, x in enumerate(v) if x), None)
-        if col is None:
+        u = pack(v)
+        if not u:
             break
-        basis.append((offsets[col], p - pow(v[col], -1, p), pack(v)))
+        at = ((u & -u).bit_length() - 1) // bits * bits  # the lowest nonzero slot
+        basis.append((at, p - pow(u >> at & mask, -1, p), u))
         w = combine([v], rows)[0]
     return len(basis)
 
 
-def _hankel_rank(g, exact: int = 0):
+def _hankel_rank(g, exact: int):
     """(k, powers) for the nonnegative symmetric rows g of G, such as M M^t.
 
     k is the least N with det H_(N+1) = 0. powers is the upper rows of
     G^(exact-1) and G^exact once the chain has formed G^exact, which it
     does whenever 1 <= exact <= k, and None otherwise. With
-    t = min(exact, r - 1), s_1, ..., s_t are the traces of G, ..., G^t, and only the sums above t
-    are Frobenius products. Hankel rows below t are eliminated once their
-    sums are known, and all rows through t by the end of step t. The
-    Krylov certificate is tried once, at the end of step max(exact, 1),
-    unless that is step r - 1 or later and no Hankel step is left for it
-    to save.
+    t = min(exact, r - 1), s_1, ..., s_t are the traces of G, ..., G^t, and
+    only the sums above t are Frobenius products. Hankel rows below t are
+    eliminated once their sums are known, and all rows through t by the
+    end of step t. The Krylov certificate is tried once, at the end of step
+    exact, unless that is step r - 1 or later and no Hankel step is left
+    for it to save. Its dimension is at most k, and a k below it raises
+    AssertionError: the chain or the certificate is wrong.
 
     Each step unpacks the upper rows of G^n, from the diagonal on, for its
     sums, for the slot width of the next product and for the witness pair,
@@ -135,7 +140,7 @@ def _hankel_rank(g, exact: int = 0):
     """
     r = len(g)
     top = min(exact, r - 1)  # s_1, ..., s_top are traces
-    check = max(exact, 1)  # the step that tries the Krylov certificate
+    dim = 0  # the Krylov certificate's dimension, once it is tried
     head = r.bit_length() + max(map(max, g)).bit_length()  # G's share of product's bound
     low = [[1] + [0] * (r - 1 - i) for i in range(r)]  # the upper rows of G^(n-1)
     upper = [row[i:] for i, row in enumerate(g)]  # and of G^n
@@ -170,9 +175,13 @@ def _hankel_rank(g, exact: int = 0):
         while 2 * len(pivots) <= known:
             m = len(pivots)
             if not _eliminate(sums[m:2 * m + 1], pivots, rows):
+                if m < dim:  # explicit, so the check also runs under python -O
+                    raise AssertionError(f"Krylov dimension {dim} exceeds k = {m}")
                 return m, powers if m >= exact else None
-        if n == check < r - 1 and _krylov_dim(g, P) == r:
-            return r, powers
+        if n == exact < r - 1:
+            dim = _krylov_dim(g, P)
+            if dim == r:
+                return r, powers
     return r, powers
 
 

@@ -127,7 +127,7 @@ def _read_matrix_text(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
     try:
-        return Path(source).read_text()
+        return Path(source).read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixError(f"cannot read {source}: {exc}") from None
 
@@ -189,7 +189,7 @@ def cmd_graph(args) -> int:
             sys.stdout.write(dot)
         else:
             try:
-                Path(args.dot).write_text(dot)
+                Path(args.dot).write_text(dot, encoding="utf-8")
             except OSError as exc:
                 raise MatrixError(f"cannot write {args.dot}: {exc}") from None
     _emit(values, args.json)

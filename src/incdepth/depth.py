@@ -160,7 +160,7 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     s = _select_or(col_bits, m.support)
     d_t = _stabilize(s, (_identity(m.cols), supp_t))
     d_h = _odd_depth(s)
-    graph = bigraph.from_walk(row_bits, col_bits, m.support, supp_t)
+    graph = bigraph.BipartiteGraph(row_bits, col_bits, m.support, supp_t)
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)
     graph_h = bigraph.min_hdepth_graph(graph)

@@ -5,7 +5,7 @@ bitsets: one int per row, with bit j set when entry j of the row is
 nonzero. set_bits walks the set bits of one row, and walk_support walks
 every row once, forming the transposed support in the same pass. Products
 pack a row into one int, one slot per entry; only this module knows that
-layout, on either byte order (slots, widen and slot_offsets).
+layout, on either byte order (slots and widen).
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -161,14 +161,6 @@ def widen(packed, old: int, new: int, count: int) -> list[int]:
         out[b::new] = data[b::old]
     size, view = new * count, memoryview(out)
     return [int.from_bytes(view[i:i + size], "little") for i in range(0, len(out), size)]
-
-
-def slot_offsets(width: int, count: int) -> range:
-    """Bit offset of each slot of count slots of width bytes: slot j of packed
-    is packed >> offsets[j] & (2^(8 width) - 1). Slot 0 is the int's low end
-    on a little-endian host and its high end on a big-endian one."""
-    offsets = range(0, 8 * width * count, 8 * width)
-    return offsets if byteorder == "little" else offsets[::-1]
 
 
 def product(a, b) -> list[tuple[int, ...]]:

@@ -151,7 +151,7 @@ def minpoly_degree(sym: IntMatrix) -> int:
         raise MatrixError("minimal polynomial degree needs a symmetric matrix")
     if min(map(min, sym.entries)) < 0:
         raise MatrixError("minimal polynomial degree needs a nonnegative matrix")
-    return charpoly._hankel_rank(sym.entries)[0]
+    return charpoly._hankel_rank(sym.entries, 1)[0]
 
 
 def krylov_dim_reference(g, p: int) -> int:

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from incdepth import (BipartiteGraph, InclusionMatrix, MatrixError, branching_matrix,
-                      build_graph, min_depth, min_even_depth_graph, min_hdepth,
-                      min_hdepth_graph, min_odd_depth_graph, to_dot,
-                      tower_matrix)
-from incdepth.bigraph import black_diameter, from_walk
-from incdepth.exactmat import walk_support
+from incdepth import (BipartiteGraph, InclusionMatrix, branching_matrix, build_graph,
+                      min_depth, min_even_depth_graph, min_hdepth, min_hdepth_graph,
+                      min_odd_depth_graph, to_dot, tower_matrix)
+from incdepth.bigraph import black_diameter
 
-from _oracles import (bfs_distances, block_diagonal, dense_rows, graph_depths_by_pairs,
-                      identity, min_even_depth_merged, random_inclusion)
+from _oracles import (all_binary_inclusions, bfs_distances, block_diagonal, dense_rows,
+                      graph_depths_by_pairs, identity, min_even_depth_merged,
+                      random_inclusion)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 C2M2 = InclusionMatrix([[1], [1]])
@@ -20,6 +19,12 @@ IDENT2 = InclusionMatrix(identity(2))
 def nonzero_cells(m):
     return [(i, j) for i, row in enumerate(m.matrix.entries)
             for j, e in enumerate(row) if e > 0]
+
+
+def eccentricities(g):
+    """Each dot's largest distance to a dot of its component, by a queue BFS
+    over g.edges from every dot."""
+    return [max(bfs_distances(g, v)) for v in range(g.black_count + g.white_count)]
 
 
 def test_build_graph_edges_are_support():
@@ -44,9 +49,9 @@ def test_build_graph_small_cases():
                                   "1x70", "70x1", *(f"identity {n}" for n in (1, 64, 65)),
                                   *(f"S_{k} <= S_9" for k in range(1, 9))])
 def test_build_graph_equals_checked_constructor(name):
-    # build_graph skips the constructor's edge checks; the graph it builds
-    # from the walk of the support, eccentricities included, is the one the
-    # checked constructor builds from the positive entries
+    # the graph that build_graph makes from the walk of the support is
+    # checked against the matrix: its edges are the positive entries, and
+    # each dot's eccentricity is that of a queue BFS over those edges
     if name.endswith("<= S_9"):
         m = tower_matrix(int(name[2]), 9)
     elif name.startswith("S_"):
@@ -59,93 +64,83 @@ def test_build_graph_equals_checked_constructor(name):
         m = InclusionMatrix(identity(int(name[9:])))
     else:
         m = InclusionMatrix([[1] * 70] if name == "1x70" else [[1]] * 70)
-    g, checked = build_graph(m), BipartiteGraph(m.rows, m.cols, nonzero_cells(m))
+    g = build_graph(m)
     assert type(g) is BipartiteGraph
-    assert g == checked and hash(g) == hash(checked) and g._far == checked._far
+    assert (g.black_count, g.white_count) == (m.rows, m.cols)
+    assert g.edges == frozenset(nonzero_cells(m))
+    assert list(g._far) == eccentricities(g)
 
 
-def test_edge_range_validated():
-    with pytest.raises(MatrixError, match="out of range"):
-        BipartiteGraph(1, 1, [(0, 1)])
-
-
-@pytest.mark.parametrize("edge", [(0.9, 1.7), ("1", "0"), (1.0, 0), (0, None)])
-def test_edges_must_be_integers(edge):
-    # no coercion: int(0.9), int("1") and int(1.0) would name valid dots
-    with pytest.raises(MatrixError, match="not a pair of integers"):
-        BipartiteGraph(2, 2, [(0, 0), edge])
-
-
-@pytest.mark.parametrize("counts", [(2.5, 1), (1, 2.5), ("2", 1), (1.0, 1), (1, None)])
-def test_dot_counts_must_be_integers(counts):
-    with pytest.raises(MatrixError, match="not integers"):
-        BipartiteGraph(*counts, [])
-
-
-def small_graphs():
-    """Every edge set on 1-3 blacks and 1-4 whites, isolated dots included,
-    then 2000 seeded graphs up to 9 x 9 at random densities."""
-    for r in range(1, 4):
-        for s in range(1, 5):
-            cells = [(b, w) for b in range(r) for w in range(s)]
-            for mask in range(1 << len(cells)):
-                yield BipartiteGraph(
-                    r, s, [e for k, e in enumerate(cells) if mask >> k & 1])
+def small_inclusions():
+    """Every 0/1 inclusion matrix up to 3 x 4, then 2000 seeded 0/1 ones up
+    to 9 x 9 at random densities, each zero row and column patched with a 1
+    at a random place."""
+    yield from all_binary_inclusions(3, 4)
     rng = random.Random(23)
     for _ in range(2000):
         r, s = rng.randint(1, 9), rng.randint(1, 9)
         density = rng.random()
-        yield BipartiteGraph(r, s, [(b, w) for b in range(r) for w in range(s)
-                                    if rng.random() < density])
+        cells = [[int(rng.random() < density) for _ in range(s)] for _ in range(r)]
+        for row in cells:
+            if not any(row):
+                row[rng.randrange(s)] = 1
+        for j in range(s):
+            if not any(row[j] for row in cells):
+                cells[rng.randrange(r)][j] = 1
+        yield InclusionMatrix(cells)
 
 
-def walked(g):
-    """The graph from_walk builds from the walk of g's support."""
-    support = [0] * g.black_count
-    for b, w in g.edges:
-        support[b] |= 1 << w
-    row_bits, col_bits, supp_t = walk_support(tuple(support), g.white_count)
-    return from_walk(row_bits, col_bits, tuple(support), supp_t)
+def small_graphs():
+    return map(build_graph, small_inclusions())
 
 
 def eccentricity_cases():
-    """(name, graph) from the checked constructor: every small graph, the
-    towers S_(n-1) <= S_n for n <= 16, two disconnected block-diagonal
-    graphs, whose balls never fill, and seeded dense 40 x 60 graphs, whose
-    balls all fill by round 3."""
-    for k, g in enumerate(small_graphs()):
-        yield f"small {k}", g
-    matrices = [(f"S_{n - 1} <= S_{n}", tower_matrix(n - 1, n)) for n in range(2, 17)]
-    matrices += [("block diagonal 3x4", InclusionMatrix([[1, 1, 0, 0], [0, 1, 0, 0],
-                                                        [0, 0, 1, 1]])),
-                 ("block diagonal", block_diagonal(S3S4, S3S4.transposed(), C2M2))]
-    matrices += [(f"dense {seed}", InclusionMatrix(dense_rows(random.Random(seed), 40)))
-                 for seed in range(3)]
-    for name, m in matrices:
-        yield name, BipartiteGraph(m.rows, m.cols, nonzero_cells(m))
+    """(name, matrix): every small inclusion, the towers S_(n-1) <= S_n for
+    n <= 16, two disconnected block-diagonal matrices, whose balls never
+    fill, and seeded dense 40 x 60 matrices, whose balls all fill by
+    round 3."""
+    for k, m in enumerate(small_inclusions()):
+        yield f"small {k}", m
+    yield from ((f"S_{n - 1} <= S_{n}", tower_matrix(n - 1, n)) for n in range(2, 17))
+    yield "block diagonal 3x4", InclusionMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    yield "block diagonal", block_diagonal(S3S4, S3S4.transposed(), C2M2)
+    yield from ((f"dense {seed}", InclusionMatrix(dense_rows(random.Random(seed), 40)))
+                for seed in range(3))
 
 
 def test_each_dot_far_is_its_eccentricity():
     # the BFS's eccentricity of every dot, not only the extremal ones that
-    # the diameters read, through the checked constructor and from_walk
-    for name, g in eccentricity_cases():
-        far = [max(bfs_distances(g, v)) for v in range(g.black_count + g.white_count)]
-        assert list(g._far) == far, name
-        assert list(walked(g)._far) == far, name
+    # the diameters read, on a graph whose edges are the positive entries
+    for name, m in eccentricity_cases():
+        g = build_graph(m)
+        assert g.edges == frozenset(nonzero_cells(m)), name
+        assert list(g._far) == eccentricities(g), name
+
+
+def dot_text(r, s, cells):
+    """The DOT text of a graph: its dots in index order, then its edges in
+    sorted order."""
+    return "".join(["graph inclusion {\n",
+                    *(f'  b{i + 1} [shape=circle, style=filled, fillcolor=black, label=""];\n'
+                      for i in range(r)),
+                    *(f'  w{j + 1} [shape=circle, label=""];\n' for j in range(s)),
+                    *(f"  b{b + 1} -- w{w + 1};\n" for b, w in sorted(cells)), "}\n"])
 
 
 def test_edge_set_formed_on_demand_matches_checked_constructor():
     # build_graph keeps only the adjacency lists of its walk; the edge set,
-    # hash, repr and DOT text formed from them are the checked graph's
+    # equality, hash, repr and DOT text formed from them are those of the
+    # positive entries
     rng = random.Random(29)
     matrices = [tower_matrix(k, n) for n in range(2, 13) for k in range(1, n)]
     matrices += [random_inclusion(rng, max_dim=9) for _ in range(200)]
     for m in matrices:
-        g, checked = build_graph(m), BipartiteGraph(m.rows, m.cols, nonzero_cells(m))
-        assert g.edges == checked.edges == frozenset(nonzero_cells(m))
-        assert hash(g) == hash(checked)
-        assert repr(g) == repr(checked)
-        assert to_dot(g) == to_dot(checked)
+        g, cells = build_graph(m), sorted(nonzero_cells(m))
+        assert g.edges == frozenset(cells)
+        assert g == build_graph(InclusionMatrix(m.matrix.entries))
+        assert hash(g) == hash((m.rows, m.cols, frozenset(cells)))
+        assert repr(g) == f"BipartiteGraph({m.rows}, {m.cols}, {cells!r})"
+        assert to_dot(g) == dot_text(m.rows, m.cols, cells)
 
 
 def graph_values(g):

@@ -4,8 +4,9 @@ from sys import byteorder
 import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
-                      min_depth, tower_matrix)
+                      min_depth, render_matrix, tower_matrix)
 from incdepth import charpoly, exactmat
+from incdepth.cli import main
 from incdepth.exactmat import slots, widen
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
@@ -294,8 +295,8 @@ class TestModularPath:
         return count(*args), products, dims, before
 
     def test_certificate_ends_the_count_at_step_one(self, monkeypatch):
-        # with no witness asked for, the certificate comes at the end of
-        # step 1, before any product, and proves k = r on both dense grams
+        # with the witness pair I, G asked for, the certificate comes at the
+        # end of step 1, before any product, and proves k = r on both dense grams
         grams = [_dense_gram(seed) for seed in (0, 1)]
 
         def count():
@@ -337,8 +338,22 @@ class TestModularPath:
         k, products, dims, before = self.spy(monkeypatch, minpoly_degree, gram)
         assert (gram.rows, k, *dims) == want
         assert len(products) == k - 1 <= gram.rows - 1
-        # the one certificate came at step max(exact, 1) = 1, before any product
+        # the one certificate came at step exact = 1, before any product
         assert before == [0]
+
+    def test_dimension_above_k_raises(self, monkeypatch, tmp_path, capsys):
+        # on S_12 <= S_18 the certificate misses (k = 12 < r = 77) and the
+        # chain counts on to k; a dimension of k + 1 means a bug, which the
+        # count raises, and the CLI reports as an internal error
+        m = tower_matrix(12, 18)
+        monkeypatch.setattr(charpoly, "_krylov_dim", lambda g, p: 13)
+        with pytest.raises(AssertionError, match="Krylov dimension 13 exceeds k = 12"):
+            charpoly.bound_and_witness(m, min_depth(m))
+        path = tmp_path / "tower.mat"
+        path.write_text(render_matrix(m), encoding="utf-8")
+        assert main(["compute", "--matrix", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: Krylov dimension 13 exceeds k = 12\n")
 
 
 def _upper(power):

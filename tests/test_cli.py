@@ -181,6 +181,25 @@ class TestComputeCommand:
         assert "depth: 2" in proc.stdout
         assert proc.stderr == ""
 
+    def test_files_use_utf8_not_the_locale_encoding(self, tmp_path, capsys):
+        # a matrix file read and a DOT file written with the locale's
+        # default encoding each raise EncodingWarning under these flags
+        import subprocess
+        fixture = fixture_path("s3s4.mat")
+        dot = tmp_path / "x.dot"
+        for argv, stdin in ((["compute", "--matrix", str(fixture)], None),
+                            (["graph", "--matrix", "-", "--dot", str(dot)],
+                             fixture.read_bytes())):
+            plain, strict = (subprocess.run(
+                [sys.executable, *flags, "-m", "incdepth", *argv], input=stdin,
+                capture_output=True, env=_subprocess_env())
+                for flags in ([], ["-X", "warn_default_encoding", "-W", "error"]))
+            assert (strict.returncode, strict.stderr) == (0, b""), strict.stderr
+            assert strict.stdout == plain.stdout, argv
+        # the DOT file holds the text that --dot - prints before the values
+        assert main(["graph", "--matrix", str(fixture), "--dot", "-"]) == 0
+        assert capsys.readouterr().out.startswith(dot.read_text(encoding="utf-8"))
+
     def test_invariant_checks_survive_optimize_flag(self):
         # python -O strips assert statements; the report's checks must stay:
         # a missing witness, and a depth past the spectral bound, each exit 3

@@ -4,9 +4,9 @@ from math import comb
 
 import pytest
 
-from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
-                      branching_matrix, build_graph, depth_report, dominance_q, fixture_path,
-                      min_depth, min_even_depth_graph, min_hdepth, min_hdepth_graph,
+from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
+                      build_graph, depth_report, dominance_q, fixture_path, min_depth,
+                      min_even_depth_graph, min_hdepth, min_hdepth_graph,
                       min_odd_depth_graph, min_odd_depth_symmetric, parse_matrix,
                       tower_matrix)
 from incdepth import depth, exactmat
@@ -452,14 +452,13 @@ def test_report_shares_one_transposed_support():
     # what the public function gives on its own, with d(M^t) from a support
     # validated afresh off the transposed entries, and what the
     # right-multiplied chains of the oracle give. Its graph values must be
-    # those of the checked constructor on the positive entries.
+    # those of build_graph, which makes its own walk.
     count = 0
     for m in shared_support_inclusions():
         rep = depth_report(m)
         want = (min_depth(m.transposed()), min_hdepth(m))
         assert (rep.depth_transpose, rep.h_depth) == want == right_chain_depths(m)[1:3], m
-        graph = BipartiteGraph(m.rows, m.cols, [
-            (i, j) for i, row in enumerate(m.matrix.entries) for j, e in enumerate(row) if e])
+        graph = build_graph(m)
         assert (rep.min_odd_depth, rep.min_even_depth) == (
             min_odd_depth_graph(graph), min_even_depth_graph(graph)), m
         assert rep.methods_agree["graph_hdepth"] == (rep.h_depth == min_hdepth_graph(graph))
