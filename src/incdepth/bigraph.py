@@ -16,13 +16,13 @@ Diameters are taken over pairs inside a common connected component;
 unreachable pairs impose no constraint (this is what agreement with the
 matrix method forces on block-diagonal inputs).
 
-A graph has one constructor, which takes the walk of an inclusion
-matrix's support (exactmat.walk_support): for each black the whites it
-touches and for each white the blacks, each list ascending, and the same
-lists as the bitsets supp(M) and supp(M^t). A depth report reads the same
-walk for its support chains. An inclusion matrix has no zero row or
-column, so every dot has a neighbour. The graph keeps the black lists, and
-its edge set and DOT text are formed from them only when asked for. All
+A graph has one constructor, which takes an inclusion matrix and reads
+the walk of its support that the matrix keeps: for each black the whites
+it touches and for each white the blacks, each ascending, and the same
+sets as the bitsets supp(M) and supp(M^t). A depth report's support chains
+read the same walk. An inclusion matrix has no zero row or column, so
+every dot has a neighbour. The graph keeps the black lists, and its edge
+set, DOT text and repr are formed from them only when asked for. All
 three values come from each dot's eccentricity, its largest distance to
 any dot of its component, which the graph computes once when it is built
 by a breadth-first search from every dot at once. The search reads its
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 
-from .exactmat import InclusionMatrix, walk_support
+from .exactmat import InclusionMatrix
 
 
 class BipartiteGraph:
@@ -46,14 +46,12 @@ class BipartiteGraph:
 
     __slots__ = ("black_count", "white_count", "_blacks", "_far")
 
-    def __init__(self, blacks, whites, support, supp_t):
-        """The graph of a support from its walk (exactmat.walk_support), and
-        its BFS: black b joins the whites blacks[b], white w the blacks
-        whites[w], each list ascending, and support and supp_t are the same
-        lists as bitsets, white w at bit w of support[b] and black b at bit
-        b of supp_t[w]. The support is an inclusion matrix's, so every dot
-        has a neighbour.
-        """
+    def __init__(self, m: InclusionMatrix):
+        """The graph of m's support, and its BFS, from the walk m keeps:
+        black b joins the whites m.row_bits[b], white w the blacks
+        m.col_bits[w], and m.support and m.supp_t hold the same as bitsets.
+        m has no zero row or column, so every dot has a neighbour."""
+        blacks, whites = m.row_bits, m.col_bits
         r, s = self.black_count, self.white_count = len(blacks), len(whites)
         self._blacks = blacks
         # Bit-parallel BFS from every dot at once: after round k, the ball
@@ -67,8 +65,8 @@ class BipartiteGraph:
         # the dot's eccentricity; a full ball cannot grow, so its dot
         # leaves the BFS in the round it filled.
         full = (1 << (r + s)) - 1
-        black_balls = [1 << b | mask << r for b, mask in enumerate(support)]
-        white_balls = [1 << (r + w) | mask for w, mask in enumerate(supp_t)]
+        black_balls = [1 << b | mask << r for b, mask in enumerate(m.support)]
+        white_balls = [1 << (r + w) | mask for w, mask in enumerate(m.supp_t)]
         black_far, white_far = [1] * r, [1] * s
         growing_b = [b for b in range(r) if black_balls[b] != full]
         growing_w = [w for w in range(s) if white_balls[w] != full]
@@ -97,8 +95,9 @@ class BipartiteGraph:
         return hash((self.black_count, self.white_count, self.edges))
 
     def __repr__(self) -> str:
-        return (f"BipartiteGraph({self.black_count}, {self.white_count}, "
-                f"{sorted(self.edges)!r})")
+        rows = [[int(w in whites) for w in range(self.white_count)]
+                for whites in map(set, self._blacks)]
+        return f"BipartiteGraph(InclusionMatrix({rows!r}))"
 
 
 def _grow(growing, adj, balls, other, far, rounds, full) -> list[int]:
@@ -120,8 +119,7 @@ def _grow(growing, adj, balls, other, far, rounds, full) -> list[int]:
 
 def build_graph(m: InclusionMatrix) -> BipartiteGraph:
     """Incidence graph of an inclusion matrix: edge (i,j) iff entry > 0."""
-    row_bits, col_bits, supp_t = walk_support(m.support, m.cols)
-    return BipartiteGraph(row_bits, col_bits, m.support, supp_t)
+    return BipartiteGraph(m)
 
 
 def black_diameter(g: BipartiteGraph) -> int:

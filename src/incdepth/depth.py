@@ -17,7 +17,8 @@ supp(M^[n-1]) is contained in supp(M^[n+1]) and the dominance inequality
 holds for some q exactly when the two zero patterns coincide. The
 searches below therefore run on supports, tuples of row bitsets whose
 set bits never clear, and exact big-integer powers are only computed
-afterwards to extract the minimal witness q.
+afterwards to extract the minimal witness q. They read the one walk of
+supp(M) that the InclusionMatrix keeps; d(M^t) reads it the other way.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bigraph, charpoly
-from .exactmat import InclusionMatrix, IntMatrix, MatrixError, set_bits, walk_support
+from .exactmat import InclusionMatrix, IntMatrix, MatrixError, set_bits
 
 
 def _select_or(picks, rows) -> list[int]:
@@ -72,10 +73,11 @@ def _stabilize(g, chain) -> int:
     raise AssertionError("support stabilization exceeded its iteration cap")
 
 
-def _depth(m: InclusionMatrix, row_bits, supp_t) -> int:
+def _depth(row_bits, supp_t, support) -> int:
     """d(M) from the walk of supp(M): the even and odd chains from I and
-    supp(M) step together by supp(M M^t), since M^[n+1] = (M M^t) M^[n-1]."""
-    return _stabilize(_select_or(row_bits, supp_t), (_identity(m.rows), m.support))
+    supp(M) step together by supp(M M^t), since M^[n+1] = (M M^t) M^[n-1].
+    The walk read the other way, (col_bits, support, supp_t), gives d(M^t)."""
+    return _stabilize(_select_or(row_bits, supp_t), (_identity(len(support)), support))
 
 
 def _odd_depth(g) -> int:
@@ -86,14 +88,12 @@ def _odd_depth(g) -> int:
 
 def min_depth(m: InclusionMatrix) -> int:
     """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
-    row_bits, _, supp_t = walk_support(m.support, m.cols)
-    return _depth(m, row_bits, supp_t)
+    return _depth(m.row_bits, m.supp_t, m.support)
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
     """Minimum H-depth, the least odd 2n-1 with S^n <= q S^{n-1} for S = M^t M."""
-    _, col_bits, _ = walk_support(m.support, m.cols)
-    return _odd_depth(_select_or(col_bits, m.support))
+    return _odd_depth(_select_or(m.col_bits, m.support))
 
 
 def min_odd_depth_symmetric(sym: IntMatrix) -> int:
@@ -151,16 +151,13 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     bad input. Agreement between the matrix and graph methods, and the parity
     rule tying H-depth to d(M^t), are recorded as flags.
     """
-    # One walk of supp(M) gives supp(M^t) and the set bits of both; they
-    # form supp(M M^t) and S = supp(M^t M) and are the graph's adjacency.
-    row_bits, col_bits, supp_t = walk_support(m.support, m.cols)
-    d = _depth(m, row_bits, supp_t)
-    # d(M^t) and d_H step one S in two separate chains, so the flags and
-    # checks that tie them compare independent results
-    s = _select_or(col_bits, m.support)
-    d_t = _stabilize(s, (_identity(m.cols), supp_t))
-    d_h = _odd_depth(s)
-    graph = bigraph.BipartiteGraph(row_bits, col_bits, m.support, supp_t)
+    d = min_depth(m)
+    # d(M^t) reads the walk of supp(M) the other way. It and d_H step
+    # S = supp(M^t M) in two separate chains, so the flags and checks that
+    # tie them compare independent results
+    d_t = _depth(m.col_bits, m.support, m.supp_t)
+    d_h = min_hdepth(m)
+    graph = bigraph.build_graph(m)
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)
     graph_h = bigraph.min_hdepth_graph(graph)

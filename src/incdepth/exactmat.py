@@ -3,7 +3,8 @@
 A support, the zero pattern of a nonnegative matrix, is a tuple of row
 bitsets: one int per row, with bit j set when entry j of the row is
 nonzero. set_bits walks the set bits of one row, and walk_support walks
-every row once, forming the transposed support in the same pass. Products
+every row once, forming the transposed support in the same pass; an
+InclusionMatrix makes that one walk when it is built, and keeps it. Products
 pack a row into one int, one slot per entry; only this module knows that
 layout, on either byte order (slots and widen).
 
@@ -19,9 +20,8 @@ threads.
 from __future__ import annotations
 
 from array import array
-from functools import reduce
 from itertools import compress, repeat
-from operator import mul, or_
+from operator import mul
 from sys import byteorder
 
 
@@ -206,12 +206,12 @@ def set_bits(mask: int) -> list[int]:
 def walk_support(support, cols: int):
     """(row_bits, col_bits, supp_t): one walk of a support and its transpose.
 
-    row_bits[i] lists the set bits of row i, by set_bits; col_bits[j] lists
-    the rows whose bit j is set, lowest first; supp_t is the transposed
-    support, with cols rows. The same pass over row_bits fills col_bits
+    row_bits[i] is the set bits of row i, by set_bits; col_bits[j] the rows
+    whose bit j is set, lowest first; supp_t the transposed support, with
+    cols rows; all are tuples. The same pass over row_bits fills col_bits
     and supp_t, so each row is walked once and the transpose reads no mask.
     """
-    row_bits = list(map(set_bits, support))
+    row_bits = tuple(map(tuple, map(set_bits, support)))
     col_bits = [[] for _ in range(cols)]
     supp_t = [0] * cols
     for i, bits in enumerate(row_bits):
@@ -219,18 +219,19 @@ def walk_support(support, cols: int):
         for j in bits:
             col_bits[j].append(i)
             supp_t[j] |= bit
-    return row_bits, col_bits, tuple(supp_t)
+    return row_bits, tuple(map(tuple, col_bits)), tuple(supp_t)
 
 
 class InclusionMatrix:
     """Nonnegative integer matrix with no zero row and no zero column.
 
-    `support` is its zero pattern, built and validated once here; the depth
-    searches and the bipartite graph read it instead of the entries.
+    `support` is its zero pattern and `row_bits`, `col_bits` and `supp_t`
+    its one walk (walk_support), built and validated once here; the depth
+    searches and the bipartite graph read them instead of the entries.
     `gram` is the big-integer M M^t, formed on first use and then kept.
     """
 
-    __slots__ = ("matrix", "support", "_gram")
+    __slots__ = ("matrix", "support", "row_bits", "col_bits", "supp_t", "_gram")
 
     def __init__(self, matrix):
         if not isinstance(matrix, IntMatrix):
@@ -239,9 +240,9 @@ class InclusionMatrix:
         if 0 in support:
             i = support.index(0)
             raise MatrixError(f"zero row {i + 1}", row=i)
-        missing = reduce(or_, support) ^ ((1 << matrix.cols) - 1)
-        if missing:
-            raise MatrixError(f"zero column {set_bits(missing)[0] + 1}")
+        self.row_bits, self.col_bits, self.supp_t = walk_support(support, matrix.cols)
+        if 0 in self.supp_t:
+            raise MatrixError(f"zero column {self.supp_t.index(0) + 1}")
         self.matrix = matrix
         self.support = support
         self._gram = None

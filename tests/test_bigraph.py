@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import incdepth
 from incdepth import (BipartiteGraph, InclusionMatrix, branching_matrix, build_graph,
                       min_depth, min_even_depth_graph, min_hdepth, min_hdepth_graph,
                       min_odd_depth_graph, to_dot, tower_matrix)
@@ -128,9 +129,10 @@ def dot_text(r, s, cells):
 
 
 def test_edge_set_formed_on_demand_matches_checked_constructor():
-    # build_graph keeps only the adjacency lists of its walk; the edge set,
-    # equality, hash, repr and DOT text formed from them are those of the
-    # positive entries
+    # build_graph keeps only the adjacency lists of the matrix's walk; the
+    # edge set, equality, hash, repr and DOT text formed from them are those
+    # of the positive entries, and the repr calls the constructor on the
+    # 0/1 support rows
     rng = random.Random(29)
     matrices = [tower_matrix(k, n) for n in range(2, 13) for k in range(1, n)]
     matrices += [random_inclusion(rng, max_dim=9) for _ in range(200)]
@@ -139,8 +141,22 @@ def test_edge_set_formed_on_demand_matches_checked_constructor():
         assert g.edges == frozenset(cells)
         assert g == build_graph(InclusionMatrix(m.matrix.entries))
         assert hash(g) == hash((m.rows, m.cols, frozenset(cells)))
-        assert repr(g) == f"BipartiteGraph({m.rows}, {m.cols}, {cells!r})"
+        rows = [[int(e > 0) for e in row] for row in m.matrix.entries]
+        assert repr(g) == f"BipartiteGraph(InclusionMatrix({rows!r}))"
         assert to_dot(g) == dot_text(m.rows, m.cols, cells)
+
+
+def test_repr_evaluates_to_an_equal_graph():
+    # the repr is the one-argument constructor on an inclusion matrix with
+    # the same support; evaluated in the package's namespace it gives back
+    # the graph
+    count = 0
+    for g in small_graphs():
+        again = eval(repr(g), vars(incdepth))
+        assert type(again) is BipartiteGraph and again == g, repr(g)
+        assert again._far == g._far and to_dot(again) == to_dot(g), repr(g)
+        count += 1
+    assert count == 2000 + sum(1 for _ in all_binary_inclusions(3, 4))
 
 
 def graph_values(g):

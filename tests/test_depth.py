@@ -9,7 +9,7 @@ from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
                       min_even_depth_graph, min_hdepth, min_hdepth_graph,
                       min_odd_depth_graph, min_odd_depth_symmetric, parse_matrix,
                       tower_matrix)
-from incdepth import depth, exactmat
+from incdepth import bigraph, charpoly, depth, exactmat
 from incdepth.depth import _stabilize
 
 from _oracles import (all_binary_inclusions, berkowitz_char_poly, block_diagonal,
@@ -447,12 +447,12 @@ def shared_support_inclusions():
 
 
 def test_report_shares_one_transposed_support():
-    # depth_report walks supp(M) once, and steps d(M^t) and d_H from the
-    # transposed support and the one supp(M^t M) of that walk; each must be
-    # what the public function gives on its own, with d(M^t) from a support
+    # depth_report steps d(M^t) and d_H from the transposed support and the
+    # column lists of the matrix's one walk of supp(M); each must be what
+    # the public function gives on its own, with d(M^t) from a support
     # validated afresh off the transposed entries, and what the
     # right-multiplied chains of the oracle give. Its graph values must be
-    # those of build_graph, which makes its own walk.
+    # those of build_graph, which reads the same walk.
     count = 0
     for m in shared_support_inclusions():
         rep = depth_report(m)
@@ -470,9 +470,10 @@ def test_report_shares_one_transposed_support():
                                InclusionMatrix(dense_rows(random.Random(3), 40))],
                          ids=["S_5 <= S_6", "dense 40x60"])
 def test_report_walks_each_support_once(monkeypatch, m):
-    # one set_bits call per row of supp(M), all in the one walk_support call,
-    # and one per distinct row of the factor each of the three chains steps
-    # by: supp(M M^t) for d(M), and S = supp(M^t M) for d(M^t) and for d_H
+    # building the matrix walks supp(M) once, one set_bits call per row, in
+    # its one walk_support call; a report then makes no walk and calls
+    # set_bits once per distinct row of the factor each of the three chains
+    # steps by: supp(M M^t) for d(M), and S = supp(M^t M) for d(M^t) and d_H
     calls = {"set_bits": 0, "walk_support": 0}
 
     def counted(name, function):
@@ -483,13 +484,18 @@ def test_report_walks_each_support_once(monkeypatch, m):
 
     for name in calls:
         spy = counted(name, getattr(exactmat, name))
-        for module in (exactmat, depth):
-            monkeypatch.setattr(module, name, spy)
-    rep, counts = depth_report(m), dict(calls)
+        for module in (exactmat, depth, bigraph, charpoly):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    fresh = InclusionMatrix(m.matrix)
+    built = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    rep, counts = depth_report(fresh), dict(calls)
     gram = m.gram.support()
     s = (m.matrix.transpose() * m.matrix).support()
-    assert counts == {"set_bits": m.rows + len(set(gram)) + 2 * len(set(s)),
-                      "walk_support": 1}, counts
+    assert built == {"set_bits": m.rows, "walk_support": 1}, built
+    assert counts == {"set_bits": len(set(gram)) + 2 * len(set(s)),
+                      "walk_support": 0}, counts
     assert rep.all_methods_agree()
 
 

@@ -3,14 +3,13 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from incdepth import IntMatrix, MatrixError, dominance_q
+from incdepth import InclusionMatrix, IntMatrix, MatrixError, dominance_q
 from incdepth.depth import _select_or
 from incdepth.exactmat import set_bits, slots, walk_support
 
-from _oracles import (dominance_brute, entrywise_le, identity, naive_multiply,
-                      naive_support_product,
-                      naive_support_transpose, scale, support_as_int_matrix,
-                      support_bits, zero_count)
+from _oracles import (dense_rows, dominance_brute, entrywise_le, identity, naive_multiply,
+                      naive_support_product, naive_support_transpose, random_inclusion,
+                      scale, support_as_int_matrix, support_bits, zero_count)
 
 S3S4 = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 H8_MMT = IntMatrix([[5, 1, 1, 1, 0], [1, 5, 1, 1, 0], [1, 1, 5, 1, 0],
@@ -284,6 +283,18 @@ class TestDominanceOracle:
             dominance_q(IntMatrix(a), IntMatrix(b))
 
 
+def bit_tuples(support):
+    """The set bits of each row of a support, by set_bits, as tuples."""
+    return tuple(tuple(set_bits(mask)) for mask in support)
+
+
+def all_tuples(row_bits, col_bits, *supports):
+    """Whether the set-bit lists of a walk, each list in them, and the
+    supports are all tuples, so the walk an InclusionMatrix keeps is
+    immutable."""
+    return all(type(x) is tuple for x in (row_bits, col_bits, *row_bits, *col_bits, *supports))
+
+
 def bool_product(a, b):
     """supp(A B) by the OR-of-selected-rows step of the support chains."""
     return tuple(_select_or(map(set_bits, a), b))
@@ -314,13 +325,34 @@ class TestBoolMultiply:
     def test_wide_transpose_and_bits_round_trip(self, m):
         s, t = m.support(), m.transpose().support()
         # zero rows and columns, at either end of a 64-bit word, are walked
-        # as empty lists and transposed as zero masks
+        # as empty tuples and transposed as zero masks
         row_bits, col_bits, supp_t = walk_support(s, m.cols)
         assert supp_t == t
-        assert row_bits == list(map(set_bits, s)) and col_bits == list(map(set_bits, t))
+        assert row_bits == bit_tuples(s) and col_bits == bit_tuples(t)
+        assert all_tuples(row_bits, col_bits, supp_t)
         assert naive_support_transpose(s, m.cols) == t
         assert support_bits(s, m.cols) == tuple(tuple(e > 0 for e in row)
                                                 for row in m.entries)
+
+
+def test_inclusion_matrix_keeps_its_walk():
+    # the walk is a property of the matrix: row_bits and col_bits are the
+    # set bits of supp(M) and of the naive transpose, supp_t that transpose,
+    # and the transposed matrix has the same walk read the other way
+    rng = random.Random(31)
+    matrices = [random_inclusion(rng, max_dim=rng.choice((3, 9, 70))) for _ in range(300)]
+    matrices += [InclusionMatrix(dense_rows(random.Random(seed), 40)) for seed in (1, 2)]
+    matrices += [InclusionMatrix(identity(n)) for n in (63, 64, 65)]
+    for m in matrices:
+        t = naive_support_transpose(m.support, m.cols)
+        assert m.supp_t == t, m
+        assert m.row_bits == bit_tuples(m.support) and m.col_bits == bit_tuples(t), m
+        mt = m.transposed()
+        assert (mt.row_bits, mt.col_bits, mt.support, mt.supp_t) == (
+            m.col_bits, m.row_bits, m.supp_t, m.support), m
+        for walk in ((m.row_bits, m.col_bits, m.support, m.supp_t),
+                     (mt.row_bits, mt.col_bits, mt.support, mt.supp_t)):
+            assert all_tuples(*walk), m
 
 
 def _cells(m):
