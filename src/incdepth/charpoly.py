@@ -8,23 +8,25 @@ Hankel matrix H_N = (s_(i+j))_(0 <= i, j < N) of the power sums
 s_n = tr G^n (Hermite's quadratic form; Basu-Pollack-Roy, Algorithms in
 Real Algebraic Geometry, ch. 4). H_N is therefore positive definite for
 N <= k and singular for N = k + 1, whatever the signs of G's entries: k is
-the least N with det H_(N+1) = 0.
+the least N with det H_(N+1) = 0. For G = M M^t, with M r x cols, k is at
+most the ceiling c = min(r, cols + 1): rank G = rank M <= cols, so G has
+at most cols distinct nonzero eigenvalues, and 0 adds at most one more.
 
 The leading minors det H_N are the pivots of a fraction-free elimination
 (Bareiss, Math. Comp. 1968) over the power sums of the chain
-G^n = G G^(n-1). Up to t = min(exact, r - 1), where exact >= 1 is the
+G^n = G G^(n-1). Up to t = min(exact, c - 1), where exact >= 1 is the
 power a depth report asks for, each s_n is a trace, read off the
 diagonal of G^n as step n forms it; each sum above t is a Frobenius
 product, s_(2n-1) = <G^(n-1), G^n> and s_(2n) = <G^n, G^n>, taken at step
 n. Hankel row m needs s_m, ..., s_2m, so below step t a row waits for its
 sums, step t eliminates every row through t, and each step after it one
-row. t is capped at r - 1, the last step that adds a Hankel row
-(det H_(r+1) is always 0), so that every sum that step needs is known by
+row. t is capped at c - 1, the last step that adds a Hankel row
+(det H_(c+1) is always 0), so that every sum that step needs is known by
 its end. Chain and elimination are exact. The count tries a certificate
 once: the minimal polynomial of G is monic in Z[x] (Gauss's lemma), so
 its reduction mod the prime P annihilates G mod P, and the dimension of
 the Krylov space span(v, Gv, G^2 v, ...) mod P is at most k (Wiedemann,
-IEEE Trans. Inf. Theory 1986). A dimension of r proves k = r and ends the
+IEEE Trans. Inf. Theory 1986). A dimension of c proves k = c and ends the
 count; otherwise the same chain goes on exactly, and the k it finds must
 not be below that dimension. No step is probabilistic and every answer is
 exact.
@@ -32,8 +34,10 @@ exact.
 A depth report also takes the upper rows of G^(a-1) and G^a from this
 chain, for the witness q of depth 2a-1 or 2a, and tries the certificate
 right after that pair, at the end of chain step a, unless no
-Hankel step is left for it to save. When a = r the chain forms G^r after
-its last Hankel row. Only exactmat knows the layout of the rows it packs.
+Hankel step is left for it to save. When a = c the chain forms G^c after
+its last Hankel row. So on a tall M, with cols + 1 < r, the chain forms
+no power past G^max(a, cols), and none past G^a when the certificate
+proves k = c. Only exactmat knows the layout of the rows it packs.
 """
 
 from __future__ import annotations
@@ -120,38 +124,42 @@ def _krylov_dim(g, p: int) -> int:
     return len(basis)
 
 
-def _hankel_rank(g, exact: int):
+def _hankel_rank(g, exact: int, ceiling: int):
     """(k, powers) for the nonnegative symmetric rows g of G, such as M M^t.
 
-    k is the least N with det H_(N+1) = 0. powers is the upper rows of
-    G^(exact-1) and G^exact once the chain has formed G^exact, which it
-    does whenever 1 <= exact <= k, and None otherwise. With
-    t = min(exact, r - 1), s_1, ..., s_t are the traces of G, ..., G^t, and
+    k is the least N with det H_(N+1) = 0, and ceiling must bound it: r for
+    any G, cols + 1 for G = M M^t with M of cols columns. The count runs to
+    c = min(r, ceiling), where det H_(c+1) = 0 always. powers is the upper
+    rows of G^(exact-1) and G^exact once the chain has formed G^exact,
+    which it does whenever 1 <= exact <= k, and None otherwise. With
+    t = min(exact, c - 1), s_1, ..., s_t are the traces of G, ..., G^t, and
     only the sums above t are Frobenius products. Hankel rows below t are
     eliminated once their sums are known, and all rows through t by the
     end of step t. The Krylov certificate is tried once, at the end of step
-    exact, unless that is step r - 1 or later and no Hankel step is left
-    for it to save. Its dimension is at most k, and a k below it raises
-    AssertionError: the chain or the certificate is wrong.
+    exact, unless that is step c - 1 or later and no Hankel step is left
+    for it to save; a dimension of c proves k = c. Its dimension is at most
+    k, and a k below it raises AssertionError: the chain or the certificate
+    is wrong.
 
     Each step unpacks the upper rows of G^n, from the diagonal on, for its
     sums, for the slot width of the next product and for the witness pair,
     which is exact as G^n is symmetric.
     """
     r = len(g)
-    top = min(exact, r - 1)  # s_1, ..., s_top are traces
+    c = min(r, ceiling)  # k <= c
+    top = min(exact, c - 1)  # s_1, ..., s_top are traces
     dim = 0  # the Krylov certificate's dimension, once it is tried
     head = r.bit_length() + max(map(max, g)).bit_length()  # G's share of product's bound
     low = [[1] + [0] * (r - 1 - i) for i in range(r)]  # the upper rows of G^(n-1)
     upper = [row[i:] for i, row in enumerate(g)]  # and of G^n
     width, packed = 0, None  # the slot width and the packed rows of G^n, from n = 2 on
     powers = None  # the upper rows of G^(exact-1) and G^exact, once formed
-    sums = [r] + [None] * (2 * r - 2)  # s_0, ..., s_(2r-2), each set once known
+    sums = [r] + [None] * (2 * c - 2)  # s_0, ..., s_(2c-2), each set once known
     pivots = [r]  # det H_1, ..., det H_(m+1) for the rows eliminated so far
     rows = [[r]]  # pivot row k after k elimination steps, from column k on
-    # Steps 1..r-1 add Hankel rows; det H_(r+1) = 0 always, so step r only
-    # forms G^r, when it is asked for.
-    for n in range(1, max(r, exact + 1)):
+    # Steps 1..c-1 add Hankel rows; det H_(c+1) = 0 always, so step c only
+    # forms G^c, when it is asked for.
+    for n in range(1, max(c, exact + 1)):
         if n > 1:
             # G^n = G G^(n-1) by product's kernel; the sums that formed G^(n-1)
             # are its packed rows, widened byte by byte when the slots grow
@@ -163,7 +171,7 @@ def _hankel_rank(g, exact: int):
             low, upper = upper, [unpack(x, i) for i, x in enumerate(packed)]
         if n == exact:
             powers = [low, upper]
-        if n == r:
+        if n == c:
             break
         if n <= top:
             sums[n] = sum([x[0] for x in upper])
@@ -178,11 +186,11 @@ def _hankel_rank(g, exact: int):
                 if m < dim:  # explicit, so the check also runs under python -O
                     raise AssertionError(f"Krylov dimension {dim} exceeds k = {m}")
                 return m, powers if m >= exact else None
-        if n == exact < r - 1:
+        if n == exact < c - 1:
             dim = _krylov_dim(g, P)
-            if dim == r:
-                return r, powers
-    return r, powers
+            if dim == c:
+                return c, powers
+    return c, powers
 
 
 def bound_and_witness(m: InclusionMatrix, d: int):
@@ -196,7 +204,7 @@ def bound_and_witness(m: InclusionMatrix, d: int):
     whenever d is within the bound; past the bound the chain may stop short
     of G^a, and q is None.
     """
-    k, powers = _hankel_rank(m.gram.entries, (d + 1) // 2)
+    k, powers = _hankel_rank(m.gram.entries, (d + 1) // 2, m.cols + 1)
     if powers is None:
         return 2 * k - 1, None
     if d % 2 == 0:  # row i of a power is, by symmetry, column i of its upper

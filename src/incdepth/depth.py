@@ -73,11 +73,11 @@ def _stabilize(g, chain) -> int:
     raise AssertionError("support stabilization exceeded its iteration cap")
 
 
-def _depth(row_bits, supp_t, support) -> int:
-    """d(M) from the walk of supp(M): the even and odd chains from I and
-    supp(M) step together by supp(M M^t), since M^[n+1] = (M M^t) M^[n-1].
-    The walk read the other way, (col_bits, support, supp_t), gives d(M^t)."""
-    return _stabilize(_select_or(row_bits, supp_t), (_identity(len(support)), support))
+def _depth(factor, support) -> int:
+    """d(M) from supp(M) and factor = supp(M M^t): the even and odd chains
+    from I and supp(M) step together by the factor, since
+    M^[n+1] = (M M^t) M^[n-1]. supp(M^t) and supp(M^t M) give d(M^t)."""
+    return _stabilize(factor, (_identity(len(support)), support))
 
 
 def _odd_depth(g) -> int:
@@ -88,7 +88,7 @@ def _odd_depth(g) -> int:
 
 def min_depth(m: InclusionMatrix) -> int:
     """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
-    return _depth(m.row_bits, m.supp_t, m.support)
+    return _depth(_select_or(m.row_bits, m.supp_t), m.support)
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
@@ -152,11 +152,12 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     rule tying H-depth to d(M^t), are recorded as flags.
     """
     d = min_depth(m)
-    # d(M^t) reads the walk of supp(M) the other way. It and d_H step
-    # S = supp(M^t M) in two separate chains, so the flags and checks that
-    # tie them compare independent results
-    d_t = _depth(m.col_bits, m.support, m.supp_t)
-    d_h = min_hdepth(m)
+    # S = supp(M^t M) is formed once, from the walk of supp(M) read the
+    # other way. d(M^t) and d_H step it in two separate chains, so the flags
+    # and checks that tie them compare independent results
+    s = _select_or(m.col_bits, m.support)
+    d_t = _depth(s, m.supp_t)
+    d_h = _odd_depth(s)
     graph = bigraph.build_graph(m)
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)

@@ -263,7 +263,13 @@ class InclusionMatrix:
         return self._gram
 
     def transposed(self) -> "InclusionMatrix":
-        return InclusionMatrix(self.matrix.transpose())
+        """M^t, with this matrix's walk read the other way: no second check or walk."""
+        t = object.__new__(InclusionMatrix)
+        t.matrix = self.matrix.transpose()
+        t.support, t.supp_t = self.supp_t, self.support
+        t.row_bits, t.col_bits = self.col_bits, self.row_bits
+        t._gram = None
+        return t
 
     def __eq__(self, other) -> bool:
         return isinstance(other, InclusionMatrix) and self.matrix == other.matrix

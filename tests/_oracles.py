@@ -151,7 +151,7 @@ def minpoly_degree(sym: IntMatrix) -> int:
         raise MatrixError("minimal polynomial degree needs a symmetric matrix")
     if min(map(min, sym.entries)) < 0:
         raise MatrixError("minimal polynomial degree needs a nonnegative matrix")
-    return charpoly._hankel_rank(sym.entries, 1)[0]
+    return charpoly._hankel_rank(sym.entries, 1, sym.rows)[0]
 
 
 def krylov_dim_reference(g, p: int) -> int:
@@ -604,10 +604,10 @@ def block_diagonal(*blocks) -> InclusionMatrix:
     return InclusionMatrix(cells)
 
 
-def random_inclusion(rng, max_dim=6, max_entry=3) -> InclusionMatrix:
-    """Random valid inclusion matrix; zero rows/columns are patched, not resampled."""
-    r = rng.randint(1, max_dim)
-    s = rng.randint(1, max_dim)
+def random_inclusion(rng, max_dim=6, max_entry=3, shape=None) -> InclusionMatrix:
+    """Random valid inclusion matrix, r x s = shape or each up to max_dim;
+    zero rows/columns are patched, not resampled."""
+    r, s = shape or (rng.randint(1, max_dim), rng.randint(1, max_dim))
     cells = [[rng.randint(0, max_entry) for _ in range(s)] for _ in range(r)]
     for i in range(r):
         if not any(cells[i]):

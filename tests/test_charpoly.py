@@ -460,7 +460,7 @@ class TestFrobeniusSums:
         for exact in sorted({0, 1, k // 2, k}):
             for seen in spied:
                 seen.clear()
-            found, witness = charpoly._hankel_rank(gram, exact)
+            found, witness = charpoly._hankel_rank(gram, exact, r)
             assert found == k
             _check_sums(gram, exact, last, pairs, sums, want)
             # products G^2, ..., G^max(last, exact), each unpacked from its
@@ -516,7 +516,7 @@ class TestCarriedChain:
     def test_every_power_matches_the_oracle(self, monkeypatch, name):
         gram, exact, last, widths = self.source(name)
         pairs, sums, products, _ = _spy_chain(monkeypatch)
-        k, witness = charpoly._hankel_rank(gram, exact)
+        k, witness = charpoly._hankel_rank(gram, exact, len(gram))
         r = len(gram)
         last = last or min(k, r - 1)
         want = naive_powers(gram, max(last, exact))
@@ -550,7 +550,7 @@ class TestExactPower:
             k = minpoly_degree(m)
             want = naive_powers(g, k)
             for exact in range(r + 3):
-                found, witness = charpoly._hankel_rank(g, exact)
+                found, witness = charpoly._hankel_rank(g, exact, r)
                 assert found == k, (m, exact)
                 if 1 <= exact <= k:
                     assert _same_pair(witness, want, exact), (m, exact)
@@ -561,12 +561,92 @@ class TestExactPower:
         # eigenvalues 1 and 3 twice each: a cap of the traces at exact = r
         # instead of r - 1 left s_r unset, and a prototype counted k = 4
         block = IntMatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])
-        assert charpoly._hankel_rank(block.entries, 4) == (2, None)
+        assert charpoly._hankel_rank(block.entries, 4, 4) == (2, None)
         # S_2 <= S_3: d = 3, so a = k = r = 2, and the chain forms G^2 = G G
         # after its one Hankel step
         m = branching_matrix(3)
         assert (m.rows, minpoly_degree(m.gram), min_depth(m)) == (2, 2, 3)
         assert charpoly.bound_and_witness(m, 3) == (3, has_depth(m, 3))
+
+
+def _tall_inclusions():
+    """Two seeded inclusion matrices, entries 0..3, of each shape with
+    3 <= rows <= 12 and cols <= rows - 2: the rank of M M^t is at most
+    cols, so its ceiling cols + 1 is below r."""
+    rng = random.Random(26)
+    for rows in range(3, 13):
+        for cols in range(1, rows - 1):
+            for _ in range(2):
+                yield random_inclusion(rng, shape=(rows, cols))
+
+
+def _tower_transposes():
+    """M^t for every tower M of S_k <= S_n with n <= 10."""
+    for n in range(2, 11):
+        for k in range(1, n):
+            yield tower_matrix(k, n).transposed()
+
+
+class TestRankCeiling:
+    """k <= c = min(r, cols + 1) for G = M M^t, as rank G = rank M <= cols
+    and 0 adds at most one more distinct eigenvalue. bound_and_witness
+    passes cols + 1 as the count's ceiling, so on a tall M (cols + 1 < r)
+    the count ends by step max(a, cols), or at the certificate when it
+    proves k = c. Its k must be the Berkowitz and Z[x] remainder degree,
+    which does not call the count, and the count without the ceiling must
+    give the same (k, powers)."""
+
+    @pytest.mark.parametrize("source", ["tall", "tower transposes",
+                                        "dense 1 transposed", "dense 2 transposed"])
+    def test_k_matches_berkowitz(self, source):
+        if source == "tall":
+            matrices = list(_tall_inclusions())
+        elif source == "tower transposes":
+            matrices = list(_tower_transposes())
+        else:  # 60x40, rank 40, so k = c = 41
+            seed = int(source.split()[1])
+            matrices = [InclusionMatrix(dense_rows(random.Random(seed), 40)).transposed()]
+        at_ceiling = 0
+        for m in matrices:
+            k = _prs_squarefree_degree(berkowitz_char_poly(m.gram))
+            d = min_depth(m)
+            assert charpoly.bound_and_witness(m, d) == (2 * k - 1, has_depth(m, d)), m
+            assert k <= min(m.rows, m.cols + 1), m
+            at_ceiling += k == m.cols + 1 < m.rows
+        # every seeded tall matrix reaches the ceiling. M^t M has the j
+        # distinct eigenvalues of M M^t and 0 on the transpose of
+        # S_j <= S_n (_oracles.tower_spectrum), which reaches it when
+        # j = p(j), that is j <= 3, and p(n) > p(j) + 1
+        assert at_ceiling == {"tall": 110, "tower transposes": 22}.get(source, 1)
+
+    @pytest.mark.parametrize("source", ["tall", "tower transposes"])
+    def test_same_count_without_the_ceiling(self, source):
+        matrices = _tall_inclusions() if source == "tall" else _tower_transposes()
+        for m in matrices:
+            g = m.gram.entries
+            k = charpoly._hankel_rank(g, 1, m.rows)[0]
+            for exact in range(k + 2):
+                assert (charpoly._hankel_rank(g, exact, m.cols + 1)
+                        == charpoly._hankel_rank(g, exact, m.rows)), (m, exact)
+
+    def test_generic_tall_matrix_ends_at_the_certificate(self, monkeypatch):
+        # a positive 8x3 matrix has d = 2, so a = 1, and M M^t has three
+        # distinct nonzero eigenvalues and 0: k = c = cols + 1 = 4 < r = 8
+        rng = random.Random(83)
+        m = InclusionMatrix([[rng.randint(1, 9) for _ in range(3)] for _ in range(8)])
+        assert min_depth(m) == 2
+        assert _prs_squarefree_degree(berkowitz_char_poly(m.gram)) == 4
+        want = (7, has_depth(m, 2))
+        spy = TestModularPath.spy
+        # the certificate proves k = c at step a = 1, before any product
+        assert spy(monkeypatch, charpoly.bound_and_witness, m, 2) == (want, [], [4], [0])
+        # made to miss, the count forms G^2 and G^3 and stops at step
+        # cols = c - 1; without the ceiling it goes on to G^4
+        monkeypatch.setattr(charpoly, "_krylov_dim", lambda g, p: 0)
+        result, products, dims, _ = spy(monkeypatch, charpoly.bound_and_witness, m, 2)
+        assert (result, len(products), dims) == (want, 2, [0])
+        (k, _), products, _, _ = spy(monkeypatch, charpoly._hankel_rank, m.gram.entries, 1, 8)
+        assert (k, len(products)) == (4, 3)
 
 
 class TestWiden:
@@ -650,7 +730,7 @@ class TestBigEndianLayout:
             k = _prs_squarefree_degree(berkowitz_char_poly(m))
             want = naive_powers(g, k)
             for exact in range(k + 1):
-                found, witness = charpoly._hankel_rank(g, exact)
+                found, witness = charpoly._hankel_rank(g, exact, len(g))
                 assert found == k, (m, exact)
                 assert _same_pair(witness, want, exact) if exact else witness is None, (m, exact)
 

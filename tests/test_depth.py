@@ -473,8 +473,16 @@ def test_report_walks_each_support_once(monkeypatch, m):
     # building the matrix walks supp(M) once, one set_bits call per row, in
     # its one walk_support call; a report then makes no walk and calls
     # set_bits once per distinct row of the factor each of the three chains
-    # steps by: supp(M M^t) for d(M), and S = supp(M^t M) for d(M^t) and d_H
+    # steps by: supp(M M^t) for d(M), and S = supp(M^t M) for d(M^t) and d_H.
+    # It forms each factor once, from the row lists and the column lists
     calls = {"set_bits": 0, "walk_support": 0}
+    factors = []
+    select_or = depth._select_or
+
+    def select_spy(picks, rows):
+        if picks is fresh.row_bits or picks is fresh.col_bits:
+            factors.append(picks is fresh.row_bits)
+        return select_or(picks, rows)
 
     def counted(name, function):
         def spy(*args):
@@ -490,7 +498,9 @@ def test_report_walks_each_support_once(monkeypatch, m):
     fresh = InclusionMatrix(m.matrix)
     built = dict(calls)
     calls.update(dict.fromkeys(calls, 0))
+    monkeypatch.setattr(depth, "_select_or", select_spy)
     rep, counts = depth_report(fresh), dict(calls)
+    assert sorted(factors) == [False, True], factors
     gram = m.gram.support()
     s = (m.matrix.transpose() * m.matrix).support()
     assert built == {"set_bits": m.rows, "walk_support": 1}, built

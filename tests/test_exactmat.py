@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from incdepth import InclusionMatrix, IntMatrix, MatrixError, dominance_q
+from incdepth import InclusionMatrix, IntMatrix, MatrixError, dominance_q, exactmat
 from incdepth.depth import _select_or
 from incdepth.exactmat import set_bits, slots, walk_support
 
@@ -350,9 +350,30 @@ def test_inclusion_matrix_keeps_its_walk():
         mt = m.transposed()
         assert (mt.row_bits, mt.col_bits, mt.support, mt.supp_t) == (
             m.col_bits, m.row_bits, m.supp_t, m.support), m
+        # and the one a matrix built and walked afresh from M^t's entries has
+        fresh = InclusionMatrix([list(col) for col in zip(*m.matrix.entries)])
+        assert (mt.matrix, mt.rows, mt.cols) == (fresh.matrix, m.cols, m.rows), m
+        assert (mt.row_bits, mt.col_bits, mt.support, mt.supp_t) == (
+            fresh.row_bits, fresh.col_bits, fresh.support, fresh.supp_t), m
+        assert mt.gram == fresh.gram and mt.transposed().matrix == m.matrix, m
         for walk in ((m.row_bits, m.col_bits, m.support, m.supp_t),
                      (mt.row_bits, mt.col_bits, mt.support, mt.supp_t)):
             assert all_tuples(*walk), m
+
+
+def test_transposed_makes_no_walk(monkeypatch):
+    # M^t reads the matrix's walk the other way: building it neither walks
+    # a support nor walks the set bits of a row
+    m = InclusionMatrix(dense_rows(random.Random(5), 40))
+    want = InclusionMatrix(m.matrix.transpose())
+
+    def refuse(*args):
+        raise AssertionError("transposed() walked a support")
+    monkeypatch.setattr(exactmat, "walk_support", refuse)
+    monkeypatch.setattr(exactmat, "set_bits", refuse)
+    mt = m.transposed()
+    assert (mt.rows, mt.cols, mt.support, mt.col_bits) == (60, 40, m.supp_t, m.row_bits)
+    assert mt == want and mt.supp_t == want.supp_t
 
 
 def _cells(m):
