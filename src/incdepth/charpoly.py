@@ -37,7 +37,9 @@ right after that pair, at the end of chain step a, unless no
 Hankel step is left for it to save. When a = c the chain forms G^c after
 its last Hankel row. So on a tall M, with cols + 1 < r, the chain forms
 no power past G^max(a, cols), and none past G^a when the certificate
-proves k = c. Only exactmat knows the layout of the rows it packs.
+proves k = c. This module only counts: exactmat forms the chain, lazily
+(symmetric_powers), and the Krylov dimension (krylov_dim), and alone
+knows the layout of the rows they pack.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import mul
 
-from .exactmat import InclusionMatrix, combine, least_q, product, slots, widen
+from .exactmat import InclusionMatrix, krylov_dim, least_q, product, symmetric_powers
 
 P = (1 << 27) - 79  # the prime of the Krylov certificate
 
@@ -84,46 +86,6 @@ def _eliminate(v, pivots, rows) -> int:
     return v[m]
 
 
-def _krylov_dim(g, p: int) -> int:
-    """Dimension of span(v, Gv, G^2 v, ...) mod p for v = (1, 2, ..., r).
-
-    The rows of G mod p, the vectors and the echelon basis are packed into
-    one int each (exactmat.slots). Each echelon row is kept unscaled, as a
-    reduced vector mod p, with the bit offset of its pivot e, its lowest
-    nonzero slot, and p - e^-1 mod p. A new vector w is reduced against the
-    basis found so far by w += (c (p - e^-1) mod p) * row, where c is w's
-    slot at the row's pivot, so a reduced vector is zero at every pivot so
-    far and any nonzero slot of it is a new pivot. The vector after w is G
-    times the reduced w, not G times w: the two differ by G times a vector
-    of the span so far, which the next span holds, so every span is the
-    same, and the zeros of the reduced w at the pivots skip rows of G. G is
-    symmetric, so Gu is the sum of u_k times packed row k, whose slots stay
-    below r p^2; the reduction adds less than r p^2 more, and 2 r p^2
-    < 2^(2 bits(p) + bits(r) + 1), so nothing carries. The count takes at
-    most r matrix-vector products.
-    """
-    r = len(g)
-    width, pack, unpack = slots(2 * p.bit_length() + r.bit_length() + 1, r)
-    bits = 8 * width
-    mask = (1 << bits) - 1
-    rows = [pack([x % p for x in row]) for row in g]
-    basis = []  # (pivot's bit offset, p - pivot^-1 mod p, packed row mod p)
-    w = pack(range(1, r + 1))
-    while len(basis) < r:
-        for at, negated, row in basis:
-            c = (w >> at & mask) * negated % p
-            if c:
-                w += c * row
-        v = [x % p for x in unpack(w)]
-        u = pack(v)
-        if not u:
-            break
-        at = ((u & -u).bit_length() - 1) // bits * bits  # the lowest nonzero slot
-        basis.append((at, p - pow(u >> at & mask, -1, p), u))
-        w = combine([v], rows)[0]
-    return len(basis)
-
-
 def _hankel_rank(g, exact: int, ceiling: int):
     """(k, powers) for the nonnegative symmetric rows g of G, such as M M^t.
 
@@ -139,20 +101,14 @@ def _hankel_rank(g, exact: int, ceiling: int):
     exact, unless that is step c - 1 or later and no Hankel step is left
     for it to save; a dimension of c proves k = c. Its dimension is at most
     k, and a k below it raises AssertionError: the chain or the certificate
-    is wrong.
-
-    Each step unpacks the upper rows of G^n, from the diagonal on, for its
-    sums, for the slot width of the next product and for the witness pair,
-    which is exact as G^n is symmetric.
+    is wrong. Step n pulls G^n from exactmat.symmetric_powers.
     """
     r = len(g)
     c = min(r, ceiling)  # k <= c
     top = min(exact, c - 1)  # s_1, ..., s_top are traces
     dim = 0  # the Krylov certificate's dimension, once it is tried
-    head = r.bit_length() + max(map(max, g)).bit_length()  # G's share of product's bound
-    low = [[1] + [0] * (r - 1 - i) for i in range(r)]  # the upper rows of G^(n-1)
-    upper = [row[i:] for i, row in enumerate(g)]  # and of G^n
-    width, packed = 0, None  # the slot width and the packed rows of G^n, from n = 2 on
+    chain = symmetric_powers(g)
+    upper = next(chain)  # the upper rows of G^0, and of G^n from step n on
     powers = None  # the upper rows of G^(exact-1) and G^exact, once formed
     sums = [r] + [None] * (2 * c - 2)  # s_0, ..., s_(2c-2), each set once known
     pivots = [r]  # det H_1, ..., det H_(m+1) for the rows eliminated so far
@@ -160,15 +116,7 @@ def _hankel_rank(g, exact: int, ceiling: int):
     # Steps 1..c-1 add Hankel rows; det H_(c+1) = 0 always, so step c only
     # forms G^c, when it is asked for.
     for n in range(1, max(c, exact + 1)):
-        if n > 1:
-            # G^n = G G^(n-1) by product's kernel; the sums that formed G^(n-1)
-            # are its packed rows, widened byte by byte when the slots grow
-            step, pack, read = slots(head + max(map(max, upper)).bit_length(), r)
-            if step > width:
-                packed = widen(packed, width, step, r) if packed else list(map(pack, g))
-                width, unpack = step, read
-            packed = combine(g, packed)
-            low, upper = upper, [unpack(x, i) for i, x in enumerate(packed)]
+        low, upper = upper, next(chain)
         if n == exact:
             powers = [low, upper]
         if n == c:
@@ -187,7 +135,7 @@ def _hankel_rank(g, exact: int, ceiling: int):
                     raise AssertionError(f"Krylov dimension {dim} exceeds k = {m}")
                 return m, powers if m >= exact else None
         if n == exact < c - 1:
-            dim = _krylov_dim(g, P)
+            dim = krylov_dim(g, P)
             if dim == c:
                 return c, powers
     return c, powers

@@ -6,7 +6,8 @@ nonzero. set_bits walks the set bits of one row, and walk_support walks
 every row once, forming the transposed support in the same pass; an
 InclusionMatrix makes that one walk when it is built, and keeps it. Products
 pack a row into one int, one slot per entry; only this module knows that
-layout, on either byte order (slots and widen).
+layout, on either byte order (slots and widen), and so it runs the loops that
+carry packed rows: symmetric_powers, the chain G^n, and krylov_dim.
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -183,6 +184,72 @@ def product(a, b) -> list[tuple[int, ...]]:
 def combine(a, packed) -> list[int]:
     """The packed rows of a * b, from the packed rows of b (see product)."""
     return [sum(map(mul, compress(row, row), compress(packed, row))) for row in a]
+
+
+def symmetric_powers(g):
+    """The upper rows of G^0, G^1, G^2, ... for nonnegative symmetric rows g.
+
+    Lazy: G^n = G G^(n-1) is formed by product's kernel only when pulled.
+    The packed sums that formed G^(n-1) are the next product's packed rows,
+    widened byte by byte when the slots grow. Each step unpacks the upper
+    rows of G^n from the diagonal on, which is exact as G^n is symmetric,
+    for the caller's sums and witness pair and for the slot width of the
+    next product.
+    """
+    r = len(g)
+    head = r.bit_length() + max(map(max, g)).bit_length()  # G's share of product's bound
+    yield [[1] + [0] * (r - 1 - i) for i in range(r)]
+    upper = [row[i:] for i, row in enumerate(g)]
+    yield upper
+    width, packed = 0, None  # the slot width and the packed rows of G^n, from n = 2 on
+    while True:
+        step, pack, read = slots(head + max(map(max, upper)).bit_length(), r)
+        if step > width:
+            packed = widen(packed, width, step, r) if packed else list(map(pack, g))
+            width, unpack = step, read
+        packed = combine(g, packed)
+        upper = [unpack(x, i) for i, x in enumerate(packed)]
+        yield upper
+
+
+def krylov_dim(g, p: int) -> int:
+    """Dimension of span(v, Gv, G^2 v, ...) mod p for v = (1, 2, ..., r).
+
+    The rows of G mod p, the vectors and the echelon basis are packed into
+    one int each (slots). Each echelon row is kept unscaled, as a
+    reduced vector mod p, with the bit offset of its pivot e, its lowest
+    nonzero slot, and p - e^-1 mod p. A new vector w is reduced against the
+    basis found so far by w += (c (p - e^-1) mod p) * row, where c is w's
+    slot at the row's pivot, so a reduced vector is zero at every pivot so
+    far and any nonzero slot of it is a new pivot. The vector after w is G
+    times the reduced w, not G times w: the two differ by G times a vector
+    of the span so far, which the next span holds, so every span is the
+    same, and the zeros of the reduced w at the pivots skip rows of G. G is
+    symmetric, so Gu is the sum of u_k times packed row k, whose slots stay
+    below r p^2; the reduction adds less than r p^2 more, and 2 r p^2
+    < 2^(2 bits(p) + bits(r) + 1), so nothing carries. The count takes at
+    most r matrix-vector products.
+    """
+    r = len(g)
+    width, pack, unpack = slots(2 * p.bit_length() + r.bit_length() + 1, r)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    rows = [pack([x % p for x in row]) for row in g]
+    basis = []  # (pivot's bit offset, p - pivot^-1 mod p, packed row mod p)
+    w = pack(range(1, r + 1))
+    while len(basis) < r:
+        for at, negated, row in basis:
+            c = (w >> at & mask) * negated % p
+            if c:
+                w += c * row
+        v = [x % p for x in unpack(w)]
+        u = pack(v)
+        if not u:
+            break
+        at = ((u & -u).bit_length() - 1) // bits * bits  # the lowest nonzero slot
+        basis.append((at, p - pow(u >> at & mask, -1, p), u))
+        w = combine([v], rows)[0]
+    return len(basis)
 
 
 def made(rows) -> IntMatrix:

@@ -21,10 +21,13 @@ graph distances by one queue-driven BFS per dot and diameters over every
 pair of dots instead of the bit-parallel BFS from all dots at once, the
 even graph depth over merged classes of black dots instead of
 black-to-white distances, two counting recurrences instead of the
-partition generator, and the closed-form spectrum of M M^t on
-symmetric-group towers instead of the Hankel count.
+partition generator, the closed-form spectrum of M M^t on
+symmetric-group towers instead of the Hankel count, and the paper's
+small depths (d = 1, d_H = 1, d <= 2, d_H <= 3) read off the entries
+instead of support chains.
 """
 
+import random
 from collections import deque
 from functools import cache, reduce
 from itertools import combinations_with_replacement
@@ -138,6 +141,57 @@ def has_depth(m: InclusionMatrix, n: int) -> int | None:
         raise MatrixError(f"depth is defined for n >= 1, got {n}")
     low = bracketed_power(m, n - 1)
     return dominance_q(m.gram * low, low)  # M^[n+1] = (M M^t) M^[n-1]
+
+
+def _supports(lines) -> list[frozenset]:
+    """The nonzero positions of each line of entries, as a set."""
+    return [frozenset(j for j, x in enumerate(line) if x) for line in lines]
+
+
+# The four small-depth facts below read only the entries of an inclusion
+# matrix M. Each follows from the support criterion: depth n holds when
+# supp(M^[n+1]) = supp(M^[n-1]), and H-depth 2n - 1 when
+# supp(S^n) = supp(S^(n-1)) for S = M^t M. Each was checked against
+# min_depth or min_hdepth on 4,000 seeded matrices up to 7x7, every 0/1
+# inclusion matrix up to 3x4 and every tower S_k <= S_n with n <= 16 and
+# its transpose (test_depth.TestSmallDepths).
+
+def depth_is_one(cells) -> bool:
+    """d(M) = 1 exactly when no column has two nonzero entries: depth 1 asks
+    supp(M M^t) = supp(I), and entry (i, k) of M M^t is nonzero exactly when
+    rows i and k share a column."""
+    return all(len(col) == 1 for col in _supports(zip(*cells)))
+
+
+def hdepth_is_one(cells) -> bool:
+    """d_H(M) = 1 exactly when no row has two nonzero entries: H-depth 1 asks
+    supp(S) = supp(I), and entry (j, l) of S is nonzero exactly when columns
+    j and l share a row."""
+    return all(len(row) == 1 for row in _supports(cells))
+
+
+def depth_at_most_two(cells) -> bool:
+    """d(M) <= 2 exactly when rows that share a column have equal supports.
+
+    Depth 2 asks supp(M M^t M) = supp(M), and entry (i, j) of M M^t M is
+    nonzero exactly when some row k that shares a column with row i has
+    entry j nonzero: so supp(k) lies in supp(i), and the other way round.
+    Depth 1, where no two rows share a column, implies it.
+    """
+    rows = _supports(cells)
+    return all(rows[i] == rows[k] for col in _supports(zip(*cells)) for i in col for k in col)
+
+
+def hdepth_at_most_three(cells) -> bool:
+    """d_H(M) <= 3 exactly when "shares a row with" is transitive on the columns.
+
+    H-depth 3 asks supp(S^2) = supp(S): entry (j, l) of S^2 is nonzero
+    exactly when some column shares a row with both j and l. H-depth 1,
+    where a column shares a row only with itself, implies it.
+    """
+    rows, cols = _supports(cells), _supports(zip(*cells))
+    linked = [frozenset().union(*(rows[i] for i in col)) for col in cols]
+    return all(linked[l] <= linked[j] for j, near in enumerate(linked) for l in near)
 
 
 def minpoly_degree(sym: IntMatrix) -> int:
@@ -590,6 +644,72 @@ def dense_rows(rng, count):
     """count rows of 60 cells, each 0 with probability 0.2 and else 1..1000."""
     return [[0 if rng.random() < 0.2 else rng.randint(1, 1000) for _ in range(60)]
             for _ in range(count)]
+
+
+def symmetric_matrix(rng, n, high, density):
+    """Random nonnegative n x n cells, mirrored from the lower triangle."""
+    cells = [[rng.randint(0, high) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(n)]
+    return IntMatrix([[cells[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
+
+
+def symmetric_corpus():
+    """Nonnegative symmetric matrices of 1 to 16 rows, whose chain products take
+    word and byte slots, and whose count tries the Krylov certificate from
+    three rows on."""
+    rng = random.Random(20)
+    for n in range(1, 17):
+        for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),
+                                  (10**30, 0.25), (3, 0.15)):
+            yield symmetric_matrix(rng, n, high, density)
+
+
+def repeated_spectrum(rng, k, high):
+    """Nonnegative symmetric S + S + T (direct sum) under a random permutation.
+
+    Every eigenvalue of the k x k block S occurs at least twice, so the
+    characteristic polynomial is not squarefree.
+    """
+    def block(size):
+        cells = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                cells[i][j] = cells[j][i] = rng.randint(0, high)
+        return cells
+
+    s, t = block(k), block(rng.randint(1, 3))
+    blocks = [s, s, t]
+    n = sum(len(b) for b in blocks)
+    cells = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            cells[at + i][at:at + len(b)] = row
+        at += len(b)
+    order = rng.sample(range(n), n)
+    return IntMatrix([[cells[order[i]][order[j]] for j in range(n)] for i in range(n)])
+
+
+def dense_gram(seed):
+    """Gram of the seeded dense 40x60 matrix dense_rows(Random(seed), 40)."""
+    return InclusionMatrix(dense_rows(random.Random(seed), 40)).gram
+
+
+def repeated_rows_gram():
+    """Gram of a seeded dense 40x60 matrix with 20 distinct rows, each twice:
+    rank 20, so k = 21 (the 20 nonzero eigenvalues and 0) below r = 40."""
+    rng = random.Random(23)
+    cells = 2 * dense_rows(rng, 20)
+    rng.shuffle(cells)
+    return InclusionMatrix(cells).gram
+
+
+def near_million_gram():
+    """Seeded symmetric 16x16 cells in [10^6 - 1000, 10^6]: every power needs
+    wider slots than the one before, and k = r."""
+    rng = random.Random(41)
+    cells = [[rng.randint(10**6 - 1000, 10**6) for _ in range(16)] for _ in range(16)]
+    return [tuple(cells[max(i, j)][min(i, j)] for j in range(16)) for i in range(16)]
 
 
 def block_diagonal(*blocks) -> InclusionMatrix:

@@ -10,10 +10,12 @@ from incdepth.cli import main
 from incdepth.exactmat import slots, widen
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
-                      count_partitions, dense_rows, depth_upper_bound, frobenius,
-                      has_depth, identity, krylov_dim_reference, minpoly_degree,
-                      naive_multiply, naive_powers, pentagonal_partition_counts,
-                      poly_at_matrix, poly_gcd, random_inclusion, scale, tower_spectrum)
+                      count_partitions, dense_gram, dense_rows, depth_upper_bound,
+                      frobenius, has_depth, identity, krylov_dim_reference, minpoly_degree,
+                      naive_multiply, naive_powers, near_million_gram,
+                      pentagonal_partition_counts, poly_at_matrix, poly_gcd, random_inclusion,
+                      repeated_rows_gram, repeated_spectrum, scale, symmetric_corpus,
+                      symmetric_matrix, tower_spectrum)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -130,65 +132,8 @@ class TestMinpolyDegree:
             minpoly_degree(IntMatrix([[0, -1], [-1, 0]]))
 
 
-def _symmetric_matrix(rng, n, high, density):
-    """Random nonnegative n x n cells, mirrored from the lower triangle."""
-    cells = [[rng.randint(0, high) if rng.random() < density else 0
-              for _ in range(n)] for _ in range(n)]
-    return IntMatrix([[cells[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
-
-
-def _symmetric_corpus():
-    """Nonnegative symmetric matrices of 1 to 16 rows, whose chain products take
-    word and byte slots, and whose count tries the Krylov certificate from
-    three rows on."""
-    rng = random.Random(20)
-    for n in range(1, 17):
-        for high, density in 3 * ((9, 1.0), (10**6, 1.0), (10**30, 1.0),
-                                  (10**30, 0.25), (3, 0.15)):
-            yield _symmetric_matrix(rng, n, high, density)
-
-
-def _repeated_spectrum(rng, k, high):
-    """Nonnegative symmetric S + S + T (direct sum) under a random permutation.
-
-    Every eigenvalue of the k x k block S occurs at least twice, so the
-    characteristic polynomial is not squarefree.
-    """
-    def block(size):
-        cells = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i, size):
-                cells[i][j] = cells[j][i] = rng.randint(0, high)
-        return cells
-
-    s, t = block(k), block(rng.randint(1, 3))
-    blocks = [s, s, t]
-    n = sum(len(b) for b in blocks)
-    cells = [[0] * n for _ in range(n)]
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            cells[at + i][at:at + len(b)] = row
-        at += len(b)
-    order = rng.sample(range(n), n)
-    return IntMatrix([[cells[order[i]][order[j]] for j in range(n)] for i in range(n)])
-
-
-def _dense_gram(seed):
-    return InclusionMatrix(dense_rows(random.Random(seed), 40)).gram
-
-
-def _repeated_rows_gram():
-    """Gram of a seeded dense 40x60 matrix with 20 distinct rows, each twice:
-    rank 20, so k = 21 (the 20 nonzero eigenvalues and 0) below r = 40."""
-    rng = random.Random(23)
-    cells = 2 * dense_rows(rng, 20)
-    rng.shuffle(cells)
-    return InclusionMatrix(cells).gram
-
-
 def _krylov_dim(m: IntMatrix) -> int:
-    return charpoly._krylov_dim(m.entries, charpoly.P)
+    return exactmat.krylov_dim(m.entries, charpoly.P)
 
 
 def _shuffled_gram(n, seed):
@@ -215,13 +160,13 @@ class TestModularPath:
     Berkowitz scheme and the Z[x] remainder sequence."""
 
     def test_symmetric_matrices_match_berkowitz(self):
-        for m in _symmetric_corpus():
+        for m in symmetric_corpus():
             want = _prs_squarefree_degree(berkowitz_char_poly(m))
             assert minpoly_degree(m) == want and _krylov_dim(m) <= want, m
 
     def test_word_modulus_matches_mersenne_modulus(self, monkeypatch):
         # the certificate under a second prime gives the same counts
-        corpus = list(_symmetric_corpus())
+        corpus = list(symmetric_corpus())
         counts = [minpoly_degree(m) for m in corpus]
         monkeypatch.setattr(charpoly, "P", 2**127 - 1)
         assert [minpoly_degree(m) for m in corpus] == counts
@@ -230,7 +175,7 @@ class TestModularPath:
         rng = random.Random(21)
         for k in range(1, 5):
             for high in (1, 9, 10**6, 10**30):
-                m = _repeated_spectrum(rng, k, high)
+                m = repeated_spectrum(rng, k, high)
                 p = berkowitz_char_poly(m)
                 want = _prs_squarefree_degree(p)
                 assert minpoly_degree(m) == want < p.degree, m
@@ -242,7 +187,7 @@ class TestModularPath:
         if isinstance(source, int):
             gram = branching_matrix(source).gram
         else:
-            gram = _dense_gram(source)
+            gram = dense_gram(source)
         want = _prs_squarefree_degree(berkowitz_char_poly(gram))
         assert minpoly_degree(gram) == want
         # the certificate is a lower bound, and proves k = r on dense grams
@@ -273,31 +218,31 @@ class TestModularPath:
     def spy(monkeypatch, count, *args):
         """(count(*args), chain products taken, Krylov dimensions found, and
         for each dimension the number of products taken before it). A chain
-        product is one call of the kernel's combine from charpoly with the
-        r >= 2 rows of G, each forming one power G^n; the certificate's
-        matrix-vector steps combine one row, the vector."""
+        product is one power G^n, n >= 2, pulled from the count's
+        exactmat.symmetric_powers, which forms each such power by one
+        product (TestSymmetricPowers in test_exactmat) and none ahead."""
         products, dims, before = [], [], []
-        combine, krylov_dim = charpoly.combine, charpoly._krylov_dim
+        symmetric_powers, krylov_dim = charpoly.symmetric_powers, charpoly.krylov_dim
 
-        def product_spy(a, packed):
-            result = combine(a, packed)
-            if len(a) > 1:
-                products.append(result)
-            return result
+        def powers_spy(g):
+            for n, upper in enumerate(symmetric_powers(g)):
+                if n > 1:
+                    products.append(upper)
+                yield upper
 
         def krylov_spy(g, p):
             before.append(len(products))
             dims.append(krylov_dim(g, p))
             return dims[-1]
 
-        monkeypatch.setattr(charpoly, "combine", product_spy)
-        monkeypatch.setattr(charpoly, "_krylov_dim", krylov_spy)
+        monkeypatch.setattr(charpoly, "symmetric_powers", powers_spy)
+        monkeypatch.setattr(charpoly, "krylov_dim", krylov_spy)
         return count(*args), products, dims, before
 
     def test_certificate_ends_the_count_at_step_one(self, monkeypatch):
         # with the witness pair I, G asked for, the certificate comes at the
         # end of step 1, before any product, and proves k = r on both dense grams
-        grams = [_dense_gram(seed) for seed in (0, 1)]
+        grams = [dense_gram(seed) for seed in (0, 1)]
 
         def count():
             return [minpoly_degree(gram) for gram in grams]
@@ -332,7 +277,7 @@ class TestModularPath:
         # the certificate misses (dimension < r) and the chain goes on
         # exactly through G^k, with no second pass
         if source == "repeated rows":
-            gram, want = _repeated_rows_gram(), (40, 21, 21)
+            gram, want = repeated_rows_gram(), (40, 21, 21)
         else:
             gram, want = tower_matrix(10, 16).gram, (42, 10, 10)
         k, products, dims, before = self.spy(monkeypatch, minpoly_degree, gram)
@@ -346,7 +291,7 @@ class TestModularPath:
         # chain counts on to k; a dimension of k + 1 means a bug, which the
         # count raises, and the CLI reports as an internal error
         m = tower_matrix(12, 18)
-        monkeypatch.setattr(charpoly, "_krylov_dim", lambda g, p: 13)
+        monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 13)
         with pytest.raises(AssertionError, match="Krylov dimension 13 exceeds k = 12"):
             charpoly.bound_and_witness(m, min_depth(m))
         path = tmp_path / "tower.mat"
@@ -371,12 +316,12 @@ def _spy_chain(monkeypatch):
     """Lists that fill as charpoly._hankel_rank runs: the (a, b, sum) of each
     Frobenius product, the sums s_m, ..., s_2m each eliminated Hankel row
     reads, the packed rows each chain product returns, and the start slot
-    of each unpack that the chain's slots hand out. A chain product combines
+    of each unpack that exactmat's slots hand out. A chain product combines
     the r >= 2 rows of G; the Krylov certificate's matrix-vector steps,
     which combine one row, the vector, are not recorded."""
     pairs, sums, products, starts = [], [], [], []
     frobenius_sum, eliminate, combine, slots = (charpoly._frobenius, charpoly._eliminate,
-                                                charpoly.combine, charpoly.slots)
+                                                exactmat.combine, exactmat.slots)
 
     def frobenius_spy(a, b):
         pairs.append((a, b, frobenius_sum(a, b)))
@@ -400,9 +345,10 @@ def _spy_chain(monkeypatch):
             return unpack(packed, start)
         return width, pack, unpack_spy
 
-    for name, spy in (("_frobenius", frobenius_spy), ("_eliminate", eliminate_spy),
-                      ("combine", combine_spy), ("slots", slots_spy)):
-        monkeypatch.setattr(charpoly, name, spy)
+    for module, name, spy in ((charpoly, "_frobenius", frobenius_spy),
+                              (charpoly, "_eliminate", eliminate_spy),
+                              (exactmat, "combine", combine_spy), (exactmat, "slots", slots_spy)):
+        monkeypatch.setattr(module, name, spy)
     return pairs, sums, products, starts
 
 
@@ -454,7 +400,7 @@ class TestFrobeniusSums:
             gram, k = InclusionMatrix(dense_rows(rng, 12)).gram.entries, 12
         r, last = len(gram), min(k, len(gram) - 1)
         want = naive_powers(gram, k)
-        monkeypatch.setattr(charpoly, "_krylov_dim", lambda g, p: 0)
+        monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
         spied = _spy_chain(monkeypatch)
         pairs, sums, products, starts = spied
         for exact in sorted({0, 1, k // 2, k}):
@@ -471,14 +417,6 @@ class TestFrobeniusSums:
             assert _same_pair(witness, want, exact) if exact else witness is None
 
 
-def _near_million_gram():
-    """Seeded symmetric 16x16 cells in [10^6 - 1000, 10^6]: every power needs
-    wider slots than the one before, and k = r."""
-    rng = random.Random(41)
-    cells = [[rng.randint(10**6 - 1000, 10**6) for _ in range(16)] for _ in range(16)]
-    return [tuple(cells[max(i, j)][min(i, j)] for j in range(16)) for i in range(16)]
-
-
 class TestCarriedChain:
     """Each chain step's packed sums serve the next step as its packed rows,
     widened by a byte copy when the slots grow. Every product the chain
@@ -492,10 +430,10 @@ class TestCarriedChain:
         certificate ends the count or None, and the slot width of each
         product G^n = G G^(n-1) from n = 2 on, or None where not pinned)."""
         if name == "near 10^6":
-            return _near_million_gram(), 16, None, None
+            return near_million_gram(), 16, None, None
         if name.startswith("dense"):
             # the certificate proves k = r at step 12, after G^12
-            return _dense_gram(int(name.split()[1])).entries, 12, 12, None
+            return dense_gram(int(name.split()[1])).entries, 12, 12, None
         if name == "S_16 <= S_17":
             m = branching_matrix(17)
         elif name == "S_12 <= S_18":
@@ -545,7 +483,7 @@ class TestExactPower:
 
     def test_k_and_witness_for_every_exact(self):
         block = IntMatrix([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])
-        for m in (*_symmetric_corpus(), block, branching_matrix(3).gram):
+        for m in (*symmetric_corpus(), block, branching_matrix(3).gram):
             g, r = m.entries, m.rows
             k = minpoly_degree(m)
             want = naive_powers(g, k)
@@ -642,7 +580,7 @@ class TestRankCeiling:
         assert spy(monkeypatch, charpoly.bound_and_witness, m, 2) == (want, [], [4], [0])
         # made to miss, the count forms G^2 and G^3 and stops at step
         # cols = c - 1; without the ceiling it goes on to G^4
-        monkeypatch.setattr(charpoly, "_krylov_dim", lambda g, p: 0)
+        monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
         result, products, dims, _ = spy(monkeypatch, charpoly.bound_and_witness, m, 2)
         assert (result, len(products), dims) == (want, 2, [0])
         (k, _), products, _, _ = spy(monkeypatch, charpoly._hankel_rank, m.gram.entries, 1, 8)
@@ -667,31 +605,6 @@ class TestWiden:
             assert widen(packed, old, new, count) == list(map(wide[1], rows))
 
 
-class TestKrylovDim:
-    """The packed Krylov dimension against the list elimination it replaced
-    (_oracles.krylov_dim_reference), mod P in word slots and mod 2^127 - 1
-    in byte slots."""
-
-    @staticmethod
-    def matrices():
-        yield from _symmetric_corpus()
-        rng = random.Random(21)
-        for k in range(1, 5):
-            for high in (1, 9, 10**6, 10**30):
-                yield _repeated_spectrum(rng, k, high)
-        for n in range(4, 14):
-            yield branching_matrix(n).gram
-        yield from (_dense_gram(0), _dense_gram(1), _repeated_rows_gram())
-        for x in (0, 1, charpoly.P, 2**127 - 1, 1 << 200):
-            yield IntMatrix([[x]])
-        yield IntMatrix([[0, 2], [2, 3]])
-
-    @pytest.mark.parametrize("p", [charpoly.P, 2**127 - 1], ids=["P", "2^127 - 1"])
-    def test_matches_list_elimination(self, p):
-        for m in self.matrices():
-            assert charpoly._krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
-
-
 class TestBigEndianLayout:
     """The packed layout of a big-endian host, simulated on this one.
 
@@ -714,17 +627,17 @@ class TestBigEndianLayout:
         monkeypatch.setattr(exactmat, "byteorder", "big")
         p = (1 << 61) - 1
         rng = random.Random(61)
-        for m in (*_symmetric_corpus(), *self.few_eigenvalues(1),
-                  *(_repeated_spectrum(rng, k, 10**6) for k in range(1, 5))):
-            assert charpoly._krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
+        for m in (*symmetric_corpus(), *self.few_eigenvalues(1),
+                  *(repeated_spectrum(rng, k, 10**6) for k in range(1, 5))):
+            assert exactmat.krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
 
     def test_chain_k_and_witness(self, monkeypatch):
         rng = random.Random(70)
-        cases = [*(_symmetric_matrix(rng, n, 1 << 72, 1.0) for n in range(1, 8)),
+        cases = [*(symmetric_matrix(rng, n, 1 << 72, 1.0) for n in range(1, 8)),
                  *self.few_eigenvalues(1 << 70),
-                 *(scale(_repeated_spectrum(rng, k, 9), 1 << 70) for k in (1, 2, 3))]
+                 *(scale(repeated_spectrum(rng, k, 9), 1 << 70) for k in (1, 2, 3))]
         monkeypatch.setattr(exactmat, "byteorder", "big")
-        monkeypatch.setattr(charpoly, "_krylov_dim", lambda g, p: 0)
+        monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
         for m in cases:
             g = m.entries
             k = _prs_squarefree_degree(berkowitz_char_poly(m))
@@ -768,7 +681,7 @@ class TestTowerSpectrum:
         # only for m <= 3 and misses from m = 4 on
         for m in range(1, n):
             gram = tower_matrix(m, n).gram
-            assert charpoly._krylov_dim(gram.entries, charpoly.P) == m, (m, n)
+            assert exactmat.krylov_dim(gram.entries, charpoly.P) == m, (m, n)
             assert (m == gram.rows) == (m <= 3)
 
 

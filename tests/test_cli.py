@@ -40,6 +40,9 @@ class TestParse:
         text = "# generated\n\n2 2\n# row one\n1 0\n\n0 1\n"
         assert parse_matrix(text) == InclusionMatrix([[1, 0], [0, 1]])
 
+    def test_negative_zero_is_zero(self):
+        assert parse_matrix("2 2\n-00 1\n1 -0\n") == InclusionMatrix([[0, 1], [1, 0]])
+
     def test_missing_trailing_newline(self):
         assert parse_matrix("1 2\n1 1") == InclusionMatrix([[1, 1]])
 
@@ -522,6 +525,10 @@ PARSE_DIAGNOSTICS = [
     ("1 3\n1 1\n", "line 2: row 1 has 2 entries, expected 3"),
     ("2 1\n1\nx\n", "line 3: entry (2,1) is not an integer: 'x'"),
     ("1 2\n1 -2\n", "line 2: negative entry -2 at (1,2)"),
+    # cells are read left to right and the first bad one is named; -0 is 0
+    ("1 2\n-1 x\n", "line 2: negative entry -1 at (1,1)"),
+    ("1 2\nx -1\n", "line 2: entry (1,1) is not an integer: 'x'"),
+    ("1 1\n-0\n", "line 2: zero row 1"),
     ("1 2\n1_0 3\n", "line 2: entry (1,1) is not an integer: '1_0'"),
     ("1 2\n1 +3\n", "line 2: entry (1,2) is not an integer: '+3'"),
     ("1 1\n\u0661\n", "line 2: entry (1,1) is not an integer: '\u0661'"),

@@ -13,7 +13,8 @@ from incdepth import bigraph, charpoly, depth, exactmat
 from incdepth.depth import _stabilize
 
 from _oracles import (all_binary_inclusions, berkowitz_char_poly, block_diagonal,
-                      bracketed_power, dense_rows, depth_upper_bound, has_depth,
+                      bracketed_power, dense_rows, depth_at_most_two, depth_is_one,
+                      depth_upper_bound, has_depth, hdepth_at_most_three, hdepth_is_one,
                       identity, inclusion_rejection, min_depth_exact, min_hdepth_exact,
                       naive_bracketed_powers, naive_support_product,
                       naive_support_transpose, poly_gcd, random_inclusion,
@@ -332,6 +333,60 @@ class TestMinHDepth:
         rng = random.Random(6)
         for _ in range(60):
             assert min_hdepth(random_inclusion(rng, max_dim=5)) % 2 == 1
+
+
+def small_depth_corpus():
+    """4,000 seeded inclusion matrices up to 7x7, every 0/1 inclusion matrix
+    up to 3x4, and every tower S_k <= S_n with n <= 16 and its transpose."""
+    rng = random.Random(27)
+    for _ in range(4000):
+        yield random_inclusion(rng, max_dim=7)
+    yield from all_binary_inclusions(3, 4)
+    for n in range(2, 17):
+        for k in range(1, n):
+            yield tower_matrix(k, n)
+            yield tower_matrix(k, n).transposed()
+
+
+class TestSmallDepths:
+    """The paper's small depths read off the entries alone (_oracles):
+    d = 1, d_H = 1, d <= 2 and d_H <= 3, against the support chains."""
+
+    def test_entry_characterizations(self):
+        held = Counter()
+        for m in small_depth_corpus():
+            cells, d, d_h = m.matrix.entries, min_depth(m), min_hdepth(m)
+            facts = {"d = 1": (d == 1, depth_is_one(cells)),
+                     "d_H = 1": (d_h == 1, hdepth_is_one(cells)),
+                     "d <= 2": (d <= 2, depth_at_most_two(cells)),
+                     "d_H <= 3": (d_h <= 3, hdepth_at_most_three(cells))}
+            for name, (want, got) in facts.items():
+                assert got == want, (name, m)
+                held[name, want] += 1
+        # every fact both holds and fails somewhere in the corpus
+        assert len(held) == 8, held
+
+    def test_block_diagonal_of_positive_blocks(self, monkeypatch):
+        # 20 positive 30x40 blocks down the diagonal (600x800): rows that
+        # share a column share their block, so d <= 2, and so do columns,
+        # so d_H <= 3. The Krylov certificate runs at r = 600, past the
+        # word slots, right after G, and proves k = r.
+        rng = random.Random(0)
+        m = block_diagonal(*(InclusionMatrix([[rng.randint(1, 1000) for _ in range(40)]
+                                              for _ in range(30)]) for _ in range(20)))
+        cells = m.matrix.entries
+        assert depth_at_most_two(cells) and hdepth_at_most_three(cells)
+        assert not (depth_is_one(cells) or hdepth_is_one(cells))
+        dims, krylov_dim = [], charpoly.krylov_dim
+
+        def krylov_spy(g, p):
+            dims.append(krylov_dim(g, p))
+            return dims[-1]
+        monkeypatch.setattr(charpoly, "krylov_dim", krylov_spy)
+        rep = depth_report(m)
+        assert (rep.rows, rep.cols, rep.depth, rep.h_depth) == (600, 800, 2, 3)
+        assert (rep.spectral_bound, rep.q_witness) == (1199, 179301298602)
+        assert rep.all_methods_agree() and dims == [600]
 
 
 class TestMinOddDepthSymmetric:

@@ -3,13 +3,16 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from incdepth import InclusionMatrix, IntMatrix, MatrixError, dominance_q, exactmat
+from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix, charpoly,
+                      dominance_q, exactmat)
 from incdepth.depth import _select_or
 from incdepth.exactmat import set_bits, slots, walk_support
 
-from _oracles import (dense_rows, dominance_brute, entrywise_le, identity, naive_multiply,
+from _oracles import (dense_gram, dense_rows, dominance_brute, entrywise_le, identity,
+                      krylov_dim_reference, naive_multiply, naive_powers, near_million_gram,
                       naive_support_product, naive_support_transpose, random_inclusion,
-                      scale, support_as_int_matrix, support_bits, zero_count)
+                      repeated_rows_gram, repeated_spectrum, scale, support_as_int_matrix,
+                      support_bits, symmetric_corpus, symmetric_matrix, zero_count)
 
 S3S4 = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 H8_MMT = IntMatrix([[5, 1, 1, 1, 0], [1, 5, 1, 1, 0], [1, 1, 5, 1, 0],
@@ -513,3 +516,95 @@ class TestSlots:
             for start in range(count):
                 assert unpack(packed, start) == unpack(packed)[start:] == row[start:]
 
+
+
+def _upper_rows(power):
+    """The upper rows of a square matrix: row i from column i on."""
+    return [list(row[i:]) for i, row in enumerate(power)]
+
+
+class TestSymmetricPowers:
+    """exactmat.symmetric_powers yields the upper rows of G^0, G^1, G^2, ...,
+    each of which must be the upper rows of the plain power
+    (_oracles.naive_powers). The chain carries its packed rows from product
+    to product, widened when the slots grow, and forms each power past G^1
+    by one product, only when it is pulled."""
+
+    @staticmethod
+    def source(name):
+        """(rows of G, the last power checked)."""
+        if name == "S_16 <= S_17":
+            return branching_matrix(17).gram.entries, 16
+        if name == "near 10^6":
+            return near_million_gram(), 16
+        if name == "1x1":
+            return [[7]], 30
+        # zero diagonal, so trace 0: a nonzero G has a negative eigenvalue,
+        # and no Gram matrix has one
+        cells = symmetric_matrix(random.Random(27), 7, 10**30, 0.5).entries
+        g = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(cells)]
+        assert any(map(any, g))
+        return g, 8
+
+    @pytest.mark.parametrize("name", ["S_16 <= S_17", "near 10^6", "1x1",
+                                      "not a Gram matrix"])
+    def test_every_power_matches_the_oracle(self, monkeypatch, name):
+        g, top = self.source(name)
+        want = naive_powers(g, top)
+        products, widened = [], []
+        combine, widen = exactmat.combine, exactmat.widen
+
+        def combine_spy(a, packed):
+            products.append(len(a))
+            return combine(a, packed)
+
+        def widen_spy(packed, old, new, count):
+            widened.append((len(products), old, new))
+            return widen(packed, old, new, count)
+        monkeypatch.setattr(exactmat, "combine", combine_spy)
+        monkeypatch.setattr(exactmat, "widen", widen_spy)
+        chain = exactmat.symmetric_powers(g)
+        assert products == []
+        for n, (power, upper) in enumerate(zip(want, chain)):
+            assert [list(row) for row in upper] == _upper_rows(power), n
+            # pulling G^0, ..., G^n makes n - 1 products, each of all r rows
+            assert products == [len(g)] * max(n - 1, 0), n
+        # the product forming G^n has slots of r max(G) max(G^(n-1)), which
+        # never narrow; the rows are widened just before the product that
+        # first needs a wider slot, after the n - 2 products G^2, ..., G^(n-1)
+        head = len(g).bit_length() + max(map(max, g)).bit_length()
+        widths = []
+        for n in range(2, top + 1):
+            bits = head + max(map(max, want[n - 1])).bit_length()
+            widths.append(max(widths[-1:] + [8 if bits <= 64 else (bits + 7) // 8]))
+        assert widened == [(n - 2, old, new) for n, old, new
+                           in zip(range(3, top + 1), widths, widths[1:]) if new > old]
+        if name == "S_16 <= S_17":  # words through G^14, 9-byte slots from G^15
+            assert widened == [(13, 8, 9)]
+        elif name == "near 10^6":  # every power needs wider slots than the one before
+            assert len(widened) == top - 2
+
+
+class TestKrylovDim:
+    """The packed Krylov dimension against the list elimination it replaced
+    (_oracles.krylov_dim_reference), mod P in word slots and mod 2^127 - 1
+    in byte slots."""
+
+    @staticmethod
+    def matrices():
+        yield from symmetric_corpus()
+        rng = random.Random(21)
+        for k in range(1, 5):
+            for high in (1, 9, 10**6, 10**30):
+                yield repeated_spectrum(rng, k, high)
+        for n in range(4, 14):
+            yield branching_matrix(n).gram
+        yield from (dense_gram(0), dense_gram(1), repeated_rows_gram())
+        for x in (0, 1, charpoly.P, 2**127 - 1, 1 << 200):
+            yield IntMatrix([[x]])
+        yield IntMatrix([[0, 2], [2, 3]])
+
+    @pytest.mark.parametrize("p", [charpoly.P, 2**127 - 1], ids=["P", "2^127 - 1"])
+    def test_matches_list_elimination(self, p):
+        for m in self.matrices():
+            assert exactmat.krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
