@@ -38,11 +38,16 @@ def _data_lines(text: str):
 
 
 def _decimal(token: str) -> int:
-    """int() of ASCII digits 0-9 after an optional '-'; no '+', '_' or other digits."""
+    """int() of ASCII digits 0-9 after an optional '-'; no '+', '_' or other digits,
+    and no more digits than the int-to-str limit. A ValueError ends a cell's diagnostic."""
     digits = token[1:] if token[:1] == "-" else token
-    if digits.isascii() and digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"is not an integer: {token!r}")
+    try:
         return int(token)
-    raise ValueError(f"not a decimal integer: {token!r}")
+    except ValueError:
+        raise ValueError(f"has {len(digits)} digits, more than the limit of "
+                         f"{sys.get_int_max_str_digits()}") from None
 
 
 def _parse_grid(text: str):
@@ -76,10 +81,9 @@ def _parse_grid(text: str):
         for j, token in enumerate(tokens):
             try:
                 value = _decimal(token)
-            except ValueError:
+            except ValueError as exc:
                 raise MatrixParseError(
-                    f"line {line_no}: entry ({i + 1},{j + 1}) is not an "
-                    f"integer: {token!r}") from None
+                    f"line {line_no}: entry ({i + 1},{j + 1}) {exc}") from None
             if value < 0:
                 raise MatrixParseError(
                     f"line {line_no}: negative entry {value} at ({i + 1},{j + 1})")

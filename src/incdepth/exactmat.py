@@ -2,9 +2,9 @@
 
 A support, the zero pattern of a nonnegative matrix, is a tuple of row
 bitsets: one int per row, with bit j set when entry j of the row is
-nonzero. set_bits walks the set bits of one row, and walk_support walks
-every row once, forming the transposed support in the same pass; an
-InclusionMatrix makes that one walk when it is built, and keeps it. Products
+nonzero. walk_support alone forms a support from entries, checking their
+signs, with its row and column lists and its transpose in the same pass;
+an InclusionMatrix makes that walk when it is built, and keeps it. Products
 pack a row into one int, one slot per entry; only this module knows that
 layout, on either byte order (slots and widen), and so it runs the loops that
 carry packed rows: symmetric_powers, the chain G^n, and krylov_dim.
@@ -55,7 +55,7 @@ class IntMatrix:
                 raise MatrixError(
                     f"row {i + 1} has {len(row)} entries, expected {width}")
             for j, e in enumerate(row):
-                if not isinstance(e, int):
+                if isinstance(e, bool) or not isinstance(e, int):
                     raise MatrixError(
                         f"entry ({i + 1},{j + 1}) is not an integer: {e!r}")
         self.rows = len(data)
@@ -87,20 +87,8 @@ class IntMatrix:
         return made(zip(*self.entries))
 
     def support(self) -> tuple[int, ...]:
-        """Zero pattern as row bitsets; only defined for nonnegative input.
-
-        Row i is one int with bit j set when entry (i, j) is nonzero.
-        """
-        masks = []
-        for i, row in enumerate(self.entries):
-            mask = 0
-            for j, e in enumerate(row):
-                if e:
-                    if e < 0:
-                        raise MatrixError(f"negative entry {e} at ({i + 1},{j + 1})")
-                    mask |= 1 << j
-            masks.append(mask)
-        return tuple(masks)
+        """Zero pattern as row bitsets (walk_support); only for nonnegative input."""
+        return walk_support(self.entries, self.cols)[0]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -270,32 +258,37 @@ def set_bits(mask: int) -> list[int]:
     return bits
 
 
-def walk_support(support, cols: int):
-    """(row_bits, col_bits, supp_t): one walk of a support and its transpose.
+def walk_support(entries, cols: int):
+    """(support, row_bits, col_bits, supp_t), tuples, from one walk of the rows.
 
-    row_bits[i] is the set bits of row i, by set_bits; col_bits[j] the rows
-    whose bit j is set, lowest first; supp_t the transposed support, with
-    cols rows; all are tuples. The same pass over row_bits fills col_bits
-    and supp_t, so each row is walked once and the transpose reads no mask.
+    row_bits[i] lists the nonzero columns of row i and col_bits[j] the nonzero
+    rows of column j, lowest first; supp_t is the transposed support. Only the
+    nonzero entries are checked: the first negative one, row-major, raises.
     """
-    row_bits = tuple(map(tuple, map(set_bits, support)))
+    support, row_bits = [], []
     col_bits = [[] for _ in range(cols)]
     supp_t = [0] * cols
-    for i, bits in enumerate(row_bits):
-        bit = 1 << i
+    for i, row in enumerate(entries):
+        bits = tuple(compress(range(cols), row))
+        bit, mask = 1 << i, 0
         for j in bits:
+            if row[j] < 0:
+                raise MatrixError(f"negative entry {row[j]} at ({i + 1},{j + 1})")
+            mask |= 1 << j
             col_bits[j].append(i)
             supp_t[j] |= bit
-    return row_bits, tuple(map(tuple, col_bits)), tuple(supp_t)
+        support.append(mask)
+        row_bits.append(bits)
+    return tuple(support), tuple(row_bits), tuple(map(tuple, col_bits)), tuple(supp_t)
 
 
 class InclusionMatrix:
     """Nonnegative integer matrix with no zero row and no zero column.
 
-    `support` is its zero pattern and `row_bits`, `col_bits` and `supp_t`
-    its one walk (walk_support), built and validated once here; the depth
-    searches and the bipartite graph read them instead of the entries.
-    `gram` is the big-integer M M^t, formed on first use and then kept.
+    `support`, `row_bits`, `col_bits` and `supp_t` are the one walk of its
+    entries (walk_support), made and validated once here; the depth searches
+    and the bipartite graph read them instead of the entries. `gram` is the
+    big-integer M M^t, formed on first use and then kept.
     """
 
     __slots__ = ("matrix", "support", "row_bits", "col_bits", "supp_t", "_gram")
@@ -303,15 +296,14 @@ class InclusionMatrix:
     def __init__(self, matrix):
         if not isinstance(matrix, IntMatrix):
             matrix = IntMatrix(matrix)
-        support = matrix.support()  # rejects negative entries
-        if 0 in support:
-            i = support.index(0)
+        self.support, self.row_bits, self.col_bits, self.supp_t = walk_support(
+            matrix.entries, matrix.cols)  # rejects negative entries
+        if 0 in self.support:
+            i = self.support.index(0)
             raise MatrixError(f"zero row {i + 1}", row=i)
-        self.row_bits, self.col_bits, self.supp_t = walk_support(support, matrix.cols)
         if 0 in self.supp_t:
             raise MatrixError(f"zero column {self.supp_t.index(0) + 1}")
         self.matrix = matrix
-        self.support = support
         self._gram = None
 
     @property
@@ -325,8 +317,9 @@ class InclusionMatrix:
     @property
     def gram(self) -> IntMatrix:
         """M M^t, the r x r symmetric bracketed square M^[2]."""
-        if self._gram is None:
-            self._gram = self.matrix * self.matrix.transpose()
+        if self._gram is None:  # the entries were checked when the matrix was built
+            entries = self.matrix.entries
+            self._gram = made(product(entries, list(zip(*entries))))
         return self._gram
 
     def transposed(self) -> "InclusionMatrix":

@@ -300,6 +300,20 @@ def naive_support_transpose(s, cols: int) -> tuple[int, ...]:
                  for j in range(cols))
 
 
+def support_walk(cells):
+    """(support, row_bits, col_bits, supp_t) of nonnegative cells, cell by cell.
+
+    The fields of exactmat.walk_support, each read off the cells on its own:
+    row bitsets, the nonzero columns of each row, the nonzero rows of each
+    column, and the column bitsets, all as tuples.
+    """
+    rows, cols = range(len(cells)), range(len(cells[0]))
+    return (tuple(sum(1 << j for j in cols if cells[i][j]) for i in rows),
+            tuple(tuple(j for j in cols if cells[i][j]) for i in rows),
+            tuple(tuple(i for i in rows if cells[i][j]) for j in cols),
+            tuple(sum(1 << i for i in rows if cells[i][j]) for j in cols))
+
+
 def inclusion_rejection(cells) -> tuple[str, int | None] | None:
     """(message, row) that InclusionMatrix must raise for cells, None if valid.
 

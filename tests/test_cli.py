@@ -553,6 +553,28 @@ def test_parse_diagnostics(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no int-to-str limit")
+def test_entry_past_the_digit_limit(tmp_path, capsys):
+    # a decimal entry one digit past the interpreter's int-to-str limit is
+    # named by its digit count, without the sign, on one short line; one at
+    # the limit is read, and a header past it is still malformed
+    limit = sys.get_int_max_str_digits()
+    for sign in ("", "-"):
+        with pytest.raises(MatrixParseError) as info:
+            parse_matrix(f"1 2\n1 {sign}{'9' * (limit + 1)}\n")
+        assert str(info.value) == (
+            f"line 2: entry (1,2) has {limit + 1} digits, more than the limit of {limit}")
+    assert parse_matrix(f"1 1\n{'9' * limit}\n").matrix.entries[0][0] % 10**9 == 10**9 - 1
+    with pytest.raises(MatrixParseError, match=r"^line 1: malformed header"):
+        parse_matrix(f"1 {'1' * (limit + 1)}\n1\n")
+    path = tmp_path / "wide.mat"
+    path.write_text(f"1 1\n{'9' * (limit + 1)}\n")
+    assert main(["compute", "--matrix", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: line 2: entry (1,1) has {limit + 1} digits, more than the limit of {limit}\n")
+
+
 def test_non_utf8_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "latin1.mat"
     bad.write_bytes(b"\xff\xfe1 1\n1\n")

@@ -16,7 +16,7 @@ from _oracles import (all_binary_inclusions, berkowitz_char_poly, block_diagonal
                       bracketed_power, dense_rows, depth_at_most_two, depth_is_one,
                       depth_upper_bound, has_depth, hdepth_at_most_three, hdepth_is_one,
                       identity, inclusion_rejection, min_depth_exact, min_hdepth_exact,
-                      naive_bracketed_powers, naive_support_product,
+                      naive_bracketed_powers, naive_multiply, naive_support_product,
                       naive_support_transpose, poly_gcd, random_inclusion,
                       right_chain_depths, sorted_binary_inclusions, zero_count)
 
@@ -426,19 +426,27 @@ class TestMinOddDepthSymmetric:
 
 class TestDepthReport:
     def test_forms_gram_once(self, monkeypatch):
+        # a report forms M M^t once, by the packed product of the entries the
+        # matrix checked when it was built, and never through the checked
+        # operator IntMatrix.__mul__, which would scan both operands again
         m = branching_matrix(6)
-        mt = m.matrix.transpose()
+        mt = m.matrix.transpose().entries
         grams = []
-        multiply = IntMatrix.__mul__
+        multiply = exactmat.product
 
         def spy(a, b):
-            if a == m.matrix and b == mt:
+            if a == m.matrix.entries and tuple(b) == mt:
                 grams.append(b)
             return multiply(a, b)
 
-        monkeypatch.setattr(IntMatrix, "__mul__", spy)
+        def refuse(a, b):
+            raise AssertionError("a report multiplied through IntMatrix.__mul__")
+
+        monkeypatch.setattr(exactmat, "product", spy)
+        monkeypatch.setattr(IntMatrix, "__mul__", refuse)
         assert depth_report(m).depth == 9
         assert len(grams) == 1
+        assert m.gram == IntMatrix(naive_multiply(m.matrix.entries, mt))
 
     def test_s3s4(self):
         rep = depth_report(S3S4)
@@ -525,11 +533,12 @@ def test_report_shares_one_transposed_support():
                                InclusionMatrix(dense_rows(random.Random(3), 40))],
                          ids=["S_5 <= S_6", "dense 40x60"])
 def test_report_walks_each_support_once(monkeypatch, m):
-    # building the matrix walks supp(M) once, one set_bits call per row, in
-    # its one walk_support call; a report then makes no walk and calls
-    # set_bits once per distinct row of the factor each of the three chains
-    # steps by: supp(M M^t) for d(M), and S = supp(M^t M) for d(M^t) and d_H.
-    # It forms each factor once, from the row lists and the column lists
+    # building the matrix walks its entries once, in its one walk_support
+    # call, which finds the set bits of each row itself, with no set_bits
+    # call; a report then makes no walk and calls set_bits once per distinct
+    # row of the factor each of the three chains steps by: supp(M M^t) for
+    # d(M), and S = supp(M^t M) for d(M^t) and d_H. It forms each factor
+    # once, from the row lists and the column lists
     calls = {"set_bits": 0, "walk_support": 0}
     factors = []
     select_or = depth._select_or
@@ -558,7 +567,7 @@ def test_report_walks_each_support_once(monkeypatch, m):
     assert sorted(factors) == [False, True], factors
     gram = m.gram.support()
     s = (m.matrix.transpose() * m.matrix).support()
-    assert built == {"set_bits": m.rows, "walk_support": 1}, built
+    assert built == {"set_bits": 0, "walk_support": 1}, built
     assert counts == {"set_bits": len(set(gram)) + 2 * len(set(s)),
                       "walk_support": 0}, counts
     assert rep.all_methods_agree()

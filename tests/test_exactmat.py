@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,10 +10,11 @@ from incdepth.depth import _select_or
 from incdepth.exactmat import set_bits, slots, walk_support
 
 from _oracles import (dense_gram, dense_rows, dominance_brute, entrywise_le, identity,
-                      krylov_dim_reference, naive_multiply, naive_powers, near_million_gram,
-                      naive_support_product, naive_support_transpose, random_inclusion,
-                      repeated_rows_gram, repeated_spectrum, scale, support_as_int_matrix,
-                      support_bits, symmetric_corpus, symmetric_matrix, zero_count)
+                      inclusion_rejection, krylov_dim_reference, naive_multiply, naive_powers,
+                      near_million_gram, naive_support_product, naive_support_transpose,
+                      random_inclusion, repeated_rows_gram, repeated_spectrum, scale,
+                      support_as_int_matrix, support_bits, support_walk, symmetric_corpus,
+                      symmetric_matrix, zero_count)
 
 S3S4 = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 H8_MMT = IntMatrix([[5, 1, 1, 1, 0], [1, 5, 1, 1, 0], [1, 1, 5, 1, 0],
@@ -70,6 +72,15 @@ class TestConstruction:
     def test_rejects_float(self):
         with pytest.raises(MatrixError, match=r"\(1,2\)"):
             IntMatrix([[1, 2.5]])
+
+    @pytest.mark.parametrize("build", [IntMatrix, InclusionMatrix])
+    def test_rejects_bool(self, build):
+        # True would render as 'True', which the text format cannot read back
+        with pytest.raises(MatrixError) as info:
+            build([[True, 1], [0, True]])
+        assert (str(info.value), info.value.row) == ("entry (1,1) is not an integer: True", None)
+        with pytest.raises(MatrixError, match=r"entry \(2,2\) is not an integer: False"):
+            build([[1, 1], [0, False]])
 
     def test_identity(self):
         assert identity(2).entries == ((1, 0), (0, 1))
@@ -329,10 +340,10 @@ class TestBoolMultiply:
         s, t = m.support(), m.transpose().support()
         # zero rows and columns, at either end of a 64-bit word, are walked
         # as empty tuples and transposed as zero masks
-        row_bits, col_bits, supp_t = walk_support(s, m.cols)
-        assert supp_t == t
+        support, row_bits, col_bits, supp_t = walk_support(m.entries, m.cols)
+        assert support == s and supp_t == t
         assert row_bits == bit_tuples(s) and col_bits == bit_tuples(t)
-        assert all_tuples(row_bits, col_bits, supp_t)
+        assert all_tuples(row_bits, col_bits, support, supp_t)
         assert naive_support_transpose(s, m.cols) == t
         assert support_bits(s, m.cols) == tuple(tuple(e > 0 for e in row)
                                                 for row in m.entries)
@@ -362,6 +373,41 @@ def test_inclusion_matrix_keeps_its_walk():
         for walk in ((m.row_bits, m.col_bits, m.support, m.supp_t),
                      (mt.row_bits, mt.col_bits, mt.support, mt.supp_t)):
             assert all_tuples(*walk), m
+
+
+def test_walk_matches_cell_oracle():
+    # seeded matrices up to 9x9 with entries in -2..3: IntMatrix.support(),
+    # walk_support and InclusionMatrix give the fields the cell-by-cell
+    # oracle reads, or the MatrixError it names, message and row, in the
+    # order negative entry, zero row, zero column
+    rng = random.Random(28)
+    seen = Counter()
+    for _ in range(2400):
+        r, s = rng.randint(1, 9), rng.randint(1, 9)
+        zero, negative = rng.choice((0.1, 0.4, 0.8)), rng.choice((0, 0, 0.01, 0.1))
+        cells = [[0 if rng.random() < zero else
+                  rng.randint(-2, -1) if rng.random() < negative else rng.randint(1, 3)
+                  for _ in range(s)] for _ in range(r)]
+        m, expected = IntMatrix(cells), inclusion_rejection(cells)
+        if expected is not None and expected[0].startswith("negative"):
+            for call in (m.support, lambda: walk_support(m.entries, s)):
+                with pytest.raises(MatrixError) as info:
+                    call()
+                assert (str(info.value), info.value.row) == expected, cells
+        else:
+            fields = support_walk(cells)
+            assert m.support() == fields[0], cells
+            assert walk_support(m.entries, s) == fields, cells
+        if expected is None:
+            got = InclusionMatrix(m)
+            assert (got.support, got.row_bits, got.col_bits, got.supp_t) == fields, cells
+        else:
+            with pytest.raises(MatrixError) as info:
+                InclusionMatrix(cells)
+            assert (str(info.value), info.value.row) == expected, cells
+        seen[" ".join(expected[0].split()[:2]) if expected else "valid"] += 1
+    assert min(seen[key] for key in ("valid", "zero row", "zero column")) >= 100, seen
+    assert sum(n for key, n in seen.items() if key.startswith("negative")) >= 100, seen
 
 
 def test_transposed_makes_no_walk(monkeypatch):
