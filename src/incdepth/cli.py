@@ -1,6 +1,7 @@
 """Command line surface: depth reports, graph exports, generators, checks.
 
-Matrix text format: lines starting with '#' are comments and ignored (as
+Matrix text format: lines end at CR LF, CR or LF, and one leading byte
+order mark is dropped; lines starting with '#' are comments and ignored (as
 are blank lines); the first remaining line is 'rows cols'; then exactly
 `rows` lines each holding `cols` nonnegative decimal integers separated
 by whitespace. Exit codes: 0 success, 1 a requested check failed,
@@ -15,7 +16,6 @@ import io
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .bigraph import (build_graph, min_even_depth_graph, min_hdepth_graph,
@@ -30,7 +30,10 @@ class MatrixParseError(MatrixError):
 
 
 def _data_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
+    """(line number, tokens) of each data line. Lines end at CR LF, CR or LF
+    only, so a form feed or U+2028 is whitespace inside its line."""
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for number, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -124,7 +127,7 @@ def render_matrix(m) -> str:
 
 def fixture_path(name: str) -> Path:
     """Path of a bundled example matrix: s3s4.mat, c2m2.mat or h8_mmt.mat."""
-    return Path(str(resources.files(__package__) / "fixtures" / name))
+    return Path(__file__).with_name("fixtures") / name
 
 
 def _read_matrix_text(source: str) -> str:

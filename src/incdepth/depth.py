@@ -41,24 +41,26 @@ def _select_or(picks, rows) -> list[int]:
     return out
 
 
-def _identity(n: int) -> tuple[int, ...]:
-    return tuple(1 << i for i in range(n))
+def _stabilize(g, start=None) -> int:
+    """Step the support chain from I by g until it stabilizes; return the depth.
 
+    With no start, the chain I, g, g^2, ... of a square support g with a
+    full diagonal gives the least odd 2n-1 with supp(g^n) == supp(g^(n-1)).
+    With start = supp(M) and g = supp(M M^t), the chains from I and start
+    step together, since M^[n+1] = (M M^t) M^[n-1], and give d(M), the
+    least n with supp(M^[n+1]) == supp(M^[n-1]); the same walk read the
+    other way, supp(M^t) and supp(M^t M), gives d(M^t).
 
-def _stabilize(g, chain) -> int:
-    """Least n >= 1 with X_(n-1+gap) == X_(n-1) in the support chain
-
-        X_0, ..., X_(gap-1) = chain,   X_(k+gap) = g * X_k,   gap = len(chain).
-
-    g and each X_k are supports. The sparse g sits on the left. The set
-    bits of each distinct row of g are found once, so a step costs one OR
-    per set bit of each distinct row, however full X_k has grown, and equal
-    rows of g share their row of X_(k+gap). Supports in the chain only
-    grow, and stabilize well below the cap (the spectral bound gives
-    d <= 2*min(r,s) - 1); hitting it means a bug.
+    The sparse g sits on the left. The set bits of each distinct row of g
+    are found once, so a step costs one OR per set bit of each distinct row,
+    however full the power has grown, and equal rows of g share their row of
+    the next power. Supports only grow, and stabilize well below the cap
+    (the spectral bound gives d <= 2*min(r,s) - 1); hitting it means a bug.
     """
+    chain = [tuple(1 << i for i in range(len(g)))]
+    if start is not None:
+        chain.append(start)
     cap = 2 * (len(g) + max(chain[-1]).bit_length()) + 2
-    chain = list(chain)
     distinct = {}  # row of g -> its position among the distinct rows
     for mask in g:
         distinct.setdefault(mask, len(distinct))
@@ -68,32 +70,19 @@ def _stabilize(g, chain) -> int:
         low = chain.pop(0)
         high = tuple(map(_select_or(picks, low).__getitem__, spread))
         if high == low:
-            return n
+            return 2 * n - 1 if start is None else n
         chain.append(high)
     raise AssertionError("support stabilization exceeded its iteration cap")
 
 
-def _depth(factor, support) -> int:
-    """d(M) from supp(M) and factor = supp(M M^t): the even and odd chains
-    from I and supp(M) step together by the factor, since
-    M^[n+1] = (M M^t) M^[n-1]. supp(M^t) and supp(M^t M) give d(M^t)."""
-    return _stabilize(factor, (_identity(len(support)), support))
-
-
-def _odd_depth(g) -> int:
-    """Least odd 2n-1 with supp(g^n) == supp(g^(n-1)), for a square support g
-    with a full diagonal."""
-    return 2 * _stabilize(g, (_identity(len(g)),)) - 1
-
-
 def min_depth(m: InclusionMatrix) -> int:
     """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
-    return _depth(_select_or(m.row_bits, m.supp_t), m.support)
+    return _stabilize(_select_or(m.row_bits, m.supp_t), m.support)
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
     """Minimum H-depth, the least odd 2n-1 with S^n <= q S^{n-1} for S = M^t M."""
-    return _odd_depth(_select_or(m.col_bits, m.support))
+    return _stabilize(_select_or(m.col_bits, m.support))
 
 
 def min_odd_depth_symmetric(sym: IntMatrix) -> int:
@@ -110,7 +99,7 @@ def min_odd_depth_symmetric(sym: IntMatrix) -> int:
     for i in range(sym.rows):
         if sym.entries[i][i] <= 0:
             raise MatrixError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
-    return _odd_depth(sym.support())
+    return _stabilize(sym.support())
 
 
 @dataclass(frozen=True)
@@ -156,8 +145,8 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     # other way. d(M^t) and d_H step it in two separate chains, so the flags
     # and checks that tie them compare independent results
     s = _select_or(m.col_bits, m.support)
-    d_t = _depth(s, m.supp_t)
-    d_h = _odd_depth(s)
+    d_t = _stabilize(s, m.supp_t)
+    d_h = _stabilize(s)
     graph = bigraph.build_graph(m)
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)

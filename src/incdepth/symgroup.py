@@ -29,7 +29,7 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
 
     partitions(0) is the single empty partition, by convention.
     """
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"partitions need an integer n, got {n!r}")
     if n < 0:
         raise ValueError(f"partitions need n >= 0, got {n}")
@@ -43,7 +43,7 @@ def branching_matrix(n: int) -> InclusionMatrix:
     exactly when column j is row i with one box added. Entries are 0/1
     because the branching rule is multiplicity-free.
     """
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"branching matrix needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError(f"branching matrix needs n >= 2, got {n}")
@@ -67,7 +67,7 @@ def tower_matrix(k: int, n: int) -> InclusionMatrix:
     Induction composes along the tower, so the matrix is
     branching_matrix(k+1) * ... * branching_matrix(n).
     """
-    if not (isinstance(k, int) and isinstance(n, int)):
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (k, n)):
         raise ValueError(f"tower needs integers k and n, got k={k!r}, n={n!r}")
     if k < 1 or n <= k:
         raise ValueError(f"tower needs 1 <= k < n, got k={k}, n={n}")

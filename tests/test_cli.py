@@ -87,6 +87,13 @@ class TestParse:
         assert m.entries == ((1, 0), (0, 0))
 
 
+    def test_line_ends_and_bom(self):
+        # lines end at \r\n, \r and \n; one leading byte order mark is dropped
+        want = InclusionMatrix([[1, 1, 0], [0, 1, 1]])
+        for text in ("2 3\r\n# c\r\n1 1 0\r\n0 1 1\r\n", "2 3\r# c\r1 1 0\r0 1 1\r",
+                     "\ufeff2 3\n1 1 0\n0 1 1\n", "\ufeff# c\r\n2 3\r1 1 0\n0 1 1"):
+            assert parse_matrix(text) == want, text
+
 class TestRenderRoundTrip:
     def test_fixtures(self):
         for name in ("s3s4.mat", "c2m2.mat", "h8_mmt.mat"):
@@ -149,6 +156,27 @@ class TestComputeCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n1\n1\n"))
         assert main(["compute", "--matrix", "-"]) == 0
         assert "depth: 2" in capsys.readouterr().out
+
+    def test_bom_file(self, tmp_path, capsys):
+        path = tmp_path / "bom.mat"
+        path.write_bytes(b"\xef\xbb\xbf" + fixture_path("s3s4.mat").read_bytes())
+        assert main(["compute", "--json", "--matrix", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == 5
+
+    def test_stdin_line_ends_and_bom(self):
+        # the process's own stdin keeps a \r, which must still end a line
+        import subprocess
+        for data, code, out, err in (
+                (b"2 3\n# note\xc2\x85\n1 x 1\n1 1 1\n", 2, b"",
+                 b"error: line 3: entry (1,2) is not an integer: 'x'\n"),
+                (b"2 2\n1 1\x0c1 1\n", 2, b"",
+                 b"error: line 2: row 1 has 4 entries, expected 2\n"),
+                (b"\xef\xbb\xbf2 1\r1\r\n1\r", 0, b"rows: 2\ncols: 1\ndepth: 2\n", b"")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "incdepth", "compute", "--matrix", "-"],
+                input=data, capture_output=True, env=_subprocess_env())
+            assert proc.returncode == code, (data, proc.stderr)
+            assert proc.stdout[:len(out)] == out and proc.stderr == err, data
 
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
@@ -542,6 +570,15 @@ PARSE_DIAGNOSTICS = [
     ("2 2\n0 0\n1 0\n", "line 2: zero row 1"),
     ("2 2\n1 0\n1 0\n", "zero column 2"),
     ("2 3\n# mid\n0 1 0\n\n1 1 0\n", "zero column 3"),
+    # lines end at \r\n, \r and \n only, so the numbers are those of grep -n,
+    # and another line break inside a line is whitespace
+    ("2 3\r\n# c\r\n1 x 1\r\n1 1 1\r\n", "line 3: entry (1,2) is not an integer: 'x'"),
+    ("2 3\r# c\r1 x 1\r1 1 1\r", "line 3: entry (1,2) is not an integer: 'x'"),
+    ("2 3\n# c\x85\n1 x 1\n1 1 1\n", "line 3: entry (1,2) is not an integer: 'x'"),
+    ("2 3\n# c\u2028\n1 x 1\n1 1 1\n", "line 3: entry (1,2) is not an integer: 'x'"),
+    ("2 2\n1 1\x0c1 1\n", "line 2: row 1 has 4 entries, expected 2"),
+    ("2 2\n1 1\x1e1 1\n", "line 2: row 1 has 4 entries, expected 2"),
+    ("\ufeff\ufeff1 1\n1\n", "line 1: malformed header, expected 'rows cols'"),
 ]
 
 

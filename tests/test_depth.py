@@ -254,7 +254,7 @@ class TestSupportChains:
     def test_cap_raises(self):
         # a permutation support never grows, so its chain cycles forever
         with pytest.raises(AssertionError, match="iteration cap"):
-            _stabilize((0b10, 0b01), ((0b01, 0b10),))
+            _stabilize((0b10, 0b01))
 
 
 def test_exhaustive_binary_up_to_4x4():
@@ -387,6 +387,28 @@ class TestSmallDepths:
         assert (rep.rows, rep.cols, rep.depth, rep.h_depth) == (600, 800, 2, 3)
         assert (rep.spectral_bound, rep.q_witness) == (1199, 179301298602)
         assert rep.all_methods_agree() and dims == [600]
+
+    @pytest.mark.parametrize("density, want", [(0.8, (3, 3, 3)), (0.03, (7, 7, 7))],
+                             ids=["dense", "sparse"])
+    def test_seeded_200x260(self, density, want):
+        # the four facts at a size where a report takes a fifth of a second:
+        # each cell is nonzero, 1..1000, with the given probability, and a
+        # zero line gets one such entry
+        rng = random.Random(0)
+        cells = [[rng.randint(1, 1000) if rng.random() < density else 0 for _ in range(260)]
+                 for _ in range(200)]
+        for row in cells:
+            if not any(row):
+                row[rng.randrange(260)] = rng.randint(1, 1000)
+        for j in range(260):
+            if not any(row[j] for row in cells):
+                cells[rng.randrange(200)][j] = rng.randint(1, 1000)
+        rep = depth_report(InclusionMatrix(cells))
+        d, d_h = rep.depth, rep.h_depth
+        assert (d, rep.depth_transpose, d_h) == want and rep.all_methods_agree()
+        assert depth_is_one(cells) == (d == 1) and hdepth_is_one(cells) == (d_h == 1)
+        assert depth_at_most_two(cells) == (d <= 2)
+        assert hdepth_at_most_three(cells) == (d_h <= 3)
 
 
 class TestMinOddDepthSymmetric:

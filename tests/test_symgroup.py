@@ -136,6 +136,9 @@ class TestTowerMatrix:
     (partitions, (2.5,)), (partitions, (3.0,)), (partitions, ("3",)),
     (branching_matrix, (2.5,)), (branching_matrix, (4.0,)),
     (tower_matrix, (1, 2.5)), (tower_matrix, (1.5, 3)), (tower_matrix, (2, 4.0)),
+    # bool is an int subclass: tower_matrix(True, 3) was the S_1 <= S_3 tower
+    (partitions, (True,)), (partitions, (False,)), (branching_matrix, (True,)),
+    (tower_matrix, (True, 3)), (tower_matrix, (1, True)),
 ])
 def test_non_integer_n_rejected(call, args):
     with pytest.raises(ValueError, match="integer"):
