@@ -37,9 +37,13 @@ right after that pair, at the end of chain step a, unless no
 Hankel step is left for it to save. When a = c the chain forms G^c after
 its last Hankel row. So on a tall M, with cols + 1 < r, the chain forms
 no power past G^max(a, cols), and none past G^a when the certificate
-proves k = c. This module only counts: exactmat forms the chain, lazily
-(symmetric_powers), and the Krylov dimension (krylov_dim), and alone
-knows the layout of the rows they pack.
+proves k = c. A Frobenius sum or the witness pair reads G^n only when
+2n + 1 > t, so the chain unpacks the upper rows of G^n from
+n = (t + 1) // 2 on; below that it reads each power's diagonal slots
+alone, for its trace, and bounds its largest entry for the next product's
+slots without unpacking it. This module only counts: exactmat forms the
+chain, lazily (symmetric_powers), and the Krylov dimension (krylov_dim),
+and alone knows the layout of the rows they pack.
 """
 
 from __future__ import annotations
@@ -101,14 +105,17 @@ def _hankel_rank(g, exact: int, ceiling: int):
     exact, unless that is step c - 1 or later and no Hankel step is left
     for it to save; a dimension of c proves k = c. Its dimension is at most
     k, and a k below it raises AssertionError: the chain or the certificate
-    is wrong. Step n pulls G^n from exactmat.symmetric_powers.
+    is wrong. Step n pulls G^n from exactmat.symmetric_powers, whole from
+    n = (t + 1) // 2 on and as its diagonal alone before that.
     """
     r = len(g)
     c = min(r, ceiling)  # k <= c
     top = min(exact, c - 1)  # s_1, ..., s_top are traces
     dim = 0  # the Krylov certificate's dimension, once it is tried
-    chain = symmetric_powers(g)
-    upper = next(chain)  # the upper rows of G^0, and of G^n from step n on
+    # a Frobenius sum reads G^n only when 2n + 1 > top, the witness pair no
+    # earlier power, and the traces below that only the diagonals
+    chain = symmetric_powers(g, (top + 1) // 2)
+    _, upper = next(chain)  # the upper rows of G^0, and of G^n from step n on, or None
     powers = None  # the upper rows of G^(exact-1) and G^exact, once formed
     sums = [r] + [None] * (2 * c - 2)  # s_0, ..., s_(2c-2), each set once known
     pivots = [r]  # det H_1, ..., det H_(m+1) for the rows eliminated so far
@@ -116,13 +123,14 @@ def _hankel_rank(g, exact: int, ceiling: int):
     # Steps 1..c-1 add Hankel rows; det H_(c+1) = 0 always, so step c only
     # forms G^c, when it is asked for.
     for n in range(1, max(c, exact + 1)):
-        low, upper = upper, next(chain)
+        low = upper
+        diagonal, upper = next(chain)
         if n == exact:
             powers = [low, upper]
         if n == c:
             break
         if n <= top:
-            sums[n] = sum([x[0] for x in upper])
+            sums[n] = sum(diagonal)
         if 2 * n - 1 > top:
             sums[2 * n - 1] = _frobenius(low, upper)
         if 2 * n > top:

@@ -6,8 +6,13 @@ nonzero. walk_support alone forms a support from entries, checking their
 signs, with its row and column lists and its transpose in the same pass;
 an InclusionMatrix makes that walk when it is built, and keeps it. Products
 pack a row into one int, one slot per entry; only this module knows that
-layout, on either byte order (slots and widen), and so it runs the loops that
-carry packed rows: symmetric_powers, the chain G^n, and krylov_dim.
+layout, on either byte order (slots, diagonal and widen), and so it runs the
+loops that carry packed rows: symmetric_powers, the chain G^n, and
+krylov_dim. Every product sums packed rows by one kernel, planned_sums,
+from a plan of its left operand (plan_rows): per row, the columns of its
+units, whose packed rows are added with no multiplication, and its larger
+entries, each multiplied by its packed row. A product, and each Krylov
+step, plans its left operand in the same call; the chain plans G once.
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -159,45 +164,106 @@ def product(a, b) -> list[tuple[int, ...]]:
     entry of the product is at most
     s * max(a) * max(b) < 2^(bits(s) + bits(max a) + bits(max b)), so it
     fits its slot and no sum carries into the next one. Row i of the
-    product is then the sum of a_ik * packed_k over the nonzero a_ik, read
-    back slot by slot. A negative entry would borrow across slots, so the
-    product would be silently wrong.
+    product is then the sum of a_ik * packed_k over the nonzero a_ik
+    (plan_rows and planned_sums), read back slot by slot. A negative entry
+    would borrow across slots, so the product would be silently wrong.
     """
     bits = (len(b).bit_length() + max(map(max, a)).bit_length()
             + max(map(max, b)).bit_length())
     _, pack, unpack = slots(bits, len(b[0]))
-    return [tuple(unpack(x)) for x in combine(a, list(map(pack, b)))]
+    return [tuple(unpack(x)) for x in planned_sums(plan_rows(a), list(map(pack, b)))]
 
 
-def combine(a, packed) -> list[int]:
-    """The packed rows of a * b, from the packed rows of b (see product)."""
-    return [sum(map(mul, compress(row, row), compress(packed, row))) for row in a]
+def plan_rows(a) -> list:
+    """The plan of each nonnegative row of a, the left operand of a product.
+
+    A row's plan is (units, coefficients, picks). A row with a unit keeps
+    the columns of its entries equal to 1 in units, whose packed rows
+    planned_sums adds with no multiplication, its larger nonzero entries in
+    coefficients, in column order, and their columns in picks; all three
+    are lists. A row with none keeps units empty and itself as both
+    coefficients and picks, which compress reads as a mask: it gathers a
+    dense row faster than its columns would.
+    """
+    cols, plans = range(len(a[0])), []
+    for row in a:
+        if 1 in row:
+            units, coefficients, picks = [], [], []
+            for j in compress(cols, row):
+                if row[j] == 1:
+                    units.append(j)
+                else:
+                    coefficients.append(row[j])
+                    picks.append(j)
+            plans.append((units, coefficients, picks))
+        else:
+            plans.append(((), row, row))
+    return plans
 
 
-def symmetric_powers(g):
-    """The upper rows of G^0, G^1, G^2, ... for nonnegative symmetric rows g.
+def planned_sums(plans, packed) -> list[int]:
+    """The packed rows of a * b, from the plans of a's rows (plan_rows) and
+    the packed rows of b: per row, the sum of its units' packed rows plus
+    each larger coefficient times its packed row."""
+    get = packed.__getitem__
+    return [sum(map(mul, coefficients, map(get, picks)), sum(map(get, units))) if units
+            else sum(map(mul, compress(coefficients, picks), compress(packed, picks)))
+            for units, coefficients, picks in plans]
 
-    Lazy: G^n = G G^(n-1) is formed by product's kernel only when pulled.
-    The packed sums that formed G^(n-1) are the next product's packed rows,
-    widened byte by byte when the slots grow. Each step unpacks the upper
-    rows of G^n from the diagonal on, which is exact as G^n is symmetric,
-    for the caller's sums and witness pair and for the slot width of the
-    next product.
+
+def diagonal(packed, width: int) -> list[int]:
+    """Slot i of packed row i for each i: the diagonal of a square matrix
+    whose rows are packed in slots of width bytes, read with no unpacking.
+    Counted from the int's low end, slot i is the i-th slot on a
+    little-endian host and the (r - 1 - i)-th on a big-endian one (slots)."""
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    if byteorder == "little":
+        return [x >> bits * i & mask for i, x in enumerate(packed)]
+    last = len(packed) - 1
+    return [x >> bits * (last - i) & mask for i, x in enumerate(packed)]
+
+
+def symmetric_powers(g, whole: int):
+    """(diagonal, upper rows) of G^0, G^1, G^2, ... for nonnegative symmetric
+    rows g; the upper rows of G^n are None for 2 <= n < whole.
+
+    Lazy: G^n = G G^(n-1) is formed only when pulled, by planned_sums from
+    the plan of G, which plan_rows forms once, at the first product. The
+    packed sums that formed G^(n-1) are the next product's packed rows,
+    widened byte by byte when the slots grow. A step from whole on unpacks
+    the upper rows of G^n from the diagonal on, which is exact as G^n is
+    symmetric, and the largest of them sizes the next product's slots. A
+    step below whole reads only the diagonal slots, and bounds the largest
+    entry of G^n for the next slots without unpacking: an even power
+    G^(2m) = (G^m)^t G^m has its largest entry on its diagonal (Cauchy-
+    Schwarz), and an odd one G^n = G G^(n-1) none above the largest of
+    G^(n-1) times the largest row sum of G. Both hold for every
+    nonnegative symmetric G.
     """
     r = len(g)
-    head = r.bit_length() + max(map(max, g)).bit_length()  # G's share of product's bound
-    yield [[1] + [0] * (r - 1 - i) for i in range(r)]
+    high = max(map(max, g))  # the largest entry of G^n, or a bound on it
+    head = r.bit_length() + high.bit_length()  # G's share of product's bound
+    yield [1] * r, [[1] + [0] * (r - 1 - i) for i in range(r)]
     upper = [row[i:] for i, row in enumerate(g)]
-    yield upper
-    width, packed = 0, None  # the slot width and the packed rows of G^n, from n = 2 on
+    yield [row[0] for row in upper], upper
+    plans = plan_rows(g)
+    width, packed, n = 0, None, 1  # the slot width and the packed rows of G^n
     while True:
-        step, pack, read = slots(head + max(map(max, upper)).bit_length(), r)
+        n += 1
+        step, pack, read = slots(head + high.bit_length(), r)
         if step > width:
             packed = widen(packed, width, step, r) if packed else list(map(pack, g))
             width, unpack = step, read
-        packed = combine(g, packed)
-        upper = [unpack(x, i) for i, x in enumerate(packed)]
-        yield upper
+        packed = planned_sums(plans, packed)
+        if n >= whole:  # the bound is formed only when the next power is pulled
+            upper = [unpack(x, i) for i, x in enumerate(packed)]
+            yield [row[0] for row in upper], upper
+            high = max(map(max, upper))
+        else:
+            diag = diagonal(packed, width)
+            yield diag, None
+            high = max(diag) if n % 2 == 0 else high * max(map(sum, g))
 
 
 def krylov_dim(g, p: int) -> int:
@@ -236,7 +302,7 @@ def krylov_dim(g, p: int) -> int:
             break
         at = ((u & -u).bit_length() - 1) // bits * bits  # the lowest nonzero slot
         basis.append((at, p - pow(u >> at & mask, -1, p), u))
-        w = combine([v], rows)[0]
+        w = planned_sums(plan_rows([v]), rows)[0]
     return len(basis)
 
 

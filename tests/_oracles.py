@@ -1,8 +1,8 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here but minpoly_degree, which wraps the program's own count,
-and tower_closed_forms, which restates the program's own output,
-deliberately avoids the code paths it is used to check: naive triple-loop
+and tower_closed_forms and chain_widths, which restate the program's own
+output and slot rule, deliberately avoids the code paths it is used to check: naive triple-loop
 products instead of IntMatrix.__mul__ where the product itself is under
 test or an operand is signed, Gram powers by plain sums of products
 instead of the chain's carried packed rows, the least dominance witness
@@ -102,6 +102,24 @@ def naive_powers(g, top: int) -> list[list[list[int]]]:
         powers.append([[sum(x * low[k][j] for k, x in terms) for j in range(r)]
                        for terms in nonzero])
     return powers
+
+
+def chain_widths(g, powers, whole: int) -> list[int]:
+    """The slot width in bytes of each product G^n = G G^(n-1), n >= 2, that
+    exactmat.symmetric_powers(g, whole) takes to form powers[2:], read off
+    the plain powers I, G, G^2, ...: bits(r) + bits(max G) + bits(h), where
+    h is max G^(n-1) when the chain unpacks G^(n-1) (n - 1 < 2 or
+    n - 1 >= whole) or n - 1 is even, and else h for G^(n-2) times the
+    largest row sum of G. Word slots up to 64 bits, whole bytes past that,
+    and a width never narrows."""
+    head = len(g).bit_length() + max(map(max, g)).bit_length()
+    row_sum = max(map(sum, g))
+    widths, high = [], 0
+    for m, power in enumerate(powers[1:-1], 1):
+        high = max(map(max, power)) if m < 2 or m >= whole or m % 2 == 0 else high * row_sum
+        bits = head + high.bit_length()
+        widths.append(max(widths[-1:] + [8 if bits <= 64 else (bits + 7) // 8]))
+    return widths
 
 
 def naive_bracketed_powers(m: InclusionMatrix, top: int) -> list[IntMatrix]:

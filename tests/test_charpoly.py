@@ -9,13 +9,13 @@ from incdepth import charpoly, exactmat
 from incdepth.cli import main
 from incdepth.exactmat import slots, widen
 
-from _oracles import (IntPolynomial, berkowitz_char_poly, char_poly, char_poly_value,
-                      count_partitions, dense_gram, dense_rows, depth_upper_bound,
-                      frobenius, has_depth, identity, krylov_dim_reference, minpoly_degree,
-                      naive_multiply, naive_powers, near_million_gram,
-                      pentagonal_partition_counts, poly_at_matrix, poly_gcd, random_inclusion,
-                      repeated_rows_gram, repeated_spectrum, scale, symmetric_corpus,
-                      symmetric_matrix, tower_spectrum)
+from _oracles import (IntPolynomial, berkowitz_char_poly, chain_widths, char_poly,
+                      char_poly_value, count_partitions, dense_gram, dense_rows,
+                      depth_upper_bound, frobenius, has_depth, identity,
+                      krylov_dim_reference, minpoly_degree, naive_multiply, naive_powers,
+                      near_million_gram, pentagonal_partition_counts, poly_at_matrix,
+                      poly_gcd, random_inclusion, repeated_rows_gram, repeated_spectrum,
+                      scale, symmetric_corpus, symmetric_matrix, tower_spectrum)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -224,11 +224,11 @@ class TestModularPath:
         products, dims, before = [], [], []
         symmetric_powers, krylov_dim = charpoly.symmetric_powers, charpoly.krylov_dim
 
-        def powers_spy(g):
-            for n, upper in enumerate(symmetric_powers(g)):
+        def powers_spy(g, whole):
+            for n, power in enumerate(symmetric_powers(g, whole)):
                 if n > 1:
-                    products.append(upper)
-                yield upper
+                    products.append(power)
+                yield power
 
         def krylov_spy(g, p):
             before.append(len(products))
@@ -315,13 +315,15 @@ def _read_slots(packed, width, count):
 def _spy_chain(monkeypatch):
     """Lists that fill as charpoly._hankel_rank runs: the (a, b, sum) of each
     Frobenius product, the sums s_m, ..., s_2m each eliminated Hankel row
-    reads, the packed rows each chain product returns, and the start slot
-    of each unpack that exactmat's slots hand out. A chain product combines
-    the r >= 2 rows of G; the Krylov certificate's matrix-vector steps,
-    which combine one row, the vector, are not recorded."""
-    pairs, sums, products, starts = [], [], [], []
-    frobenius_sum, eliminate, combine, slots = (charpoly._frobenius, charpoly._eliminate,
-                                                exactmat.combine, exactmat.slots)
+    reads, the packed rows each chain product returns, the start slot of
+    each unpack that exactmat's slots hand out, and the power n of each G^n
+    whose diagonal alone is read. A chain product sums by the plans of the
+    r >= 2 rows of G; the Krylov certificate's matrix-vector steps, which
+    sum by the plan of one row, the vector, are not recorded."""
+    pairs, sums, products, starts, reads = [], [], [], [], []
+    frobenius_sum, eliminate, planned_sums, slots, diagonal = (
+        charpoly._frobenius, charpoly._eliminate, exactmat.planned_sums, exactmat.slots,
+        exactmat.diagonal)
 
     def frobenius_spy(a, b):
         pairs.append((a, b, frobenius_sum(a, b)))
@@ -331,9 +333,9 @@ def _spy_chain(monkeypatch):
         sums.append(list(v))
         return eliminate(v, pivots, rows)
 
-    def combine_spy(a, packed):
-        result = combine(a, packed)
-        if len(a) > 1:
+    def planned_spy(plans, packed):
+        result = planned_sums(plans, packed)
+        if len(plans) > 1:
             products.append(result)
         return result
 
@@ -345,11 +347,17 @@ def _spy_chain(monkeypatch):
             return unpack(packed, start)
         return width, pack, unpack_spy
 
+    def diagonal_spy(packed, width):
+        reads.append(len(products) + 1)
+        return diagonal(packed, width)
+
     for module, name, spy in ((charpoly, "_frobenius", frobenius_spy),
                               (charpoly, "_eliminate", eliminate_spy),
-                              (exactmat, "combine", combine_spy), (exactmat, "slots", slots_spy)):
+                              (exactmat, "planned_sums", planned_spy),
+                              (exactmat, "slots", slots_spy),
+                              (exactmat, "diagonal", diagonal_spy)):
         monkeypatch.setattr(module, name, spy)
-    return pairs, sums, products, starts
+    return pairs, sums, products, starts, reads
 
 
 def _check_sums(gram, exact, last, pairs, sums, want):
@@ -386,8 +394,9 @@ class TestFrobeniusSums:
     With the Krylov certificate made to miss, the chain runs its Hankel
     steps through min(k, r - 1): every sum the elimination reads must be
     tr G^j, every Frobenius product the full sum over every cell
-    (_oracles.frobenius), and every power, the witness pair's too, is
-    unpacked from its diagonal on."""
+    (_oracles.frobenius), and every power that a Frobenius product or the
+    witness pair reads, G^n with 2n + 1 > t, is unpacked from its diagonal
+    on; the chain reads only the diagonal slots of the others."""
 
     @pytest.mark.parametrize("source", [*(f"S_{n}" for n in range(4, 15)),
                                         "dense 0", "dense 1"])
@@ -402,19 +411,26 @@ class TestFrobeniusSums:
         want = naive_powers(gram, k)
         monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
         spied = _spy_chain(monkeypatch)
-        pairs, sums, products, starts = spied
+        pairs, sums, products, starts, reads = spied
+        diagonal_steps = 0
         for exact in sorted({0, 1, k // 2, k}):
             for seen in spied:
                 seen.clear()
             found, witness = charpoly._hankel_rank(gram, exact, r)
             assert found == k
             _check_sums(gram, exact, last, pairs, sums, want)
-            # products G^2, ..., G^max(last, exact), each unpacked from its
+            # products G^2, ..., G^max(last, exact): those below G^((t + 1) // 2)
+            # read on their diagonals alone, the rest unpacked from their
             # diagonal on
             formed = range(2, max(last, exact) + 1)
+            whole = (min(exact, r - 1) + 1) // 2
             assert len(products) == len(formed)
-            assert starts == list(range(r)) * len(formed)
+            assert reads == [n for n in formed if n < whole]
+            assert starts == list(range(r)) * (len(formed) - len(reads))
             assert _same_pair(witness, want, exact) if exact else witness is None
+            diagonal_steps += len(reads)
+        # asked for G^k, a chain with k >= 5 reads G^2 on its diagonal alone
+        assert (diagonal_steps > 0) == (k >= 5)
 
 
 class TestCarriedChain:
@@ -453,18 +469,17 @@ class TestCarriedChain:
                                       "near 10^6"])
     def test_every_power_matches_the_oracle(self, monkeypatch, name):
         gram, exact, last, widths = self.source(name)
-        pairs, sums, products, _ = _spy_chain(monkeypatch)
+        pairs, sums, products, _, reads = _spy_chain(monkeypatch)
         k, witness = charpoly._hankel_rank(gram, exact, len(gram))
         r = len(gram)
         last = last or min(k, r - 1)
         want = naive_powers(gram, max(last, exact))
         assert len(products) == max(last, exact) - 1
-        # each product's slots hold r max(G) max(G^(n-1)), and never narrow
-        head = r.bit_length() + max(map(max, gram)).bit_length()
-        steps = []
-        for power in want[1:len(products) + 1]:
-            bits = head + max(map(max, power)).bit_length()
-            steps.append(max(steps[-1:] + [8 if bits <= 64 else (bits + 7) // 8]))
+        # each product's slots hold r max(G) max(G^(n-1)), or a bound on
+        # max G^(n-1) where only its diagonal was read, and never narrow
+        whole = (min(exact, r - 1) + 1) // 2
+        assert reads == list(range(2, min(whole, len(products) + 2)))
+        steps = chain_widths(gram, want[:len(products) + 2], whole)
         for n, (width, packed) in enumerate(zip(steps, products), 2):
             assert [_read_slots(x, width, r) for x in packed] == want[n], n
         if widths is not None:
@@ -474,6 +489,55 @@ class TestCarriedChain:
             assert _same_pair(witness, want, exact)
         else:
             assert witness is None
+
+
+def _bipartite(rng, half, low, high):
+    """[[0, B], [B^t, 0]] for a seeded half x half B with entries in
+    low..high: a nonnegative symmetric G with zero diagonal, not a Gram
+    matrix. Every closed walk in its bipartite graph is even, so each odd
+    power has a zero diagonal and its largest entries off it; its
+    eigenvalues are +-sigma for the singular values sigma of B."""
+    b = [[rng.randint(low, high) for _ in range(half)] for _ in range(half)]
+    return [[0] * half + row for row in b] + [list(col) + [0] * half for col in zip(*b)]
+
+
+class TestDiagonalSteps:
+    """Below the first power a Frobenius sum or the witness pair reads, the
+    chain reads only the diagonal slots of each power, and sizes the next
+    product's slots from a bound that must hold for every nonnegative
+    symmetric G, not only for a Gram matrix, whose powers all have their
+    largest entries on the diagonal. On a bipartite G the odd powers have a
+    zero diagonal, so slots sized from the diagonal alone would truncate
+    the next product; k, every eliminated sum and the witness pair must be
+    right."""
+
+    def test_zero_diagonal_odd_powers(self, monkeypatch):
+        g = _bipartite(random.Random(12), 6, 10**6 - 1000, 10**6)
+        r = len(g)
+        k = _prs_squarefree_degree(berkowitz_char_poly(IntMatrix(g)))
+        assert k == r == 12
+        want = naive_powers(g, k)
+        # G^3 has a zero diagonal, and G^4 = G G^3 has entries past the
+        # words that a width from that diagonal alone would give
+        head = r.bit_length() + max(map(max, g)).bit_length()
+        assert not any(want[3][i][i] for i in range(r)) and head <= 64
+        assert max(map(max, want[4])) >= 1 << 64
+        monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
+        diagonal = exactmat.diagonal
+        pairs, sums, products, starts, reads = spied = _spy_chain(monkeypatch)
+        for exact in (7, 9, 12):
+            for seen in spied:
+                seen.clear()
+            found, witness = charpoly._hankel_rank(g, exact, r)
+            assert found == k, exact
+            # G^2, G^3 and, for exact >= 9, G^4 are read on their diagonals
+            whole = (min(exact, r - 1) + 1) // 2
+            assert reads == list(range(2, whole)) and 3 in reads, exact
+            _check_sums(g, exact, k - 1, pairs, sums, want)
+            assert _same_pair(witness, want, exact), exact
+            for n, packed in enumerate(products, 2):
+                assert diagonal(packed, chain_widths(g, want, whole)[n - 2]) == [
+                    want[n][i][i] for i in range(r)], (exact, n)
 
 
 class TestExactPower:
@@ -646,6 +710,36 @@ class TestBigEndianLayout:
                 found, witness = charpoly._hankel_rank(g, exact, len(g))
                 assert found == k, (m, exact)
                 assert _same_pair(witness, want, exact) if exact else witness is None, (m, exact)
+
+    def test_diagonal_steps_and_widening(self, monkeypatch):
+        # a bipartite G, whose odd powers have a zero diagonal, and a Gram
+        # matrix, each with entries near 2^70 and asked for G^k = G^r: the
+        # chain reads the diagonal slots of G^2, ..., G^(r/2 - 1) alone, in
+        # big-endian order, and widens its rows before every product
+        rng = random.Random(72)
+        cases = [_bipartite(rng, 5, 1 << 70, (1 << 70) + (1 << 20)),
+                 scale(IntMatrix(near_million_gram()), 1 << 50).entries]
+        monkeypatch.setattr(exactmat, "byteorder", "big")
+        monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
+        widened, widen = [], exactmat.widen
+
+        def widen_spy(packed, old, new, count):
+            widened.append((old, new))
+            return widen(packed, old, new, count)
+        monkeypatch.setattr(exactmat, "widen", widen_spy)
+        pairs, sums, products, starts, reads = _spy_chain(monkeypatch)
+        for g in cases:
+            for seen in (widened, pairs, sums, products, starts, reads):
+                seen.clear()
+            r = len(g)
+            k = _prs_squarefree_degree(berkowitz_char_poly(IntMatrix(g)))
+            assert k == r
+            want = naive_powers(g, k)
+            found, witness = charpoly._hankel_rank(g, k, r)
+            assert found == k and _same_pair(witness, want, k)
+            _check_sums(g, k, k - 1, pairs, sums, want)
+            assert reads == list(range(2, r // 2))
+            assert len(widened) == len(products) - 1 == k - 2
 
 
 class TestTowerSpectrum:

@@ -388,6 +388,53 @@ class TestSmallDepths:
         assert (rep.spectral_bound, rep.q_witness) == (1199, 179301298602)
         assert rep.all_methods_agree() and dims == [600]
 
+    def test_block_diagonal_of_equal_blocks(self, monkeypatch):
+        # five copies of one seeded positive 8x10 block, entries 1 or near
+        # 10^6: d <= 2 and d_H <= 3 as above, but each eigenvalue of the
+        # block's Gram recurs five times, so k = 8 < r = 40, the Krylov
+        # certificate misses, and the chain runs exactly to G^8 in byte
+        # slots that grow at every step
+        rng = random.Random(6)
+        block = InclusionMatrix([[rng.choice((1, rng.randint(10**6 - 1000, 10**6)))
+                                  for _ in range(10)] for _ in range(8)])
+        assert 1 in map(min, block.matrix.entries)
+        m = block_diagonal(*[block] * 5)
+        cells = m.matrix.entries
+        assert depth_at_most_two(cells) and hdepth_at_most_three(cells)
+        assert not (depth_is_one(cells) or hdepth_is_one(cells))
+        p = berkowitz_char_poly(block.gram)
+        k = p.degree - poly_gcd(p, p.derivative()).degree
+        assert k == 8
+        dims, powers, widened = [], [], []
+        krylov_dim, symmetric_powers, widen = (charpoly.krylov_dim, charpoly.symmetric_powers,
+                                               exactmat.widen)
+
+        def krylov_spy(g, p):
+            dims.append(krylov_dim(g, p))
+            return dims[-1]
+
+        def powers_spy(g, whole):
+            for power in symmetric_powers(g, whole):
+                powers.append(power)
+                yield power
+
+        def widen_spy(packed, old, new, count):
+            widened.append((old, new))
+            return widen(packed, old, new, count)
+        monkeypatch.setattr(charpoly, "krylov_dim", krylov_spy)
+        monkeypatch.setattr(charpoly, "symmetric_powers", powers_spy)
+        monkeypatch.setattr(exactmat, "widen", widen_spy)
+        rep = depth_report(m)
+        assert (rep.rows, rep.cols, rep.depth, rep.h_depth) == (40, 50, 2, 3)
+        assert rep.spectral_bound == 2 * k - 1 and rep.all_methods_agree()
+        assert rep.q_witness == has_depth(m, 2)
+        assert len(dims) == 1 and dims[0] < m.rows
+        # the chain pulled G^0, ..., G^k, in byte slots from G^2 on, and
+        # widened them before each product after the first
+        _, upper = powers[-1]
+        assert len(powers) == k + 1 and max(map(max, upper)).bit_length() > 64
+        assert len(widened) == k - 2 and widened[0][0] > 8
+
     @pytest.mark.parametrize("density, want", [(0.8, (3, 3, 3)), (0.03, (7, 7, 7))],
                              ids=["dense", "sparse"])
     def test_seeded_200x260(self, density, want):

@@ -7,14 +7,14 @@ from hypothesis import example, given, strategies as st
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix, charpoly,
                       dominance_q, exactmat)
 from incdepth.depth import _select_or
-from incdepth.exactmat import set_bits, slots, walk_support
+from incdepth.exactmat import plan_rows, planned_sums, product, set_bits, slots, walk_support
 
-from _oracles import (dense_gram, dense_rows, dominance_brute, entrywise_le, identity,
-                      inclusion_rejection, krylov_dim_reference, naive_multiply, naive_powers,
-                      near_million_gram, naive_support_product, naive_support_transpose,
-                      random_inclusion, repeated_rows_gram, repeated_spectrum, scale,
-                      support_as_int_matrix, support_bits, support_walk, symmetric_corpus,
-                      symmetric_matrix, zero_count)
+from _oracles import (chain_widths, dense_gram, dense_rows, dominance_brute, entrywise_le,
+                      identity, inclusion_rejection, krylov_dim_reference, naive_multiply,
+                      naive_powers, near_million_gram, naive_support_product,
+                      naive_support_transpose, random_inclusion, repeated_rows_gram,
+                      repeated_spectrum, scale, support_as_int_matrix, support_bits,
+                      support_walk, symmetric_corpus, symmetric_matrix, zero_count)
 
 S3S4 = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 H8_MMT = IntMatrix([[5, 1, 1, 1, 0], [1, 5, 1, 1, 0], [1, 1, 5, 1, 0],
@@ -569,12 +569,118 @@ def _upper_rows(power):
     return [list(row[i:]) for i, row in enumerate(power)]
 
 
+def _left_rows(rng, kind, rows, cols):
+    """Seeded nonnegative rows of one kind: every nonzero entry a unit, no
+    unit at all, or units mixed with larger entries, with a unit at (i, i)
+    in each mixed row i < cols."""
+    cells = []
+    for i in range(rows):
+        if kind == "all units":
+            row = [int(rng.random() < 0.5) for _ in range(cols)]
+        elif kind == "unit-free":
+            row = [rng.choice((0, 2, 3, 255, 10**6)) for _ in range(cols)]
+        else:
+            row = [rng.choice((0, 1, 1, 2, 7, 10**6)) for _ in range(cols)]
+            if i < cols:
+                row[i] = 1
+        if not any(row):
+            row[i % cols] = 1 if kind != "unit-free" else 2
+        cells.append(row)
+    return cells
+
+
+LEFT_KINDS = ("all units", "unit-free", "mixed")
+
+
+class TestPlannedProduct:
+    """The one product kernel: plan_rows splits each row of the left
+    operand into its units, summed with no multiplication, and its larger
+    entries, multiplied; planned_sums adds the packed rows of the right
+    operand by that plan. Against _oracles.naive_multiply, on left rows of
+    every kind and right entries on either side of a word slot's largest
+    value and in byte slots."""
+
+    @pytest.mark.parametrize("kind", LEFT_KINDS)
+    def test_plans(self, kind):
+        a = _left_rows(random.Random(7), kind, 9, 9)
+        for row, (units, coefficients, picks) in zip(a, plan_rows(a)):
+            if 1 in row:
+                # units, and the larger entries picked by column
+                assert units == [j for j, x in enumerate(row) if x == 1], row
+                assert coefficients == [x for x in row if x > 1], row
+                assert picks == [j for j, x in enumerate(row) if x > 1], row
+                assert all(type(x) is list for x in (units, coefficients, picks)), row
+            else:  # the row is its own mask
+                assert not units and coefficients is picks is row, row
+        assert any(1 in row for row in a) == (kind != "unit-free")
+        if kind == "mixed":
+            assert all(row[i] == 1 for i, row in enumerate(a))
+
+    @pytest.mark.parametrize("x", [2**64 - 1, 2**64, 2**80 + 3],
+                             ids=["2^64 - 1", "2^64", "2^80 + 3"])
+    @pytest.mark.parametrize("kind", LEFT_KINDS)
+    def test_matches_naive(self, kind, x):
+        rng = random.Random(x % 1000)
+        for rows, inner, cols in ((9, 9, 9), (1, 12, 5), (12, 5, 1)):
+            a = _left_rows(rng, kind, rows, inner)
+            b = [[rng.choice((0, 1, x - 1, x)) for _ in range(cols)] for _ in range(inner)]
+            assert product(a, b) == list(map(tuple, naive_multiply(a, b))), (a, b)
+            assert _cells(IntMatrix(a) * IntMatrix(b)) == naive_multiply(a, b), (a, b)
+
+    @pytest.mark.parametrize("width", [8, 9, 16])
+    @pytest.mark.parametrize("kind", LEFT_KINDS)
+    def test_sums_fill_a_slot(self, kind, width):
+        # one left row at a time, and right columns whose product cells are
+        # the slot's largest value 2^(8 width) - 1 less 0, 1, ..., so the
+        # units' sums and the products run to the slot's top bit and not
+        # one past it: word slots for width 8, byte slots past it
+        rng = random.Random(width)
+        top = (1 << 8 * width) - 1
+        for row in _left_rows(rng, kind, 6, 7):
+            nonzero = [j for j, x in enumerate(row) if x]
+            b = [[0] * 5 for _ in row]
+            for col in range(5):
+                rest = top - col
+                for j in nonzero[1:]:
+                    b[j][col] = rng.randint(0, rest // (row[j] * len(nonzero)))
+                    rest -= row[j] * b[j][col]
+                b[nonzero[0]][col] = rest // row[nonzero[0]]
+            want = naive_multiply([row], b)
+            assert max(want[0]) > top // 2 and max(want[0]) <= top
+            if row[nonzero[0]] == 1:
+                assert want[0] == [top - col for col in range(5)]
+            slot, pack, unpack = slots(8 * width, 5)
+            assert slot == width
+            assert [unpack(x) for x in planned_sums(plan_rows([row]), list(map(pack, b)))] == want
+
+
+def mixed_unit_gram():
+    """Gram of a seeded sparse 14x18 matrix of 1s and 4s: rows of G with
+    only units (one of them on the diagonal), with none, and with both, and
+    products past the word slots from G^10 on."""
+    rng = random.Random(30)
+    cells = [[rng.choice((1, 1, 1, 4)) if rng.random() < 0.2 else 0 for _ in range(18)]
+             for _ in range(14)]
+    for i, row in enumerate(cells):
+        if not any(row):
+            row[i] = 1
+    for j in range(18):
+        if not any(row[j] for row in cells):
+            cells[rng.randrange(14)][j] = 1
+    return InclusionMatrix(cells).gram.entries
+
+
+CHAIN_SOURCES = ["S_16 <= S_17", "near 10^6", "1x1", "units and larger", "not a Gram matrix"]
+
+
 class TestSymmetricPowers:
-    """exactmat.symmetric_powers yields the upper rows of G^0, G^1, G^2, ...,
-    each of which must be the upper rows of the plain power
-    (_oracles.naive_powers). The chain carries its packed rows from product
-    to product, widened when the slots grow, and forms each power past G^1
-    by one product, only when it is pulled."""
+    """exactmat.symmetric_powers yields the diagonal and the upper rows of
+    G^0, G^1, G^2, ..., which must be those of the plain power
+    (_oracles.naive_powers). The chain forms the plan of G once, carries its
+    packed rows from product to product, widened when the slots grow, and
+    forms each power past G^1 by one product, only when it is pulled. Below
+    the power it is told to unpack from, it reads only diagonals, and sizes
+    its slots from a bound that holds for any nonnegative symmetric G."""
 
     @staticmethod
     def source(name):
@@ -585,6 +691,12 @@ class TestSymmetricPowers:
             return near_million_gram(), 16
         if name == "1x1":
             return [[7]], 30
+        if name == "units and larger":
+            g = mixed_unit_gram()
+            kinds = {(1 in row, max(row) > 1) for row in g}
+            assert kinds == {(True, False), (False, True), (True, True)}
+            assert any(row[i] == 1 for i, row in enumerate(g))
+            return g, 16
         # zero diagonal, so trace 0: a nonzero G has a negative eigenvalue,
         # and no Gram matrix has one
         cells = symmetric_matrix(random.Random(27), 7, 10**30, 0.5).entries
@@ -592,43 +704,70 @@ class TestSymmetricPowers:
         assert any(map(any, g))
         return g, 8
 
-    @pytest.mark.parametrize("name", ["S_16 <= S_17", "near 10^6", "1x1",
-                                      "not a Gram matrix"])
+    @pytest.mark.parametrize("name", CHAIN_SOURCES)
     def test_every_power_matches_the_oracle(self, monkeypatch, name):
-        g, top = self.source(name)
-        want = naive_powers(g, top)
-        products, widened = [], []
-        combine, widen = exactmat.combine, exactmat.widen
+        self.check(monkeypatch, name, False)
 
-        def combine_spy(a, packed):
-            products.append(len(a))
-            return combine(a, packed)
+    @pytest.mark.parametrize("name", CHAIN_SOURCES)
+    def test_diagonals_below_the_last_power(self, monkeypatch, name):
+        # G^2, ..., G^(top - 1) read on their diagonals alone
+        self.check(monkeypatch, name, True)
+
+    def check(self, monkeypatch, name, diagonals):
+        """Pull G^0, ..., G^top, unpacking every power, or with diagonals
+        only G^top past G^1, and check each against the oracle."""
+        g, top = self.source(name)
+        whole = top if diagonals else 0
+        r, want = len(g), naive_powers(g, top)
+        plans, products, widened, reads = [], [], [], []
+        plan_rows, planned_sums, widen, diagonal = (exactmat.plan_rows, exactmat.planned_sums,
+                                                    exactmat.widen, exactmat.diagonal)
+
+        def plan_spy(a):
+            plans.append(len(a))
+            return plan_rows(a)
+
+        def planned_spy(plan, packed):
+            products.append(len(plan))
+            return planned_sums(plan, packed)
 
         def widen_spy(packed, old, new, count):
             widened.append((len(products), old, new))
             return widen(packed, old, new, count)
-        monkeypatch.setattr(exactmat, "combine", combine_spy)
-        monkeypatch.setattr(exactmat, "widen", widen_spy)
-        chain = exactmat.symmetric_powers(g)
-        assert products == []
-        for n, (power, upper) in enumerate(zip(want, chain)):
-            assert [list(row) for row in upper] == _upper_rows(power), n
-            # pulling G^0, ..., G^n makes n - 1 products, each of all r rows
-            assert products == [len(g)] * max(n - 1, 0), n
-        # the product forming G^n has slots of r max(G) max(G^(n-1)), which
-        # never narrow; the rows are widened just before the product that
-        # first needs a wider slot, after the n - 2 products G^2, ..., G^(n-1)
-        head = len(g).bit_length() + max(map(max, g)).bit_length()
-        widths = []
-        for n in range(2, top + 1):
-            bits = head + max(map(max, want[n - 1])).bit_length()
-            widths.append(max(widths[-1:] + [8 if bits <= 64 else (bits + 7) // 8]))
+
+        def diagonal_spy(packed, width):
+            reads.append(len(products) + 1)
+            return diagonal(packed, width)
+        for attr, spy in (("plan_rows", plan_spy), ("planned_sums", planned_spy),
+                          ("widen", widen_spy), ("diagonal", diagonal_spy)):
+            monkeypatch.setattr(exactmat, attr, spy)
+        chain = exactmat.symmetric_powers(g, whole)
+        assert products == plans == []
+        for n, (power, (diag, upper)) in enumerate(zip(want, chain)):
+            assert diag == [power[i][i] for i in range(r)], n
+            if n < 2 or n >= whole:
+                assert [list(row) for row in upper] == _upper_rows(power), n
+            else:
+                assert upper is None, n
+            # pulling G^0, ..., G^n makes n - 1 products, each of all r rows,
+            # from the one plan of G formed at the first of them
+            assert products == [r] * max(n - 1, 0), n
+            assert plans == [r] * (n > 1), n
+        # G^2, ..., G^(whole - 1) are read only on their diagonals
+        assert reads == list(range(2, whole))
+        # the product forming G^n has slots of r max(G) max(G^(n-1)), or a
+        # bound on max G^(n-1) where only its diagonal was read, which never
+        # narrow; the rows are widened just before the product that first
+        # needs a wider slot, after the n - 2 products G^2, ..., G^(n-1)
+        widths = chain_widths(g, want, whole)
         assert widened == [(n - 2, old, new) for n, old, new
                            in zip(range(3, top + 1), widths, widths[1:]) if new > old]
         if name == "S_16 <= S_17":  # words through G^14, 9-byte slots from G^15
             assert widened == [(13, 8, 9)]
         elif name == "near 10^6":  # every power needs wider slots than the one before
             assert len(widened) == top - 2
+        elif name == "units and larger":  # words through G^9, 9-byte slots for G^10
+            assert widths.index(9) == 8
 
 
 class TestKrylovDim:
