@@ -11,8 +11,10 @@ loops that carry packed rows: symmetric_powers, the chain G^n, and
 krylov_dim. Every product sums packed rows by one kernel, planned_sums,
 from a plan of its left operand (plan_rows): per row, the columns of its
 units, whose packed rows are added with no multiplication, and its larger
-entries, each multiplied by its packed row. A product, and each Krylov
-step, plans its left operand in the same call; the chain plans G once.
+entries, each multiplied by its packed row. The chain plans G once and
+reuses that plan at every step; a one-shot product, and each Krylov step,
+takes each row of its left operand as its own mask, the plan of a row with
+no unit, since one product does not repay the split.
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -165,13 +167,15 @@ def product(a, b) -> list[tuple[int, ...]]:
     s * max(a) * max(b) < 2^(bits(s) + bits(max a) + bits(max b)), so it
     fits its slot and no sum carries into the next one. Row i of the
     product is then the sum of a_ik * packed_k over the nonzero a_ik
-    (plan_rows and planned_sums), read back slot by slot. A negative entry
-    would borrow across slots, so the product would be silently wrong.
+    (planned_sums, each row of a its own mask), read back slot by slot. A
+    negative entry would borrow across slots, so the product would be
+    silently wrong.
     """
     bits = (len(b).bit_length() + max(map(max, a)).bit_length()
             + max(map(max, b)).bit_length())
     _, pack, unpack = slots(bits, len(b[0]))
-    return [tuple(unpack(x)) for x in planned_sums(plan_rows(a), list(map(pack, b)))]
+    plans = [((), row, row) for row in a]
+    return [tuple(unpack(x)) for x in planned_sums(plans, list(map(pack, b)))]
 
 
 def plan_rows(a) -> list:
@@ -183,7 +187,9 @@ def plan_rows(a) -> list:
     coefficients, in column order, and their columns in picks; all three
     are lists. A row with none keeps units empty and itself as both
     coefficients and picks, which compress reads as a mask: it gathers a
-    dense row faster than its columns would.
+    dense row faster than its columns would. That mask plan is what a
+    one-shot product gives every row (product, krylov_dim): splitting out
+    the units pays only when the plan is reused, as the chain does.
     """
     cols, plans = range(len(a[0])), []
     for row in a:
@@ -242,11 +248,13 @@ def symmetric_powers(g, whole: int):
     nonnegative symmetric G.
     """
     r = len(g)
-    high = max(map(max, g))  # the largest entry of G^n, or a bound on it
-    head = r.bit_length() + high.bit_length()  # G's share of product's bound
     yield [1] * r, [[1] + [0] * (r - 1 - i) for i in range(r)]
     upper = [row[i:] for i, row in enumerate(g)]
     yield [row[0] for row in upper], upper
+    # formed once, when the first product is pulled
+    high = max(map(max, g))  # the largest entry of G^n, or a bound on it
+    head = r.bit_length() + high.bit_length()  # G's share of product's bound
+    widest = max(map(sum, g))  # the largest row sum of G, the odd steps' factor
     plans = plan_rows(g)
     width, packed, n = 0, None, 1  # the slot width and the packed rows of G^n
     while True:
@@ -263,7 +271,7 @@ def symmetric_powers(g, whole: int):
         else:
             diag = diagonal(packed, width)
             yield diag, None
-            high = max(diag) if n % 2 == 0 else high * max(map(sum, g))
+            high = max(diag) if n % 2 == 0 else high * widest
 
 
 def krylov_dim(g, p: int) -> int:
@@ -302,7 +310,7 @@ def krylov_dim(g, p: int) -> int:
             break
         at = ((u & -u).bit_length() - 1) // bits * bits  # the lowest nonzero slot
         basis.append((at, p - pow(u >> at & mask, -1, p), u))
-        w = planned_sums(plan_rows([v]), rows)[0]
+        w = planned_sums([((), v, v)], rows)[0]  # v is its own mask
     return len(basis)
 
 

@@ -596,7 +596,8 @@ class TestPlannedProduct:
     """The one product kernel: plan_rows splits each row of the left
     operand into its units, summed with no multiplication, and its larger
     entries, multiplied; planned_sums adds the packed rows of the right
-    operand by that plan. Against _oracles.naive_multiply, on left rows of
+    operand by that plan, or by a one-shot product's, which takes each left
+    row as its own mask. Against _oracles.naive_multiply, on left rows of
     every kind and right entries on either side of a word slot's largest
     value and in byte slots."""
 
@@ -624,8 +625,14 @@ class TestPlannedProduct:
         for rows, inner, cols in ((9, 9, 9), (1, 12, 5), (12, 5, 1)):
             a = _left_rows(rng, kind, rows, inner)
             b = [[rng.choice((0, 1, x - 1, x)) for _ in range(cols)] for _ in range(inner)]
-            assert product(a, b) == list(map(tuple, naive_multiply(a, b))), (a, b)
-            assert _cells(IntMatrix(a) * IntMatrix(b)) == naive_multiply(a, b), (a, b)
+            want = naive_multiply(a, b)
+            # a chain's plan, which splits out the units, and a one-shot
+            # product's, which takes each row as its mask
+            bits = inner.bit_length() + max(map(max, a)).bit_length() + x.bit_length()
+            _, pack, unpack = slots(bits, cols)
+            assert [unpack(s) for s in planned_sums(plan_rows(a), list(map(pack, b)))] == want
+            assert product(a, b) == list(map(tuple, want)), (a, b)
+            assert _cells(IntMatrix(a) * IntMatrix(b)) == want, (a, b)
 
     @pytest.mark.parametrize("width", [8, 9, 16])
     @pytest.mark.parametrize("kind", LEFT_KINDS)
