@@ -19,6 +19,9 @@ searches below therefore run on supports, tuples of row bitsets whose
 set bits never clear, and exact big-integer powers are only computed
 afterwards to extract the minimal witness q. They read the one walk of
 supp(M) that the InclusionMatrix keeps; d(M^t) reads it the other way.
+The two chains of a d(M) search, from I and from supp(M), share one int
+per row, so one OR steps both; a report plans S = supp(M^t M) once and
+steps d(M^t) and d_H by it in separate searches.
 """
 
 from __future__ import annotations
@@ -41,7 +44,16 @@ def _select_or(picks, rows) -> list[int]:
     return out
 
 
-def _stabilize(g, start=None) -> int:
+def _plan(g):
+    """The plan of a square support g that _stabilize steps by: each row's
+    position among the distinct rows of g, and the set bits of each of them."""
+    distinct = {}  # row of g -> its position among the distinct rows
+    for mask in g:
+        distinct.setdefault(mask, len(distinct))
+    return [distinct[mask] for mask in g], list(map(set_bits, distinct))
+
+
+def _stabilize(plan, start=None) -> int:
     """Step the support chain from I by g until it stabilizes; return the depth.
 
     With no start, the chain I, g, g^2, ... of a square support g with a
@@ -49,40 +61,49 @@ def _stabilize(g, start=None) -> int:
     With start = supp(M) and g = supp(M M^t), the chains from I and start
     step together, since M^[n+1] = (M M^t) M^[n-1], and give d(M), the
     least n with supp(M^[n+1]) == supp(M^[n-1]); the same walk read the
-    other way, supp(M^t) and supp(M^t M), gives d(M^t).
+    other way, supp(M^t) and supp(M^t M), gives d(M^t). The two chains
+    share one int per row, the I chain's row in bits 0..r-1 and start's
+    above it, so one OR per pick steps both and the halves never mix. Step
+    n forms M^[2n] in the low halves and M^[2n+1] in the high ones: the
+    depth is 2n-1 when no row's low half moved, else 2n when no row's high
+    half moved, the least n first as when the chains took turns.
 
-    The sparse g sits on the left. The set bits of each distinct row of g
-    are found once, so a step costs one OR per set bit of each distinct row,
-    however full the power has grown, and equal rows of g share their row of
-    the next power. Supports only grow, and stabilize well below the cap
-    (the spectral bound gives d <= 2*min(r,s) - 1); hitting it means a bug.
+    plan is _plan(g): the sparse g sits on the left, and the set bits of
+    each distinct row of g are found once, so a step costs one OR per set
+    bit of each distinct row, however full the power has grown, and equal
+    rows of g share their row of the next power. Supports only grow, and
+    stabilize well below the cap (the spectral bound gives d <= 2*min(r,s)
+    - 1); hitting it means a bug.
     """
-    chain = [tuple(1 << i for i in range(len(g)))]
-    if start is not None:
-        chain.append(start)
-    cap = 2 * (len(g) + max(chain[-1]).bit_length()) + 2
-    distinct = {}  # row of g -> its position among the distinct rows
-    for mask in g:
-        distinct.setdefault(mask, len(distinct))
-    spread = [distinct[mask] for mask in g]
-    picks = list(map(set_bits, distinct))
-    for n in range(1, cap + 1):
-        low = chain.pop(0)
-        high = tuple(map(_select_or(picks, low).__getitem__, spread))
-        if high == low:
-            return 2 * n - 1 if start is None else n
-        chain.append(high)
+    spread, picks = plan
+    r = len(spread)
+    low = (1 << r) - 1  # the I chain's half of a row
+    if start is None:
+        rows = [1 << i for i in range(r)]
+    else:
+        rows = [1 << i | row << r for i, row in enumerate(start)]
+    # the cap is 2 * (r + bits(start or I)) + 2 levels, two levels a step
+    for n in range(1, r + max(start or rows).bit_length() + 2):
+        grown = list(map(_select_or(picks, rows).__getitem__, spread))
+        if grown == rows:
+            return 2 * n - 1
+        if start is not None:  # the halves may settle at different steps
+            if not any((a ^ b) & low for a, b in zip(grown, rows)):
+                return 2 * n - 1
+            if not any(a ^ b > low for a, b in zip(grown, rows)):
+                return 2 * n
+        rows = grown
     raise AssertionError("support stabilization exceeded its iteration cap")
 
 
 def min_depth(m: InclusionMatrix) -> int:
     """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
-    return _stabilize(_select_or(m.row_bits, m.supp_t), m.support)
+    return _stabilize(_plan(_select_or(m.row_bits, m.supp_t)), m.support)
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
     """Minimum H-depth, the least odd 2n-1 with S^n <= q S^{n-1} for S = M^t M."""
-    return _stabilize(_select_or(m.col_bits, m.support))
+    return _stabilize(_plan(_select_or(m.col_bits, m.support)))
 
 
 def min_odd_depth_symmetric(sym: IntMatrix) -> int:
@@ -99,7 +120,7 @@ def min_odd_depth_symmetric(sym: IntMatrix) -> int:
     for i in range(sym.rows):
         if sym.entries[i][i] <= 0:
             raise MatrixError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
-    return _stabilize(sym.support())
+    return _stabilize(_plan(sym.support()))
 
 
 @dataclass(frozen=True)
@@ -141,10 +162,10 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     rule tying H-depth to d(M^t), are recorded as flags.
     """
     d = min_depth(m)
-    # S = supp(M^t M) is formed once, from the walk of supp(M) read the
-    # other way. d(M^t) and d_H step it in two separate chains, so the flags
-    # and checks that tie them compare independent results
-    s = _select_or(m.col_bits, m.support)
+    # S = supp(M^t M) and its plan are formed once, from the walk of supp(M)
+    # read the other way. d(M^t) and d_H step it in two separate chains, so
+    # the flags and checks that tie them compare independent results
+    s = _plan(_select_or(m.col_bits, m.support))
     d_t = _stabilize(s, m.supp_t)
     d_h = _stabilize(s)
     graph = bigraph.build_graph(m)

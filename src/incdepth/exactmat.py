@@ -239,13 +239,13 @@ def symmetric_powers(g, whole: int):
     packed sums that formed G^(n-1) are the next product's packed rows,
     widened byte by byte when the slots grow. A step from whole on unpacks
     the upper rows of G^n from the diagonal on, which is exact as G^n is
-    symmetric, and the largest of them sizes the next product's slots. A
-    step below whole reads only the diagonal slots, and bounds the largest
-    entry of G^n for the next slots without unpacking: an even power
-    G^(2m) = (G^m)^t G^m has its largest entry on its diagonal (Cauchy-
-    Schwarz), and an odd one G^n = G G^(n-1) none above the largest of
-    G^(n-1) times the largest row sum of G. Both hold for every
-    nonnegative symmetric G.
+    symmetric; a step below whole reads only the diagonal slots. The
+    largest entry of G^n sizes the next product's slots: an even power
+    G^(2m) = (G^m)^t G^m has it on its diagonal (Cauchy-Schwarz), so every
+    even step reads it there. An odd step from whole on takes it from the
+    upper rows, and one below whole bounds it without unpacking: G^n =
+    G G^(n-1) has no entry above the largest of G^(n-1) times the largest
+    row sum of G. Both rules hold for every nonnegative symmetric G.
     """
     r = len(g)
     yield [1] * r, [[1] + [0] * (r - 1 - i) for i in range(r)]
@@ -264,14 +264,17 @@ def symmetric_powers(g, whole: int):
             packed = widen(packed, width, step, r) if packed else list(map(pack, g))
             width, unpack = step, read
         packed = planned_sums(plans, packed)
-        if n >= whole:  # the bound is formed only when the next power is pulled
+        if n >= whole:
             upper = [unpack(x, i) for i, x in enumerate(packed)]
-            yield [row[0] for row in upper], upper
-            high = max(map(max, upper))
+            diag = [row[0] for row in upper]
         else:
-            diag = diagonal(packed, width)
-            yield diag, None
-            high = max(diag) if n % 2 == 0 else high * widest
+            upper, diag = None, diagonal(packed, width)
+        yield diag, upper
+        # the bound is formed only when the next power is pulled
+        if n % 2 == 0:
+            high = max(diag)
+        else:
+            high = max(map(max, upper)) if upper is not None else high * widest
 
 
 def krylov_dim(g, p: int) -> int:

@@ -10,7 +10,7 @@ from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
                       min_odd_depth_graph, min_odd_depth_symmetric, parse_matrix,
                       tower_matrix)
 from incdepth import bigraph, charpoly, depth, exactmat
-from incdepth.depth import _stabilize
+from incdepth.depth import _plan, _stabilize
 
 from _oracles import (all_binary_inclusions, berkowitz_char_poly, block_diagonal,
                       bracketed_power, dense_rows, depth_at_most_two, depth_is_one,
@@ -254,7 +254,26 @@ class TestSupportChains:
     def test_cap_raises(self):
         # a permutation support never grows, so its chain cycles forever
         with pytest.raises(AssertionError, match="iteration cap"):
-            _stabilize((0b10, 0b01))
+            _stabilize(_plan((0b10, 0b01)))
+
+    def test_cap_raises_with_start(self):
+        # both halves of each paired row cycle under the swap, neither settles
+        with pytest.raises(AssertionError, match="iteration cap"):
+            _stabilize(_plan((0b10, 0b01)), (0b01, 0b10))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_paired_halves_settle_in_either_order(self, n):
+        # d(M) and d(M^t) step the chains from I and from the start in one
+        # int per row. A straight tower S_k <= S_n has odd d, found when the
+        # I half settles first; its transpose has even d, found when the
+        # start half settles while the I half still moves. Each must be what
+        # the right-multiplied chains of the oracle give. S_1 <= S_2 is
+        # transposed to the 2x1 matrix of c2m2.mat
+        for k in range(1, n):
+            m = tower_matrix(k, n)
+            d, d_t = min_depth(m), min_depth(m.transposed())
+            assert (d, d_t) == right_chain_depths(m)[:2], (k, n)
+            assert (d % 2, d_t % 2) == (1, 0), (k, n, d, d_t)
 
 
 def test_exhaustive_binary_up_to_4x4():
@@ -605,9 +624,9 @@ def test_report_walks_each_support_once(monkeypatch, m):
     # building the matrix walks its entries once, in its one walk_support
     # call, which finds the set bits of each row itself, with no set_bits
     # call; a report then makes no walk and calls set_bits once per distinct
-    # row of the factor each of the three chains steps by: supp(M M^t) for
-    # d(M), and S = supp(M^t M) for d(M^t) and d_H. It forms each factor
-    # once, from the row lists and the column lists
+    # row of each factor the chains step by: supp(M M^t) for d(M), and
+    # S = supp(M^t M), planned once for both d(M^t) and d_H. It forms each
+    # factor once, from the row lists and the column lists
     calls = {"set_bits": 0, "walk_support": 0}
     factors = []
     select_or = depth._select_or
@@ -637,7 +656,7 @@ def test_report_walks_each_support_once(monkeypatch, m):
     gram = m.gram.support()
     s = (m.matrix.transpose() * m.matrix).support()
     assert built == {"set_bits": 0, "walk_support": 1}, built
-    assert counts == {"set_bits": len(set(gram)) + 2 * len(set(s)),
+    assert counts == {"set_bits": len(set(gram)) + len(set(s)),
                       "walk_support": 0}, counts
     assert rep.all_methods_agree()
 
