@@ -4,17 +4,18 @@ A support, the zero pattern of a nonnegative matrix, is a tuple of row
 bitsets: one int per row, with bit j set when entry j of the row is
 nonzero. walk_support alone forms a support from entries, checking their
 signs, with its row and column lists and its transpose in the same pass;
-an InclusionMatrix makes that walk when it is built, and keeps it. Products
-pack a row into one int, one slot per entry; only this module knows that
-layout, on either byte order (slots, diagonal and widen), and so it runs the
-loops that carry packed rows: symmetric_powers, the chain G^n, and
-krylov_dim. Every product sums packed rows by one kernel, planned_sums,
-from a plan of its left operand (plan_rows): per row, the columns of its
-units, whose packed rows are added with no multiplication, and its larger
+an InclusionMatrix makes that walk when it is built, and keeps it.
+Products pack a row into one int, one slot per entry, little-endian on
+every host: slot j is the j-th from the int's low end. Only this module
+knows that layout (slots, diagonal and widen), and so it runs the loops
+that carry packed rows: symmetric_powers, the chain G^n, and krylov_dim.
+Every product sums packed rows by one kernel, planned_sums, from a plan
+of its left operand (plan_rows): per row, the columns of its units,
+whose packed rows are added with no multiplication, and its larger
 entries, each multiplied by its packed row. The chain plans G once and
-reuses that plan at every step; a one-shot product, and each Krylov step,
-takes each row of its left operand as its own mask, the plan of a row with
-no unit, since one product does not repay the split.
+reuses that plan at every step; a one-shot product, and each Krylov
+step, takes each row of its left operand as its own mask, the plan of a
+row with no unit, since one product does not repay the split.
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -109,46 +110,42 @@ class IntMatrix:
 def slots(bits: int, count: int):
     """(width, pack, unpack) for rows of count nonnegative entries below 2^bits.
 
-    pack turns a row into one int, entry j in the j-th slot of width bytes,
-    and unpack(packed, start) reads such an int back into a list of its
-    entries from slot start on. When bits is at most 64 the slots are
-    machine words, which array packs and a memoryview cast reads back;
-    wider slots are whole bytes, sliced. Both use the native byte order,
-    which array and memoryview need: slot j is bytes width j to
-    width (j + 1) of the int's native-order bytes on either byte order, so
-    unpack skips slots by slicing those bytes. A sum of packed rows reads
+    pack turns a row into one int, entry j in bits 8 width j to
+    8 width (j + 1) on every host, and unpack(packed, start) reads such an
+    int back into a list of its entries from slot start on. Slots are
+    machine words (8 bytes) when bits is at most 64, and whole bytes past
+    that. On a little-endian host array packs word slots and a memoryview
+    cast reads them back; every other slot, a big-endian host's words too,
+    is sliced from the int's little-endian bytes. A sum of packed rows reads
     back as the rows' sum as long as no slot of it reaches 2^(8 width).
     """
-    if bits <= 64:
-        width = 8
+    width = 8 if bits <= 64 else (bits + 7) // 8
+    if width == 8 and byteorder == "little":
 
         def pack(row):
-            return int.from_bytes(array("Q", row).tobytes(), byteorder)
+            return int.from_bytes(array("Q", row).tobytes(), "little")
 
         def unpack(packed, start=0):
-            view = memoryview(packed.to_bytes(8 * count, byteorder))
+            view = memoryview(packed.to_bytes(8 * count, "little"))
             return view[8 * start:].cast("Q").tolist()
     else:
-        width = (bits + 7) // 8
         cuts = range(0, width * count, width)
 
         def pack(row):
-            return int.from_bytes(b"".join([x.to_bytes(width, byteorder) for x in row]),
-                                  byteorder)
+            return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in row]),
+                                  "little")
 
         def unpack(packed, start=0):
-            view = memoryview(packed.to_bytes(width * count, byteorder))
+            view = memoryview(packed.to_bytes(width * count, "little"))
             return list(map(int.from_bytes, [view[j:j + width] for j in cuts[start:]],
-                            repeat(byteorder)))
+                            repeat("little")))
     return width, pack, unpack
 
 
 def widen(packed, old: int, new: int, count: int) -> list[int]:
     """Rows of count entries packed in slots of old bytes, in slots of new.
 
-    Counted from the int's low end, the t-th slot (slot t on a little-endian
-    host, slot count - 1 - t on a big-endian one) moves from bit 8 old t to
-    bit 8 new t: byte b of each old slot, read little-endian on any host,
+    Slot t moves from bit 8 old t to bit 8 new t: byte b of each old slot
     becomes byte b of the new one, one strided copy per b over all rows.
     """
     data = b"".join([x.to_bytes(old * count, "little") for x in packed])
@@ -219,15 +216,10 @@ def planned_sums(plans, packed) -> list[int]:
 
 def diagonal(packed, width: int) -> list[int]:
     """Slot i of packed row i for each i: the diagonal of a square matrix
-    whose rows are packed in slots of width bytes, read with no unpacking.
-    Counted from the int's low end, slot i is the i-th slot on a
-    little-endian host and the (r - 1 - i)-th on a big-endian one (slots)."""
+    whose rows are packed in slots of width bytes, read with no unpacking."""
     bits = 8 * width
     mask = (1 << bits) - 1
-    if byteorder == "little":
-        return [x >> bits * i & mask for i, x in enumerate(packed)]
-    last = len(packed) - 1
-    return [x >> bits * (last - i) & mask for i, x in enumerate(packed)]
+    return [x >> bits * i & mask for i, x in enumerate(packed)]
 
 
 def symmetric_powers(g, whole: int):
@@ -282,8 +274,8 @@ def krylov_dim(g, p: int) -> int:
 
     The rows of G mod p, the vectors and the echelon basis are packed into
     one int each (slots). Each echelon row is kept unscaled, as a
-    reduced vector mod p, with the bit offset of its pivot e, its lowest
-    nonzero slot, and p - e^-1 mod p. A new vector w is reduced against the
+    reduced vector mod p, with the bit offset of its pivot e, its first
+    nonzero entry, and p - e^-1 mod p. A new vector w is reduced against the
     basis found so far by w += (c (p - e^-1) mod p) * row, where c is w's
     slot at the row's pivot, so a reduced vector is zero at every pivot so
     far and any nonzero slot of it is a new pivot. The vector after w is G

@@ -1,10 +1,9 @@
 import random
-from sys import byteorder
 
 import pytest
 
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
-                      min_depth, render_matrix, tower_matrix)
+                      depth_report, min_depth, render_matrix, tower_matrix)
 from incdepth import charpoly, exactmat
 from incdepth.cli import main
 from incdepth.exactmat import slots, widen
@@ -307,9 +306,9 @@ def _upper(power):
 
 
 def _read_slots(packed, width, count):
-    """The count slots of width bytes of a packed row, in native byte order."""
-    data = packed.to_bytes(width * count, byteorder)
-    return [int.from_bytes(data[j:j + width], byteorder) for j in range(0, width * count, width)]
+    """The count slots of width bytes of a packed row, little-endian on every host."""
+    data = packed.to_bytes(width * count, "little")
+    return [int.from_bytes(data[j:j + width], "little") for j in range(0, width * count, width)]
 
 
 def _spy_chain(monkeypatch):
@@ -672,13 +671,18 @@ class TestWiden:
 class TestBigEndianLayout:
     """The packed layout of a big-endian host, simulated on this one.
 
-    With exactmat.byteorder patched to "big", byte slots pack, unpack and
-    widen only through to_bytes and from_bytes in that order, as they would
-    on such a host, so the simulation is faithful. Word slots cannot be
-    simulated: array packs and memoryview reads machine words in the host's
-    native order whatever the patch says. So the certificate runs mod the
-    61-bit prime 2^61 - 1, and the chain on entries up to 2^72 or multiples
-    of 2^70, both of which need byte slots."""
+    With exactmat.byteorder patched to "big", slots packs and reads every
+    slot, 8-byte word slots included, through the int's little-endian bytes,
+    as it does on such a host, and diagonal and widen read the same layout
+    on every host; so the simulation is faithful at every width. It does not
+    simulate array and memoryview themselves, which read machine words in
+    this host's order whatever the patch says: slots runs them only on a
+    little-endian host, so a big-endian one never reaches them
+    (test_exactmat.TestOneLayout). The word slots of the patched host run in
+    test_exactmat's *BigEndian classes; here the certificate also runs mod
+    the 61-bit prime 2^61 - 1, and the chain on entries up to 2^72 or
+    multiples of 2^70, which need slots wider than a word, and whole reports
+    run on both hosts."""
 
     @staticmethod
     def few_eigenvalues(factor):
@@ -714,8 +718,8 @@ class TestBigEndianLayout:
     def test_diagonal_steps_and_widening(self, monkeypatch):
         # a bipartite G, whose odd powers have a zero diagonal, and a Gram
         # matrix, each with entries near 2^70 and asked for G^k = G^r: the
-        # chain reads the diagonal slots of G^2, ..., G^(r/2 - 1) alone, in
-        # big-endian order, and widens its rows before every product
+        # chain reads the diagonal slots of G^2, ..., G^(r/2 - 1) alone, on
+        # the patched host, and widens its rows before every product
         rng = random.Random(72)
         cases = [_bipartite(rng, 5, 1 << 70, (1 << 70) + (1 << 20)),
                  scale(IntMatrix(near_million_gram()), 1 << 50).entries]
@@ -740,6 +744,22 @@ class TestBigEndianLayout:
             _check_sums(g, k, k - 1, pairs, sums, want)
             assert reads == list(range(2, r // 2))
             assert len(widened) == len(products) - 1 == k - 2
+
+    @pytest.mark.parametrize("name", ["S_13", "S_17", "S_6 <= S_11", "(S_12 <= S_16)^t"])
+    def test_reports_match_the_little_endian_host(self, monkeypatch, name):
+        # S_13 runs in word slots alone, S_17 in 9-byte slots from G^15 on,
+        # and the towers' chains widen at most steps; each matrix, its Gram
+        # included, is formed anew on each host
+        def report():
+            if name.startswith("S_6"):
+                return depth_report(tower_matrix(6, 11))
+            if name.startswith("("):
+                return depth_report(tower_matrix(12, 16).transposed())
+            return depth_report(branching_matrix(int(name[2:])))
+        monkeypatch.setattr(exactmat, "byteorder", "little")
+        want = report()
+        monkeypatch.setattr(exactmat, "byteorder", "big")
+        assert report() == want
 
 
 class TestTowerSpectrum:

@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, strategies as st
 from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix, charpoly,
                       dominance_q, exactmat)
 from incdepth.depth import _select_or
-from incdepth.exactmat import plan_rows, planned_sums, product, set_bits, slots, walk_support
+from incdepth.exactmat import (diagonal, plan_rows, planned_sums, product, set_bits, slots,
+                               walk_support, widen)
 
 from _oracles import (chain_widths, dense_gram, dense_rows, dominance_brute, entrywise_le,
                       identity, inclusion_rejection, krylov_dim_reference, naive_multiply,
@@ -545,9 +547,20 @@ class TestPackedProduct:
             2 * IntMatrix([[1, 2]])
 
 
+@pytest.fixture
+def host(request, monkeypatch):
+    """exactmat.byteorder set to the test class's byteorder, "little" or
+    "big", so that a class and its *BigEndian subclass run the same tests on
+    both hosts (test_charpoly.TestBigEndianLayout says what "big" simulates)."""
+    monkeypatch.setattr(exactmat, "byteorder", request.cls.byteorder)
+
+
+@pytest.mark.usefixtures("host")
 class TestSlots:
     """unpack(packed, start) reads the slots from start on, on the word
-    path (at most 64 bits) and the byte path (wider)."""
+    path (at most 64 bits, on a little-endian host) and the byte path."""
+
+    byteorder = "little"
 
     @pytest.mark.parametrize("bits", [1, 63, 64, 65, 80, 200])
     def test_unpack_from_a_start_slot(self, bits):
@@ -562,6 +575,48 @@ class TestSlots:
             for start in range(count):
                 assert unpack(packed, start) == unpack(packed)[start:] == row[start:]
 
+
+class TestSlotsBigEndian(TestSlots):
+    byteorder = "big"
+
+
+class TestOneLayout:
+    """The packed layout is the same on every host: slot j of a packed int
+    is bits 8 width j to 8 width (j + 1), whatever exactmat.byteorder says.
+    Only a little-endian host packs word slots with array; pack and unpack
+    come from one branch of slots, so a pack that never calls array comes
+    with the byte unpack, not the memoryview cast."""
+
+    @pytest.mark.parametrize("bits", [1, 63, 64, 65, 72, 128, 200])
+    def test_packed_ints_match_across_hosts(self, monkeypatch, bits):
+        words = []
+
+        def array_spy(*args):
+            words.append(args)
+            return array(*args)
+        monkeypatch.setattr(exactmat, "array", array_spy)
+        rng = random.Random(bits)
+        top = (1 << bits) - 1
+        width = 8 if bits <= 64 else (bits + 7) // 8
+        for count in (1, 2, 7, 33):
+            rows = [[top] * count, *([rng.randint(0, top) for _ in range(count)]
+                                     for _ in range(count - 1))]
+            # one layout: entry j of a row at bit 8 width j of its packed int
+            layout = [sum(x << 8 * width * j for j, x in enumerate(row)) for row in rows]
+            wide, wide_pack, _ = slots(8 * (width + 3), count)
+            for byteorder in ("little", "big"):
+                monkeypatch.setattr(exactmat, "byteorder", byteorder)
+                words.clear()
+                slot, pack, unpack = slots(bits, count)
+                assert slot == width, byteorder
+                assert list(map(pack, rows)) == layout, byteorder
+                # only a little-endian host packs words with array
+                assert bool(words) == (byteorder == "little" and bits <= 64), byteorder
+                for row, x in zip(rows, layout):
+                    for start in range(count):
+                        assert unpack(x, start) == row[start:], (byteorder, start)
+                assert diagonal(layout, width) == [row[i] for i, row in enumerate(rows)]
+                assert widen(layout, width, wide, count) == list(map(wide_pack, rows))
 
 
 def _upper_rows(power):
@@ -592,6 +647,7 @@ def _left_rows(rng, kind, rows, cols):
 LEFT_KINDS = ("all units", "unit-free", "mixed")
 
 
+@pytest.mark.usefixtures("host")
 class TestPlannedProduct:
     """The one product kernel: plan_rows splits each row of the left
     operand into its units, summed with no multiplication, and its larger
@@ -600,6 +656,8 @@ class TestPlannedProduct:
     row as its own mask. Against _oracles.naive_multiply, on left rows of
     every kind and right entries on either side of a word slot's largest
     value and in byte slots."""
+
+    byteorder = "little"
 
     @pytest.mark.parametrize("kind", LEFT_KINDS)
     def test_plans(self, kind):
@@ -661,6 +719,10 @@ class TestPlannedProduct:
             assert [unpack(x) for x in planned_sums(plan_rows([row]), list(map(pack, b)))] == want
 
 
+class TestPlannedProductBigEndian(TestPlannedProduct):
+    byteorder = "big"
+
+
 def mixed_unit_gram():
     """Gram of a seeded sparse 14x18 matrix of 1s and 4s: rows of G with
     only units (one of them on the diagonal), with none, and with both, and
@@ -680,6 +742,7 @@ def mixed_unit_gram():
 CHAIN_SOURCES = ["S_16 <= S_17", "near 10^6", "1x1", "units and larger", "not a Gram matrix"]
 
 
+@pytest.mark.usefixtures("host")
 class TestSymmetricPowers:
     """exactmat.symmetric_powers yields the diagonal and the upper rows of
     G^0, G^1, G^2, ..., which must be those of the plain power
@@ -688,6 +751,8 @@ class TestSymmetricPowers:
     forms each power past G^1 by one product, only when it is pulled. Below
     the power it is told to unpack from, it reads only diagonals, and sizes
     its slots from a bound that holds for any nonnegative symmetric G."""
+
+    byteorder = "little"
 
     @staticmethod
     def source(name):
@@ -777,10 +842,17 @@ class TestSymmetricPowers:
             assert widths.index(9) == 8
 
 
+class TestSymmetricPowersBigEndian(TestSymmetricPowers):
+    byteorder = "big"
+
+
+@pytest.mark.usefixtures("host")
 class TestKrylovDim:
     """The packed Krylov dimension against the list elimination it replaced
     (_oracles.krylov_dim_reference), mod P in word slots and mod 2^127 - 1
     in byte slots."""
+
+    byteorder = "little"
 
     @staticmethod
     def matrices():
@@ -800,3 +872,7 @@ class TestKrylovDim:
     def test_matches_list_elimination(self, p):
         for m in self.matrices():
             assert exactmat.krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
+
+
+class TestKrylovDimBigEndian(TestKrylovDim):
+    byteorder = "big"
