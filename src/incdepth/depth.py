@@ -143,9 +143,13 @@ class DepthReport:
 
 
 def inequalities(d: int, d_t: int, d_h: int, bound: int) -> list[tuple[str, bool, str]]:
-    """(name, holds, detail) for each theorem tying d, d(M^t), d_H and the bound."""
+    """(name, holds, detail) for each theorem tying d, d(M^t), d_H and the bound.
+
+    The first, -2 <= d - d_H <= 1, is the sharp range that the next two give:
+    d(M^t) - d is in [-1, 1] and d_H - d(M^t) in [0, 1].
+    """
     return [
-        ("|d - d_H| <= 2", abs(d - d_h) <= 2, f"d={d} d_H={d_h}"),
+        ("-2 <= d - d_H <= 1", -2 <= d - d_h <= 1, f"d={d} d_H={d_h}"),
         ("|d(Mt) - d(M)| <= 1", abs(d_t - d) <= 1, f"d(Mt)={d_t} d={d}"),
         ("0 <= d_H - d(Mt) <= 1", 0 <= d_h - d_t <= 1, f"d_H={d_h} d(Mt)={d_t}"),
         ("d <= spectral bound", d <= bound, f"d={d} bound={bound}"),

@@ -7,9 +7,11 @@ signs, with its row and column lists and its transpose in the same pass;
 an InclusionMatrix makes that walk when it is built, and keeps it.
 Products pack a row into one int, one slot per entry, little-endian on
 every host: slot j is the j-th from the int's low end. Only this module
-knows that layout (slots, diagonal and widen), and so it runs the loops
-that carry packed rows: symmetric_powers, the chain G^n, and krylov_dim.
-Every product sums packed rows by one kernel, planned_sums, from a plan
+knows that layout (slots, read, diagonal, triangle and widen), and so it
+runs the loops that carry packed rows: symmetric_powers, the chain G^n,
+which hands out each power it reads as one flat upper triangle and forms
+the even-depth witness pair from the packed rows it holds, and
+krylov_dim. Every product sums packed rows by one kernel, planned_sums, from a plan
 of its left operand (plan_rows): per row, the columns of its units,
 whose packed rows are added with no multiplication, and its larger
 entries, each multiplied by its packed row. The chain plans G once and
@@ -29,7 +31,7 @@ threads.
 from __future__ import annotations
 
 from array import array
-from itertools import compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import mul
 from sys import byteorder
 
@@ -111,35 +113,47 @@ def slots(bits: int, count: int):
     """(width, pack, unpack) for rows of count nonnegative entries below 2^bits.
 
     pack turns a row into one int, entry j in bits 8 width j to
-    8 width (j + 1) on every host, and unpack(packed, start) reads such an
-    int back into a list of its entries from slot start on. Slots are
-    machine words (8 bytes) when bits is at most 64, and whole bytes past
-    that. On a little-endian host array packs word slots and a memoryview
-    cast reads them back; every other slot, a big-endian host's words too,
-    is sliced from the int's little-endian bytes. A sum of packed rows reads
-    back as the rows' sum as long as no slot of it reaches 2^(8 width).
+    8 width (j + 1) on every host, and unpack reads such an int back into
+    the list of its entries (read). Slots are machine words (8 bytes) when
+    bits is at most 64, and whole bytes past that. On a little-endian host
+    array packs word slots; every other slot, a big-endian host's words too,
+    is joined from little-endian bytes. A sum of packed rows reads back as
+    the rows' sum as long as no slot of it reaches 2^(8 width).
     """
     width = 8 if bits <= 64 else (bits + 7) // 8
     if width == 8 and byteorder == "little":
 
         def pack(row):
             return int.from_bytes(array("Q", row).tobytes(), "little")
-
-        def unpack(packed, start=0):
-            view = memoryview(packed.to_bytes(8 * count, "little"))
-            return view[8 * start:].cast("Q").tolist()
     else:
-        cuts = range(0, width * count, width)
 
         def pack(row):
             return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in row]),
                                   "little")
 
-        def unpack(packed, start=0):
-            view = memoryview(packed.to_bytes(width * count, "little"))
-            return list(map(int.from_bytes, [view[j:j + width] for j in cuts[start:]],
-                            repeat("little")))
+    def unpack(packed):
+        return read(packed.to_bytes(width * count, "little"), width)
     return width, pack, unpack
+
+
+def read(data: bytes, width: int) -> list[int]:
+    """The slots of width bytes that the little-endian bytes data holds, in
+    order: one memoryview cast for word slots on a little-endian host, and
+    else one map of int.from_bytes over slices of data."""
+    if width == 8 and byteorder == "little":
+        return memoryview(data).cast("Q").tolist()
+    cuts = range(0, len(data) + width, width)
+    return list(map(int.from_bytes, map(data.__getitem__, map(slice, cuts, cuts[1:])),
+                    repeat("little")))
+
+
+def triangle(packed, width: int) -> list[int]:
+    """The upper triangle of a symmetric matrix whose rows are packed in
+    slots of width bytes, as one flat list: row i from slot i on, rows back
+    to back, formed by one bytes join and one read."""
+    size, bits = width * len(packed), 8 * width
+    return read(b"".join([(x >> bits * i).to_bytes(size - width * i, "little")
+                          for i, x in enumerate(packed)]), width)
 
 
 def widen(packed, old: int, new: int, count: int) -> list[int]:
@@ -222,51 +236,100 @@ def diagonal(packed, width: int) -> list[int]:
     return [x >> bits * i & mask for i, x in enumerate(packed)]
 
 
-def symmetric_powers(g, whole: int):
-    """(diagonal, upper rows) of G^0, G^1, G^2, ... for nonnegative symmetric
-    rows g; the upper rows of G^n are None for 2 <= n < whole.
+def upper(rows) -> list:
+    """The upper triangle of a square matrix given by its rows, as one flat
+    list: row i from column i on, rows back to back, the layout triangle
+    reads packed rows into."""
+    return list(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
+
+
+def symmetric_powers(g, whole: int, exact: int = 0, left=None):
+    """(diagonal, triangle, pair) of G^1, G^2, ... for nonnegative symmetric
+    rows g: the diagonal of G^n; its upper triangle as one flat list (upper)
+    for n >= whole, and for n = 1 when the pair reads it, else None; and
+    pair, None but at step n = exact.
 
     Lazy: G^n = G G^(n-1) is formed only when pulled, by planned_sums from
     the plan of G, which plan_rows forms once, at the first product. The
     packed sums that formed G^(n-1) are the next product's packed rows,
-    widened byte by byte when the slots grow. A step from whole on unpacks
-    the upper rows of G^n from the diagonal on, which is exact as G^n is
-    symmetric; a step below whole reads only the diagonal slots. The
-    largest entry of G^n sizes the next product's slots: an even power
-    G^(2m) = (G^m)^t G^m has it on its diagonal (Cauchy-Schwarz), so every
-    even step reads it there. An odd step from whole on takes it from the
-    upper rows, and one below whole bounds it without unpacking: G^n =
-    G G^(n-1) has no entry above the largest of G^(n-1) times the largest
-    row sum of G. Both rules hold for every nonnegative symmetric G.
+    widened byte by byte when the slots grow. A step from whole on reads
+    the triangle of G^n (triangle), which holds every entry, as G^n is
+    symmetric, and its diagonal off that; a step below whole reads only the
+    diagonal slots. The largest entry of G^n sizes the next product's
+    slots: an even power G^(2m) = (G^m)^t G^m has it on its diagonal
+    (Cauchy-Schwarz), so every even step reads it there. An odd step from
+    whole on takes it from the triangle, and one below whole bounds it
+    without unpacking: G^n = G G^(n-1) has no entry above the largest of
+    G^(n-1) times the largest row sum of G. Both rules hold for every
+    nonnegative symmetric G.
+
+    pair is the witness pair of step exact >= 1. With left None it is the
+    triangles of G^(exact-1) and G^exact, so whole must be at most
+    max(2, exact - 1). With left the rows of a nonnegative L whose row sums
+    are at most tr G, such as M^t for G = M M^t, it is the entries of
+    L G^(exact-1) and of L G^exact, row after row, each row read as it is
+    pulled, from sums of the packed rows the chain holds by the plan of L.
+    The chain keeps the packed rows of G^(exact-1) one step longer and
+    widens both powers to the slots it gives G^(exact+1), which hold them:
+    an entry of L G^n is at most a row sum of L times max G^n, a row sum of
+    L is at most tr G <= r max G, and max G^(n-1) <= max G^n on a nonzero
+    G, for row k of G^(n-1) is 0 when row k of G is, and else some G_ik >= 1.
     """
     r = len(g)
-    yield [1] * r, [[1] + [0] * (r - 1 - i) for i in range(r)]
-    upper = [row[i:] for i, row in enumerate(g)]
-    yield [row[0] for row in upper], upper
-    # formed once, when the first product is pulled
+    diag = [row[i] for i, row in enumerate(g)]
+    tri = upper(g) if whole <= 1 or left is None and exact in (1, 2) else None
     high = max(map(max, g))  # the largest entry of G^n, or a bound on it
     head = r.bit_length() + high.bit_length()  # G's share of product's bound
     widest = max(map(sum, g))  # the largest row sum of G, the odd steps' factor
-    plans = plan_rows(g)
-    width, packed, n = 0, None, 1  # the slot width and the packed rows of G^n
+
+    def bound():
+        """The largest entry of G^n, or a bound on it from G^(n-1)'s."""
+        if n == 1:
+            return high
+        if n % 2 == 0:
+            return max(diag)
+        return max(tri) if tri is not None else high * widest
+
+    # the slot width, the packed rows of G^n and those of G^(n-1) the even
+    # witness keeps, and the triangle of G^(n-1)
+    width, packed, low, last = 0, None, None, None
+    plans = offsets = None  # formed once, when first needed
+    n = 1
     while True:
+        pair, bounded = None, n == exact and left is not None
+        if n == exact and left is None:
+            pair = [last if n > 1 else [int(i == j) for i in range(r) for j in range(i, r)],
+                    tri]
+        elif bounded:  # G^(n+1)'s slots, and the bound on G^n that sizes them
+            high = bound()
+            step, pack, unpack = slots(head + high.bit_length(), r)
+            if packed is None:
+                packed, low = list(map(pack, g)), [1 << 8 * step * i for i in range(r)]
+            elif step > width:
+                packed, low = widen(packed, width, step, r), widen(low, width, step, r)
+            width, by = step, plan_rows(left)
+            pair = [chain.from_iterable(map(unpack, planned_sums(by, x))) for x in (low, packed)]
+            low = None
+        yield diag, tri, pair
+        last = tri
+        if not bounded:  # the bound is formed only when the next power is pulled
+            high = bound()
         n += 1
-        step, pack, read = slots(head + high.bit_length(), r)
+        step, pack, _ = slots(head + high.bit_length(), r)
         if step > width:
             packed = widen(packed, width, step, r) if packed else list(map(pack, g))
-            width, unpack = step, read
-        packed = planned_sums(plans, packed)
+            width = step
+        if plans is None:
+            plans = plan_rows(g)
+        keep = n == exact and left is not None
+        low, packed = packed if keep else None, planned_sums(plans, packed)
         if n >= whole:
-            upper = [unpack(x, i) for i, x in enumerate(packed)]
-            diag = [row[0] for row in upper]
+            if offsets is None:
+                offsets = list(accumulate(range(r, 1, -1), initial=0))
+            tri = triangle(packed, width)
+            diag = list(map(tri.__getitem__, offsets))
         else:
-            upper, diag = None, diagonal(packed, width)
-        yield diag, upper
-        # the bound is formed only when the next power is pulled
-        if n % 2 == 0:
-            high = max(diag)
-        else:
-            high = max(map(max, upper)) if upper is not None else high * widest
+            tri, diag = None, diagonal(packed, width)
 
 
 def krylov_dim(g, p: int) -> int:
@@ -418,18 +481,17 @@ def dominance_q(a: IntMatrix, b: IntMatrix) -> int | None:
             f"cannot compare {a.rows}x{a.cols} and {b.rows}x{b.cols}")
     if min(map(min, a.entries)) < 0 or min(map(min, b.entries)) < 0:
         raise MatrixError("dominance needs nonnegative matrices")
-    return least_q(a.entries, b.entries)
+    return least_q(chain.from_iterable(a.entries), chain.from_iterable(b.entries))
 
 
 def least_q(a, b) -> int | None:
-    """Least positive q with a <= q*b over the paired entries of the rows a
-    and b, which must be nonnegative, or None if a cell has a > 0 where
-    b = 0. The witness is minimal: unless q == 1, a <= (q-1)*b fails."""
+    """Least positive q with a <= q*b over the paired entries of a and b,
+    two nonnegative flat sequences of cells, or None if a cell has a > 0
+    where b = 0. The witness is minimal: unless q == 1, a <= (q-1)*b fails."""
     q = 1
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if x > q * y:  # a cell past q*b raises q to its own need
-                if not y:
-                    return None
-                q = -(-x // y)
+    for x, y in zip(a, b):
+        if x > q * y:  # a cell past q*b raises q to its own need
+            if not y:
+                return None
+            q = -(-x // y)
     return q

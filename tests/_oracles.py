@@ -1,8 +1,10 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here but minpoly_degree, which wraps the program's own count,
-and tower_closed_forms and chain_widths, which restate the program's own
-output and slot rule, deliberately avoids the code paths it is used to check: naive triple-loop
+tower_closed_forms and chain_widths, which restate the program's own
+output and slot rule, and even_witness_pair, which multiplies by the
+program's one-shot product, deliberately avoids the code paths it is
+used to check: naive triple-loop
 products instead of IntMatrix.__mul__ where the product itself is under
 test or an operand is signed, Gram powers by plain sums of products
 instead of the chain's carried packed rows, the least dominance witness
@@ -12,8 +14,9 @@ squarefree part by a primitive remainder sequence over Z[x] instead of the
 rank of the power-sum Hankel matrix that charpoly counts, direct
 big-integer dominance scans instead of boolean support stabilization,
 the Krylov dimension by list elimination instead of packed rows,
-the Frobenius product over every cell instead of twice the upper rows
-less the diagonal,
+the Frobenius product over every cell instead of twice the upper
+triangle less the diagonal, the even-depth witness pair by whole plain
+powers times M instead of sums of the chain's packed rows,
 bracketed powers by repeated squaring instead of the report's Gram-power
 chain, support chains that multiply the growing power on the right by a
 bit test on every column instead of on the left by walking set bits,
@@ -36,6 +39,7 @@ from operator import mul, or_
 
 from incdepth import (BipartiteGraph, InclusionMatrix, IntMatrix, MatrixError,
                       charpoly, dominance_q)
+from incdepth.exactmat import product
 
 
 class IntPolynomial:
@@ -120,6 +124,22 @@ def chain_widths(g, powers, whole: int) -> list[int]:
         bits = head + high.bit_length()
         widths.append(max(widths[-1:] + [8 if bits <= 64 else (bits + 7) // 8]))
     return widths
+
+
+def upper_cells(power) -> list[int]:
+    """The upper triangle of a square matrix as one flat list: row i from
+    column i on, rows back to back."""
+    return [x for i, row in enumerate(power) for x in row[i:]]
+
+
+def even_witness_pair(m: InclusionMatrix, a: int) -> list[list[int]]:
+    """The cells of M^t G^(a-1) and M^t G^a, row after row, for G = M M^t
+    and a >= 1: the transposes of G^(a-1) M and G^a M, each the plain power
+    (naive_powers), whole, times M by exactmat.product, as a report once
+    formed them, instead of sums of the chain's packed rows."""
+    cells = [list(row) for row in m.matrix.entries]
+    powers = naive_powers(naive_multiply(cells, [list(col) for col in zip(*cells)]), a)
+    return [[x for col in zip(*product(power, cells)) for x in col] for power in powers[a - 1:]]
 
 
 def naive_bracketed_powers(m: InclusionMatrix, top: int) -> list[IntMatrix]:

@@ -10,11 +10,12 @@ from incdepth.exactmat import slots, widen
 
 from _oracles import (IntPolynomial, berkowitz_char_poly, chain_widths, char_poly,
                       char_poly_value, count_partitions, dense_gram, dense_rows,
-                      depth_upper_bound, frobenius, has_depth, identity,
+                      depth_upper_bound, even_witness_pair, frobenius, has_depth, identity,
                       krylov_dim_reference, minpoly_degree, naive_multiply, naive_powers,
                       near_million_gram, pentagonal_partition_counts, poly_at_matrix,
                       poly_gcd, random_inclusion, repeated_rows_gram, repeated_spectrum,
-                      scale, symmetric_corpus, symmetric_matrix, tower_spectrum)
+                      scale, symmetric_corpus, symmetric_matrix, tower_spectrum,
+                      upper_cells)
 
 S3S4 = InclusionMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 
@@ -223,8 +224,8 @@ class TestModularPath:
         products, dims, before = [], [], []
         symmetric_powers, krylov_dim = charpoly.symmetric_powers, charpoly.krylov_dim
 
-        def powers_spy(g, whole):
-            for n, power in enumerate(symmetric_powers(g, whole)):
+        def powers_spy(*args):
+            for n, power in enumerate(symmetric_powers(*args), 1):
                 if n > 1:
                     products.append(power)
                 yield power
@@ -300,31 +301,22 @@ class TestModularPath:
             "internal error: Krylov dimension 13 exceeds k = 12\n")
 
 
-def _upper(power):
-    """The upper rows of a square matrix: row i from column i on."""
-    return [list(row[i:]) for i, row in enumerate(power)]
-
-
-def _read_slots(packed, width, count):
-    """The count slots of width bytes of a packed row, little-endian on every host."""
-    data = packed.to_bytes(width * count, "little")
-    return [int.from_bytes(data[j:j + width], "little") for j in range(0, width * count, width)]
-
-
 def _spy_chain(monkeypatch):
     """Lists that fill as charpoly._hankel_rank runs: the (a, b, sum) of each
-    Frobenius product, the sums s_m, ..., s_2m each eliminated Hankel row
-    reads, the packed rows each chain product returns, the start slot of
-    each unpack that exactmat's slots hand out, and the power n of each G^n
-    whose diagonal alone is read. A chain product sums by the plans of the
-    r >= 2 rows of G; the Krylov certificate's matrix-vector steps, which
-    sum by the plan of one row, the vector, are not recorded."""
-    pairs, sums, products, starts, reads = [], [], [], [], []
-    frobenius_sum, eliminate, planned_sums, slots, diagonal = (
-        charpoly._frobenius, charpoly._eliminate, exactmat.planned_sums, exactmat.slots,
+    Frobenius product, a and b as (diagonal, cells) lists, the sums s_m, ...,
+    s_2m each eliminated Hankel row reads, the packed rows each chain product
+    returns, the power n of each G^n, n >= 2, whose triangle is read, and
+    the power n of each G^n whose diagonal alone is read. A chain product
+    sums by the plans of the r >= 2 rows of G; the Krylov certificate's
+    matrix-vector steps, which sum by the plan of one row, the vector, are
+    not recorded."""
+    pairs, sums, products, triangles, reads = [], [], [], [], []
+    frobenius_sum, eliminate, planned_sums, triangle, diagonal = (
+        charpoly._frobenius, charpoly._eliminate, exactmat.planned_sums, exactmat.triangle,
         exactmat.diagonal)
 
     def frobenius_spy(a, b):
+        a, b = [(list(diag), list(cells)) for diag, cells in (a, b)]
         pairs.append((a, b, frobenius_sum(a, b)))
         return pairs[-1][2]
 
@@ -338,13 +330,9 @@ def _spy_chain(monkeypatch):
             products.append(result)
         return result
 
-    def slots_spy(bits, count):
-        width, pack, unpack = slots(bits, count)
-
-        def unpack_spy(packed, start=0):
-            starts.append(start)
-            return unpack(packed, start)
-        return width, pack, unpack_spy
+    def triangle_spy(packed, width):
+        triangles.append(len(products) + 1)
+        return triangle(packed, width)
 
     def diagonal_spy(packed, width):
         reads.append(len(products) + 1)
@@ -353,24 +341,46 @@ def _spy_chain(monkeypatch):
     for module, name, spy in ((charpoly, "_frobenius", frobenius_spy),
                               (charpoly, "_eliminate", eliminate_spy),
                               (exactmat, "planned_sums", planned_spy),
-                              (exactmat, "slots", slots_spy),
+                              (exactmat, "triangle", triangle_spy),
                               (exactmat, "diagonal", diagonal_spy)):
         monkeypatch.setattr(module, name, spy)
-    return pairs, sums, products, starts, reads
+    return pairs, sums, products, triangles, reads
+
+
+def _read_slots(packed, width, count):
+    """The count slots of width bytes of a packed row, little-endian on every host."""
+    data = packed.to_bytes(width * count, "little")
+    return [int.from_bytes(data[j:j + width], "little") for j in range(0, width * count, width)]
+
+
+def _top(exact, r):
+    """t = min(max(exact, 1), r - 1), the last power sum a chain of r rows
+    asked for G^exact reads as a trace."""
+    return min(max(exact, 1), r - 1)
 
 
 def _check_sums(gram, exact, last, pairs, sums, want):
     """The spied sums of a chain asked for G^exact whose Hankel steps ran
     through step last, against want = naive_powers(gram, top), top >= last."""
     r = len(gram)
-    t = min(exact, r - 1)
-    # no Frobenius product for s_1, ..., s_t: one for each s_j, t < j <= 2 last,
-    # from the upper rows of G^(j // 2) and G^((j + 1) // 2)
-    assert len(pairs) == len(range(t + 1, 2 * last + 1))
-    for j, (a, b, got) in zip(range(t + 1, 2 * last + 1), pairs):
+    t = _top(exact, r)
+    # no Frobenius product for s_1, ..., s_t; at step t one for s_(t+1) over
+    # the nonzero cells of G's triangle, and at each step n one full sum for
+    # each of s_(2n-1), s_2n past s_(t+1), from G^(j // 2) and G^((j + 1) // 2)
+    order = []
+    for n in range(1, last + 1):
+        order += [t + 1] * (n == t) + [j for j in (2 * n - 1, 2 * n) if j > t + 1]
+    assert len(pairs) == len(order)
+    mask = upper_cells(gram)
+    for j, (a, b, got) in zip(order, pairs):
         low, high = want[j // 2], want[(j + 1) // 2]
-        assert [list(x) for x in a] == _upper(low), j
-        assert [list(x) for x in b] == _upper(high), j
+        if j == t + 1:
+            low, high = want[t], gram
+            cells = ([x for x, y in zip(upper_cells(low), mask) if y], [x for x in mask if x])
+        else:
+            cells = upper_cells(low), upper_cells(high)
+        assert a == ([low[i][i] for i in range(r)], cells[0]), j
+        assert b == ([high[i][i] for i in range(r)], cells[1]), j
         assert got == frobenius(low, high), j
     # Hankel rows 1, ..., last, each reading s_m, ..., s_2m; s_j = tr G^j is
     # also <G^(j // 2), G^((j + 1) // 2)> over every cell, as G is symmetric
@@ -382,20 +392,21 @@ def _check_sums(gram, exact, last, pairs, sums, want):
 
 
 def _same_pair(witness, want, exact):
-    """Whether witness is the upper rows of the pair G^(exact-1), G^exact."""
-    return [list(map(list, p)) for p in witness] == list(map(_upper, want[exact - 1:exact + 1]))
+    """Whether witness is the triangles of the pair G^(exact-1), G^exact."""
+    return witness == [upper_cells(p) for p in want[exact - 1:exact + 1]]
 
 
 class TestFrobeniusSums:
-    """Up to t = min(exact, r - 1) the chain reads each power sum off the
-    diagonal of a power it forms; charpoly._frobenius takes each sum above t
-    from the upper rows of two powers, which is exact on symmetric pairs.
-    With the Krylov certificate made to miss, the chain runs its Hankel
-    steps through min(k, r - 1): every sum the elimination reads must be
-    tr G^j, every Frobenius product the full sum over every cell
-    (_oracles.frobenius), and every power that a Frobenius product or the
-    witness pair reads, G^n with 2n + 1 > t, is unpacked from its diagonal
-    on; the chain reads only the diagonal slots of the others."""
+    """Up to t = min(max(exact, 1), r - 1) the chain reads each power sum off
+    the diagonal of a power it forms; charpoly._frobenius takes s_(t+1) from
+    G^t over the nonzero cells of G's triangle, and each sum above it from
+    the triangles of two powers, which is exact on symmetric pairs. With
+    the Krylov certificate made to miss, the chain runs its Hankel steps
+    through min(k, r - 1): every sum the elimination reads must be tr G^j,
+    every Frobenius product the plain one (_oracles.frobenius), and every
+    power that a full Frobenius product or the witness pair reads, G^n with
+    2n + 1 >= t + 2, that is n >= t // 2 + 1, is read as its triangle; the
+    chain reads only the diagonal slots of the others."""
 
     @pytest.mark.parametrize("source", [*(f"S_{n}" for n in range(4, 15)),
                                         "dense 0", "dense 1"])
@@ -410,7 +421,7 @@ class TestFrobeniusSums:
         want = naive_powers(gram, k)
         monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
         spied = _spy_chain(monkeypatch)
-        pairs, sums, products, starts, reads = spied
+        pairs, sums, products, triangles, reads = spied
         diagonal_steps = 0
         for exact in sorted({0, 1, k // 2, k}):
             for seen in spied:
@@ -418,26 +429,43 @@ class TestFrobeniusSums:
             found, witness = charpoly._hankel_rank(gram, exact, r)
             assert found == k
             _check_sums(gram, exact, last, pairs, sums, want)
-            # products G^2, ..., G^max(last, exact): those below G^((t + 1) // 2)
-            # read on their diagonals alone, the rest unpacked from their
-            # diagonal on
+            # products G^2, ..., G^max(last, exact): those below G^(t // 2 + 1)
+            # read on their diagonals alone, the rest as their triangles
             formed = range(2, max(last, exact) + 1)
-            whole = (min(exact, r - 1) + 1) // 2
+            whole = _top(exact, r) // 2 + 1
             assert len(products) == len(formed)
             assert reads == [n for n in formed if n < whole]
-            assert starts == list(range(r)) * (len(formed) - len(reads))
+            assert triangles == [n for n in formed if n >= whole]
             assert _same_pair(witness, want, exact) if exact else witness is None
             diagonal_steps += len(reads)
-        # asked for G^k, a chain with k >= 5 reads G^2 on its diagonal alone
-        assert (diagonal_steps > 0) == (k >= 5)
+        # asked for G^k, a chain with k >= 4 reads G^2 on its diagonal alone
+        assert (diagonal_steps > 0) == (k >= 4)
+
+
+    def test_s13_reads_the_triangles_of_g7_to_g12(self, monkeypatch):
+        # S_12 <= S_13 asks for a = t = 12: s_13 = <G^12, G> is taken over
+        # the 330 nonzero cells of G's 3,003-cell triangle, so no full sum
+        # reads G^6, and the count reads the triangles of G^7, ..., G^12
+        # alone and the diagonals of G^2, ..., G^6
+        m = branching_matrix(13)
+        g = m.gram.entries
+        mask = upper_cells(g)
+        assert (len(mask), len(mask) - mask.count(0)) == (3003, 330)
+        q = has_depth(m, 23)
+        pairs, _, products, triangles, reads = _spy_chain(monkeypatch)
+        assert charpoly.bound_and_witness(m, 23) == (23, q)
+        assert (len(products), triangles, reads) == (11, list(range(7, 13)), list(range(2, 7)))
+        # s_14 = <G^7, G^7> at step 7, s_15, ..., s_22 two a step, then at
+        # step 12 s_13 over G's nonzero cells, s_23 and s_24
+        assert [len(b[1]) for _, b, _ in pairs] == [3003] * 9 + [330] + [3003] * 2
 
 
 class TestCarriedChain:
     """Each chain step's packed sums serve the next step as its packed rows,
     widened by a byte copy when the slots grow. Every product the chain
     takes must read back, at its step's slot width, as the plain power
-    (_oracles.naive_powers), its power sums must be right, and the upper
-    rows of the witness pair are returned."""
+    (_oracles.naive_powers), its power sums must be right, and the
+    triangles of the witness pair are returned."""
 
     @staticmethod
     def source(name):
@@ -476,7 +504,7 @@ class TestCarriedChain:
         assert len(products) == max(last, exact) - 1
         # each product's slots hold r max(G) max(G^(n-1)), or a bound on
         # max G^(n-1) where only its diagonal was read, and never narrow
-        whole = (min(exact, r - 1) + 1) // 2
+        whole = _top(exact, r) // 2 + 1
         assert reads == list(range(2, min(whole, len(products) + 2)))
         steps = chain_widths(gram, want[:len(products) + 2], whole)
         for n, (width, packed) in enumerate(zip(steps, products), 2):
@@ -523,14 +551,14 @@ class TestDiagonalSteps:
         assert max(map(max, want[4])) >= 1 << 64
         monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
         diagonal = exactmat.diagonal
-        pairs, sums, products, starts, reads = spied = _spy_chain(monkeypatch)
+        pairs, sums, products, triangles, reads = spied = _spy_chain(monkeypatch)
         for exact in (7, 9, 12):
             for seen in spied:
                 seen.clear()
             found, witness = charpoly._hankel_rank(g, exact, r)
             assert found == k, exact
             # G^2, G^3 and, for exact >= 9, G^4 are read on their diagonals
-            whole = (min(exact, r - 1) + 1) // 2
+            whole = _top(exact, r) // 2 + 1
             assert reads == list(range(2, whole)) and 3 in reads, exact
             _check_sums(g, exact, k - 1, pairs, sums, want)
             assert _same_pair(witness, want, exact), exact
@@ -541,7 +569,7 @@ class TestDiagonalSteps:
 
 class TestExactPower:
     """k does not depend on the power the chain is asked for, and the
-    witness pair is the upper rows of the plain one exactly when
+    witness pair is the triangles of the plain one exactly when
     1 <= exact <= k."""
 
     def test_k_and_witness_for_every_exact(self):
@@ -586,6 +614,69 @@ def _tower_transposes():
     for n in range(2, 11):
         for k in range(1, n):
             yield tower_matrix(k, n).transposed()
+
+
+class TestEvenWitness:
+    """For even d = 2a the count hands over M^t G^(a-1) and M^t G^a, sums of
+    the chain's packed rows by the plan of M^t, widened to the slots of
+    G^(a+1). Each must be the transpose of the whole plain power times M
+    (_oracles.even_witness_pair), and q the dominance oracle's witness: on
+    every transposed tower S_k <= S_n with n <= 12, on the even-d matrices
+    of a seeded pool of small matrices, and on 100 seeded tall matrices with
+    entries up to 10^6, at every a up to k."""
+
+    @staticmethod
+    def pair(m, a):
+        """(k, the even witness pair at a, as lists, or None)."""
+        left = list(zip(*m.matrix.entries))
+        k, pair = charpoly._hankel_rank(m.gram.entries, a, m.cols + 1, left)
+        return k, None if pair is None else [list(cells) for cells in pair]
+
+    def check(self, m):
+        """Whether d is even; if so, its pair and q are checked."""
+        d = min_depth(m)
+        if d % 2:
+            return False
+        k, pair = self.pair(m, d // 2)
+        assert pair == even_witness_pair(m, d // 2), m
+        assert charpoly.bound_and_witness(m, d) == (2 * k - 1, has_depth(m, d)), m
+        return True
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_transposed_towers(self, n):
+        # S_1 <= S_n transposed is a column of ones, depth 2 with q = n
+        even = [self.check(tower_matrix(k, n).transposed()) for k in range(1, n)]
+        assert even[0] and sum(even) >= (n - 1) // 2, even
+
+    def test_small_pool(self):
+        rng = random.Random(1000)
+        even = sum(self.check(random_inclusion(rng, max_dim=8)) for _ in range(1000))
+        assert even > 100
+
+    def test_tall_matrices(self):
+        rng = random.Random(10**6)
+        for _ in range(100):
+            cols = rng.randint(1, 6)
+            rows = rng.randint(cols + 2, 12)
+            m = random_inclusion(rng, max_entry=10**6, shape=(rows, cols))
+            k = _prs_squarefree_degree(berkowitz_char_poly(m.gram))
+            for a in range(1, k + 1):
+                assert self.pair(m, a) == (k, even_witness_pair(m, a)), (m, a)
+            self.check(m)
+
+    def test_report_multiplies_only_for_the_gram(self, monkeypatch):
+        # the transpose of S_10 <= S_16, 231x42 with d = 2a even, forms its
+        # witness pair from the chain with no product past M M^t
+        m = tower_matrix(10, 16).transposed()
+        calls, product = [], exactmat.product
+
+        def spy(a, b):
+            calls.append((len(a), len(b[0])))
+            return product(a, b)
+        monkeypatch.setattr(exactmat, "product", spy)
+        rep = depth_report(m)
+        assert rep.depth % 2 == 0 and calls == [(231, 231)]
+        assert rep.q_witness == has_depth(m, rep.depth)
 
 
 class TestRankCeiling:
@@ -731,9 +822,9 @@ class TestBigEndianLayout:
             widened.append((old, new))
             return widen(packed, old, new, count)
         monkeypatch.setattr(exactmat, "widen", widen_spy)
-        pairs, sums, products, starts, reads = _spy_chain(monkeypatch)
+        pairs, sums, products, triangles, reads = _spy_chain(monkeypatch)
         for g in cases:
-            for seen in (widened, pairs, sums, products, starts, reads):
+            for seen in (widened, pairs, sums, products, triangles, reads):
                 seen.clear()
             r = len(g)
             k = _prs_squarefree_degree(berkowitz_char_poly(IntMatrix(g)))

@@ -438,7 +438,7 @@ h_depth: 7
 """
 
 S3S4_CHECK = """\
-PASS  |d - d_H| <= 2             (d=5 d_H=7)
+PASS  -2 <= d - d_H <= 1         (d=5 d_H=7)
 PASS  |d(Mt) - d(M)| <= 1        (d(Mt)=6 d=5)
 PASS  0 <= d_H - d(Mt) <= 1      (d_H=7 d(Mt)=6)
 PASS  d <= spectral bound        (d=5 bound=5)
@@ -450,7 +450,7 @@ S3S4_CHECK_JSON = """\
 {
   "checks": [
     {
-      "name": "|d - d_H| <= 2",
+      "name": "-2 <= d - d_H <= 1",
       "passed": true,
       "detail": "d=5 d_H=7"
     },

@@ -432,8 +432,8 @@ class TestSmallDepths:
             dims.append(krylov_dim(g, p))
             return dims[-1]
 
-        def powers_spy(g, whole):
-            for power in symmetric_powers(g, whole):
+        def powers_spy(*args):
+            for power in symmetric_powers(*args):
                 powers.append(power)
                 yield power
 
@@ -448,10 +448,10 @@ class TestSmallDepths:
         assert rep.spectral_bound == 2 * k - 1 and rep.all_methods_agree()
         assert rep.q_witness == has_depth(m, 2)
         assert len(dims) == 1 and dims[0] < m.rows
-        # the chain pulled G^0, ..., G^k, in byte slots from G^2 on, and
+        # the chain pulled G, ..., G^k, in byte slots from G^2 on, and
         # widened them before each product after the first
-        _, upper = powers[-1]
-        assert len(powers) == k + 1 and max(map(max, upper)).bit_length() > 64
+        _, cells, _ = powers[-1]
+        assert len(powers) == k and max(cells).bit_length() > 64
         assert len(widened) == k - 2 and widened[0][0] > 8
 
     @pytest.mark.parametrize("density, want", [(0.8, (3, 3, 3)), (0.03, (7, 7, 7))],
@@ -557,7 +557,7 @@ class TestDepthReport:
         rng = random.Random(9)
         for _ in range(60):
             rep = depth_report(random_inclusion(rng, max_dim=5))
-            assert abs(rep.depth - rep.h_depth) <= 2
+            assert -2 <= rep.depth - rep.h_depth <= 1
             assert abs(rep.depth_transpose - rep.depth) <= 1
             assert 0 <= rep.h_depth - rep.depth_transpose <= 1
             assert rep.depth <= rep.spectral_bound

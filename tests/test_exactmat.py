@@ -9,14 +9,16 @@ from incdepth import (InclusionMatrix, IntMatrix, MatrixError, branching_matrix,
                       dominance_q, exactmat)
 from incdepth.depth import _select_or
 from incdepth.exactmat import (diagonal, plan_rows, planned_sums, product, set_bits, slots,
-                               walk_support, widen)
+                               triangle, walk_support, widen)
 
 from _oracles import (chain_widths, dense_gram, dense_rows, dominance_brute, entrywise_le,
-                      identity, inclusion_rejection, krylov_dim_reference, naive_multiply,
+                      frobenius, identity, inclusion_rejection, krylov_dim_reference,
+                      naive_multiply,
                       naive_powers, near_million_gram, naive_support_product,
                       naive_support_transpose, random_inclusion, repeated_rows_gram,
                       repeated_spectrum, scale, support_as_int_matrix, support_bits,
-                      support_walk, symmetric_corpus, symmetric_matrix, zero_count)
+                      support_walk, symmetric_corpus, symmetric_matrix, upper_cells,
+                      zero_count)
 
 S3S4 = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]])
 H8_MMT = IntMatrix([[5, 1, 1, 1, 0], [1, 5, 1, 1, 0], [1, 1, 5, 1, 0],
@@ -557,8 +559,9 @@ def host(request, monkeypatch):
 
 @pytest.mark.usefixtures("host")
 class TestSlots:
-    """unpack(packed, start) reads the slots from start on, on the word
-    path (at most 64 bits, on a little-endian host) and the byte path."""
+    """unpack reads a whole packed row, and triangle reads row i of a
+    square matrix from its start slot i on, on the word path (at most 64
+    bits, on a little-endian host) and the byte path."""
 
     byteorder = "little"
 
@@ -567,13 +570,13 @@ class TestSlots:
         rng = random.Random(bits)
         top = (1 << bits) - 1
         for count in (1, 2, 7, 33):
-            row = [top, *(rng.randint(0, top) for _ in range(count - 1))]
+            rows = [[top, *(rng.randint(0, top) for _ in range(count - 1))]
+                    for _ in range(count)]
             width, pack, unpack = slots(bits, count)
             assert width == (8 if bits <= 64 else (bits + 7) // 8)
-            packed = pack(row)
-            assert unpack(packed) == row
-            for start in range(count):
-                assert unpack(packed, start) == unpack(packed)[start:] == row[start:]
+            packed = list(map(pack, rows))
+            assert list(map(unpack, packed)) == rows
+            assert triangle(packed, width) == upper_cells(rows)
 
 
 class TestSlotsBigEndian(TestSlots):
@@ -583,9 +586,9 @@ class TestSlotsBigEndian(TestSlots):
 class TestOneLayout:
     """The packed layout is the same on every host: slot j of a packed int
     is bits 8 width j to 8 width (j + 1), whatever exactmat.byteorder says.
-    Only a little-endian host packs word slots with array; pack and unpack
-    come from one branch of slots, so a pack that never calls array comes
-    with the byte unpack, not the memoryview cast."""
+    Only a little-endian host packs word slots with array, and only there
+    does exactmat.read, which unpack and triangle share, take the memoryview
+    cast, so a pack that never calls array comes with the byte reads."""
 
     @pytest.mark.parametrize("bits", [1, 63, 64, 65, 72, 128, 200])
     def test_packed_ints_match_across_hosts(self, monkeypatch, bits):
@@ -612,16 +615,10 @@ class TestOneLayout:
                 assert list(map(pack, rows)) == layout, byteorder
                 # only a little-endian host packs words with array
                 assert bool(words) == (byteorder == "little" and bits <= 64), byteorder
-                for row, x in zip(rows, layout):
-                    for start in range(count):
-                        assert unpack(x, start) == row[start:], (byteorder, start)
+                assert list(map(unpack, layout)) == rows, byteorder
+                assert triangle(layout, width) == upper_cells(rows), byteorder
                 assert diagonal(layout, width) == [row[i] for i, row in enumerate(rows)]
                 assert widen(layout, width, wide, count) == list(map(wide_pack, rows))
-
-
-def _upper_rows(power):
-    """The upper rows of a square matrix: row i from column i on."""
-    return [list(row[i:]) for i, row in enumerate(power)]
 
 
 def _left_rows(rng, kind, rows, cols):
@@ -743,14 +740,60 @@ CHAIN_SOURCES = ["S_16 <= S_17", "near 10^6", "1x1", "units and larger", "not a 
 
 
 @pytest.mark.usefixtures("host")
+class TestTriangle:
+    """exactmat.triangle reads a packed square matrix as its flat upper
+    triangle, row i from slot i on, by one bytes join and one read: against
+    the plain powers (_oracles.naive_powers) packed in word slots and in
+    9-, 13-, 16- and 25-byte slots, with a matrix of the slot's largest
+    values beside them."""
+
+    byteorder = "little"
+
+    @pytest.mark.parametrize("width", [8, 9, 13, 16, 25])
+    def test_matches_the_plain_powers(self, width):
+        rng = random.Random(width)
+        top = (1 << 8 * width) - 1
+        g = symmetric_matrix(rng, 9, 10**6, 0.6).entries
+        powers = [p for p in naive_powers(g, 12) if max(map(max, p)) <= top]
+        full = [[top - abs(i - j) for j in range(9)] for i in range(9)]
+        # each power is about 2^22 times the last, so the last to fit fills
+        # all but the slot's top three bytes
+        assert len(powers) > 2 and max(map(max, powers[-1])).bit_length() > 8 * (width - 3)
+        slot, pack, _ = slots(8 * width, 9)
+        assert slot == width
+        for power in (*powers, full):
+            assert triangle(list(map(pack, power)), width) == upper_cells(power)
+
+
+class TestTriangleBigEndian(TestTriangle):
+    byteorder = "big"
+
+
+def _left_of(g, rng, rows):
+    """Seeded rows of an L with len(g) columns, entries 0, 1 and 2, whose
+    row sums are at most tr G, as symmetric_powers asks of its left: the
+    first row as large as that allows."""
+    budget = sum(g[i][i] for i in range(len(g)))
+    cells = []
+    for _ in range(rows):
+        row, rest = [0] * len(g), budget
+        for j in rng.sample(range(len(g)), len(g)):
+            row[j] = min(rest, rng.choice((0, 1, 1, 2)) if cells else 2)
+            rest -= row[j]
+        cells.append(row)
+    return cells
+
+
+@pytest.mark.usefixtures("host")
 class TestSymmetricPowers:
-    """exactmat.symmetric_powers yields the diagonal and the upper rows of
-    G^0, G^1, G^2, ..., which must be those of the plain power
-    (_oracles.naive_powers). The chain forms the plan of G once, carries its
-    packed rows from product to product, widened when the slots grow, and
-    forms each power past G^1 by one product, only when it is pulled. Below
-    the power it is told to unpack from, it reads only diagonals, and sizes
-    its slots from a bound that holds for any nonnegative symmetric G."""
+    """exactmat.symmetric_powers yields the diagonal and the flat upper
+    triangle of G^1, G^2, ..., which must be those of the plain power
+    (_oracles.naive_powers), and the witness pair at the step asked for.
+    The chain forms the plan of G once, carries its packed rows from product
+    to product, widened when the slots grow, and forms each power past G^1
+    by one product, only when it is pulled. Below the power it is told to
+    unpack from, it reads only diagonals, and sizes its slots from a bound
+    that holds for any nonnegative symmetric G."""
 
     byteorder = "little"
 
@@ -786,14 +829,15 @@ class TestSymmetricPowers:
         self.check(monkeypatch, name, True)
 
     def check(self, monkeypatch, name, diagonals):
-        """Pull G^0, ..., G^top, unpacking every power, or with diagonals
-        only G^top past G^1, and check each against the oracle."""
+        """Pull G^1, ..., G^top, reading every triangle, or with diagonals
+        only G^top's, and check each against the oracle."""
         g, top = self.source(name)
         whole = top if diagonals else 0
         r, want = len(g), naive_powers(g, top)
-        plans, products, widened, reads = [], [], [], []
-        plan_rows, planned_sums, widen, diagonal = (exactmat.plan_rows, exactmat.planned_sums,
-                                                    exactmat.widen, exactmat.diagonal)
+        plans, products, widened, reads, triangles = [], [], [], [], []
+        plan_rows, planned_sums, widen, diagonal, read_triangle = (
+            exactmat.plan_rows, exactmat.planned_sums, exactmat.widen, exactmat.diagonal,
+            exactmat.triangle)
 
         def plan_spy(a):
             plans.append(len(a))
@@ -810,23 +854,32 @@ class TestSymmetricPowers:
         def diagonal_spy(packed, width):
             reads.append(len(products) + 1)
             return diagonal(packed, width)
+
+        def triangle_spy(packed, width):
+            triangles.append(len(products) + 1)
+            return read_triangle(packed, width)
         for attr, spy in (("plan_rows", plan_spy), ("planned_sums", planned_spy),
-                          ("widen", widen_spy), ("diagonal", diagonal_spy)):
+                          ("widen", widen_spy), ("diagonal", diagonal_spy),
+                          ("triangle", triangle_spy)):
             monkeypatch.setattr(exactmat, attr, spy)
         chain = exactmat.symmetric_powers(g, whole)
         assert products == plans == []
-        for n, (power, (diag, upper)) in enumerate(zip(want, chain)):
+        for n, (power, (diag, cells, pair)) in enumerate(zip(want[1:], chain), 1):
             assert diag == [power[i][i] for i in range(r)], n
-            if n < 2 or n >= whole:
-                assert [list(row) for row in upper] == _upper_rows(power), n
+            if n >= whole:
+                assert cells == upper_cells(power), n
             else:
-                assert upper is None, n
-            # pulling G^0, ..., G^n makes n - 1 products, each of all r rows,
+                assert cells is None, n
+            assert pair is None, n
+            # pulling G^1, ..., G^n makes n - 1 products, each of all r rows,
             # from the one plan of G formed at the first of them
-            assert products == [r] * max(n - 1, 0), n
+            assert products == [r] * (n - 1), n
             assert plans == [r] * (n > 1), n
-        # G^2, ..., G^(whole - 1) are read only on their diagonals
+        # G^2, ..., G^(whole - 1) are read only on their diagonals, and each
+        # power from G^whole on by one triangle read; G^1's triangle is
+        # formed from G's own rows, with no unpacking
         assert reads == list(range(2, whole))
+        assert triangles == list(range(max(whole, 2), top + 1))
         # the product forming G^n has slots of r max(G) max(G^(n-1)), or a
         # bound on max G^(n-1) where only its diagonal was read, which never
         # narrow; the rows are widened just before the product that first
@@ -840,6 +893,88 @@ class TestSymmetricPowers:
             assert len(widened) == top - 2
         elif name == "units and larger":  # words through G^9, 9-byte slots for G^10
             assert widths.index(9) == 8
+
+    @pytest.mark.parametrize("name", CHAIN_SOURCES)
+    def test_witness_pairs(self, monkeypatch, name):
+        # asked for the pair at step exact, the chain yields it there and
+        # nowhere else: the triangles of G^(exact-1) and G^exact, or with a
+        # left L the cells of L G^(exact-1) and L G^exact, row after row,
+        # which it sums from the packed rows of both powers widened to the
+        # slots of G^(exact+1). Each chain goes on to exact + 2 past the
+        # pair with every power right and the same slot widths.
+        g, top = self.source(name)
+        r, want = len(g), naive_powers(g, top)
+        left = _left_of(g, random.Random(r), 5)
+        widened, widen = [], exactmat.widen
+
+        def widen_spy(packed, old, new, count):
+            widened.append((old, new))
+            return widen(packed, old, new, count)
+        monkeypatch.setattr(exactmat, "widen", widen_spy)
+        for exact in sorted({1, 2, 3, 4, top - 3, top - 2}):
+            whole = max(exact - 1, 2)  # the latest the odd pair allows
+            for rows in (None, left):
+                widened.clear()
+                chain = exactmat.symmetric_powers(g, whole, exact, rows)
+                for n, (power, (diag, cells, pair)) in enumerate(zip(want[1:exact + 3], chain), 1):
+                    assert diag == [power[i][i] for i in range(r)], (exact, n)
+                    # G's own triangle only where the odd pair reads it
+                    if n >= whole or n == 1 and rows is None and exact <= 2:
+                        assert cells == upper_cells(power), (exact, n)
+                    else:
+                        assert cells is None, (exact, n)
+                    if n != exact:
+                        assert pair is None, (exact, n)
+                    elif rows is None:
+                        assert pair == [upper_cells(p) for p in want[n - 1:n + 1]], n
+                    else:
+                        assert [list(cells) for cells in pair] == [
+                            [x for row in naive_multiply(rows, p) for x in row]
+                            for p in want[n - 1:n + 1]], n
+                # the slots grow as the chain alone would grow them; the
+                # even witness widens G^(exact-1) and G^exact to G^(exact+1)'s
+                # slots at its own step, two widenings for the product's one
+                widths = chain_widths(g, want[:exact + 3], whole)
+                expect = []
+                for i, (old, new) in enumerate(zip(widths, widths[1:])):
+                    if new > old:
+                        expect += [(old, new)] * (2 if rows and i == exact - 2 else 1)
+                assert widened == expect, exact
+
+    @pytest.mark.parametrize("name", CHAIN_SOURCES)
+    def test_next_sum_over_the_nonzero_cells_of_g(self, monkeypatch, name):
+        # the count takes s_(t+1) = <G^t, G> at step t over the nonzero
+        # cells of G's triangle alone, and every other Frobenius sum over
+        # every cell: each must be the plain Frobenius product, and a 1x1 G
+        # takes none, as its count ends at c = 1
+        g, top = self.source(name)
+        r = len(g)
+        mask = upper_cells(g)
+        calls, frobenius_sum = [], charpoly._frobenius
+
+        def frobenius_spy(a, b):
+            a, b = [(list(diag), list(cells)) for diag, cells in (a, b)]
+            calls.append((a, b))
+            return frobenius_sum(a, b)
+        monkeypatch.setattr(charpoly, "_frobenius", frobenius_spy)
+        monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
+        want = naive_powers(g, top)
+        for exact in sorted({1, 2, 3, top}):
+            calls.clear()
+            k, _ = charpoly._hankel_rank(g, exact, r)
+            t = min(exact, r - 1)
+            if r == 1:
+                assert (k, calls) == (1, [])
+                continue
+            # the one sum against G's nonzero cells is s_(t+1), over G^t's
+            # cells there; every other sum reads every cell of both powers
+            g_power = ([g[i][i] for i in range(r)], [x for x in mask if x])
+            sparse = [a for a, b in calls if b == g_power]
+            assert sparse == [([want[t][i][i] for i in range(r)],
+                               [x for x, y in zip(upper_cells(want[t]), mask) if y])], exact
+            assert frobenius_sum(sparse[0], g_power) == frobenius(want[t], g), exact
+            for a, b in calls:
+                assert b == g_power or len(a[1]) == len(b[1]) == len(mask), exact
 
 
 class TestSymmetricPowersBigEndian(TestSymmetricPowers):
