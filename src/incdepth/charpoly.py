@@ -42,7 +42,7 @@ a = c the chain forms G^c after its last Hankel row. So on a tall M,
 with cols + 1 < r, the chain forms no power past G^max(a, cols), and none
 past G^a when the certificate proves k = c. A full Frobenius sum or the
 odd witness pair reads G^n only when 2n + 1 >= t + 2, so the chain reads
-the upper triangle of G^n, as one flat list, from n = t // 2 + 1 on;
+the upper triangle of G^n, as one flat tuple, from n = t // 2 + 1 on;
 below that it reads each power's diagonal slots alone, for its trace,
 and bounds its largest entry for the next product's slots without
 unpacking it. This module only counts: exactmat forms the chain, lazily

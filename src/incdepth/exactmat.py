@@ -6,18 +6,19 @@ nonzero. walk_support alone forms a support from entries, checking their
 signs, with its row and column lists and its transpose in the same pass;
 an InclusionMatrix makes that walk when it is built, and keeps it.
 Products pack a row into one int, one slot per entry, little-endian on
-every host: slot j is the j-th from the int's low end. Only this module
-knows that layout (slots, read, diagonal, triangle and widen), and so it
-runs the loops that carry packed rows: symmetric_powers, the chain G^n,
-which hands out each power it reads as one flat upper triangle and forms
-the even-depth witness pair from the packed rows it holds, and
-krylov_dim. Every product sums packed rows by one kernel, planned_sums, from a plan
-of its left operand (plan_rows): per row, the columns of its units,
-whose packed rows are added with no multiplication, and its larger
-entries, each multiplied by its packed row. The chain plans G once and
-reuses that plan at every step; a one-shot product, and each Krylov
-step, takes each row of its left operand as its own mask, the plan of a
-row with no unit, since one product does not repay the split.
+every host: slot j is the j-th from the int's low end, and the slot width
+alone picks how slots are packed and read, struct words or whole bytes.
+Only this module knows that layout (slots, read, diagonal, triangle and
+widen), and so it runs the loops that carry packed rows: symmetric_powers,
+the chain G^n, which hands out each power it reads as one flat upper
+triangle and forms the even-depth witness pair from the packed rows it
+holds, and krylov_dim. Every product sums packed rows by one kernel,
+planned_sums, from a plan of its left operand (plan_rows): per row, the
+columns of its units, whose packed rows are added with no multiplication,
+and its larger entries, each multiplied by its packed row. The chain
+plans G once and reuses that plan at every step; a one-shot product, and
+each Krylov step, takes each row of its left operand as its own mask, the
+plan of a row with no unit, since one product does not repay the split.
 
 Everything runs on Python's arbitrary-precision integers: entries of
 iterated matrix products grow geometrically and must never overflow or
@@ -30,10 +31,9 @@ threads.
 
 from __future__ import annotations
 
-from array import array
-from itertools import accumulate, chain, compress, repeat
+import struct
+from itertools import accumulate, chain, compress
 from operator import mul
-from sys import byteorder
 
 
 class MatrixError(ValueError):
@@ -113,18 +113,19 @@ def slots(bits: int, count: int):
     """(width, pack, unpack) for rows of count nonnegative entries below 2^bits.
 
     pack turns a row into one int, entry j in bits 8 width j to
-    8 width (j + 1) on every host, and unpack reads such an int back into
-    the list of its entries (read). Slots are machine words (8 bytes) when
-    bits is at most 64, and whole bytes past that. On a little-endian host
-    array packs word slots; every other slot, a big-endian host's words too,
-    is joined from little-endian bytes. A sum of packed rows reads back as
+    8 width (j + 1), and unpack reads such an int back into the tuple of
+    its entries (read). Slots are machine words (8 bytes), packed by one
+    little-endian struct format, when bits is at most 64, and whole bytes
+    past that, joined from little-endian bytes: the slot width alone picks
+    the path, the same on every host. A sum of packed rows reads back as
     the rows' sum as long as no slot of it reaches 2^(8 width).
     """
     width = 8 if bits <= 64 else (bits + 7) // 8
-    if width == 8 and byteorder == "little":
+    if width == 8:
+        words = struct.Struct(f"<{count}Q").pack
 
         def pack(row):
-            return int.from_bytes(array("Q", row).tobytes(), "little")
+            return int.from_bytes(words(*row), "little")
     else:
 
         def pack(row):
@@ -136,20 +137,19 @@ def slots(bits: int, count: int):
     return width, pack, unpack
 
 
-def read(data: bytes, width: int) -> list[int]:
+def read(data: bytes, width: int) -> tuple[int, ...]:
     """The slots of width bytes that the little-endian bytes data holds, in
-    order: one memoryview cast for word slots on a little-endian host, and
-    else one map of int.from_bytes over slices of data."""
-    if width == 8 and byteorder == "little":
-        return memoryview(data).cast("Q").tolist()
-    cuts = range(0, len(data) + width, width)
-    return list(map(int.from_bytes, map(data.__getitem__, map(slice, cuts, cuts[1:])),
-                    repeat("little")))
+    order: one struct unpack of little-endian words for word slots, and one
+    int.from_bytes per slot past them."""
+    if width == 8:
+        return struct.unpack(f"<{len(data) // 8}Q", data)
+    return tuple([int.from_bytes(data[i:i + width], "little")
+                  for i in range(0, len(data), width)])
 
 
-def triangle(packed, width: int) -> list[int]:
+def triangle(packed, width: int) -> tuple[int, ...]:
     """The upper triangle of a symmetric matrix whose rows are packed in
-    slots of width bytes, as one flat list: row i from slot i on, rows back
+    slots of width bytes, as one flat tuple: row i from slot i on, rows back
     to back, formed by one bytes join and one read."""
     size, bits = width * len(packed), 8 * width
     return read(b"".join([(x >> bits * i).to_bytes(size - width * i, "little")
@@ -186,7 +186,7 @@ def product(a, b) -> list[tuple[int, ...]]:
             + max(map(max, b)).bit_length())
     _, pack, unpack = slots(bits, len(b[0]))
     plans = [((), row, row) for row in a]
-    return [tuple(unpack(x)) for x in planned_sums(plans, list(map(pack, b)))]
+    return [unpack(x) for x in planned_sums(plans, list(map(pack, b)))]
 
 
 def plan_rows(a) -> list:
@@ -236,16 +236,16 @@ def diagonal(packed, width: int) -> list[int]:
     return [x >> bits * i & mask for i, x in enumerate(packed)]
 
 
-def upper(rows) -> list:
+def upper(rows) -> tuple:
     """The upper triangle of a square matrix given by its rows, as one flat
-    list: row i from column i on, rows back to back, the layout triangle
+    tuple: row i from column i on, rows back to back, the layout triangle
     reads packed rows into."""
-    return list(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
+    return tuple(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
 
 
 def symmetric_powers(g, whole: int, exact: int = 0, left=None):
     """(diagonal, triangle, pair) of G^1, G^2, ... for nonnegative symmetric
-    rows g: the diagonal of G^n; its upper triangle as one flat list (upper)
+    rows g: the diagonal of G^n; its upper triangle as one flat tuple (upper)
     for n >= whole, and for n = 1 when the pair reads it, else None; and
     pair, None but at step n = exact.
 
@@ -298,7 +298,7 @@ def symmetric_powers(g, whole: int, exact: int = 0, left=None):
     while True:
         pair, bounded = None, n == exact and left is not None
         if n == exact and left is None:
-            pair = [last if n > 1 else [int(i == j) for i in range(r) for j in range(i, r)],
+            pair = [last if n > 1 else tuple(int(i == j) for i in range(r) for j in range(i, r)),
                     tri]
         elif bounded:  # G^(n+1)'s slots, and the bound on G^n that sizes them
             high = bound()

@@ -126,10 +126,10 @@ def chain_widths(g, powers, whole: int) -> list[int]:
     return widths
 
 
-def upper_cells(power) -> list[int]:
-    """The upper triangle of a square matrix as one flat list: row i from
+def upper_cells(power) -> tuple[int, ...]:
+    """The upper triangle of a square matrix as one flat tuple: row i from
     column i on, rows back to back."""
-    return [x for i, row in enumerate(power) for x in row[i:]]
+    return tuple([x for i, row in enumerate(power) for x in row[i:]])
 
 
 def even_witness_pair(m: InclusionMatrix, a: int) -> list[list[int]]:

@@ -1,4 +1,5 @@
 import random
+from operator import add, mul
 
 import pytest
 
@@ -378,7 +379,7 @@ def _check_sums(gram, exact, last, pairs, sums, want):
             low, high = want[t], gram
             cells = ([x for x, y in zip(upper_cells(low), mask) if y], [x for x in mask if x])
         else:
-            cells = upper_cells(low), upper_cells(high)
+            cells = list(upper_cells(low)), list(upper_cells(high))
         assert a == ([low[i][i] for i in range(r)], cells[0]), j
         assert b == ([high[i][i] for i in range(r)], cells[1]), j
         assert got == frobenius(low, high), j
@@ -759,21 +760,10 @@ class TestWiden:
             assert widen(packed, old, new, count) == list(map(wide[1], rows))
 
 
-class TestBigEndianLayout:
-    """The packed layout of a big-endian host, simulated on this one.
-
-    With exactmat.byteorder patched to "big", slots packs and reads every
-    slot, 8-byte word slots included, through the int's little-endian bytes,
-    as it does on such a host, and diagonal and widen read the same layout
-    on every host; so the simulation is faithful at every width. It does not
-    simulate array and memoryview themselves, which read machine words in
-    this host's order whatever the patch says: slots runs them only on a
-    little-endian host, so a big-endian one never reaches them
-    (test_exactmat.TestOneLayout). The word slots of the patched host run in
-    test_exactmat's *BigEndian classes; here the certificate also runs mod
-    the 61-bit prime 2^61 - 1, and the chain on entries up to 2^72 or
-    multiples of 2^70, which need slots wider than a word, and whole reports
-    run on both hosts."""
+class TestWideEntries:
+    """The certificate mod the 61-bit prime 2^61 - 1, and the chain on
+    entries up to 2^72 or multiples of 2^70, which need slots wider than a
+    word from G^1 on."""
 
     @staticmethod
     def few_eigenvalues(factor):
@@ -782,8 +772,7 @@ class TestBigEndianLayout:
             yield IntMatrix([[factor * (3 if i == j else 1) for j in range(r)]
                              for i in range(r)])
 
-    def test_krylov_dim(self, monkeypatch):
-        monkeypatch.setattr(exactmat, "byteorder", "big")
+    def test_krylov_dim(self):
         p = (1 << 61) - 1
         rng = random.Random(61)
         for m in (*symmetric_corpus(), *self.few_eigenvalues(1),
@@ -795,7 +784,6 @@ class TestBigEndianLayout:
         cases = [*(symmetric_matrix(rng, n, 1 << 72, 1.0) for n in range(1, 8)),
                  *self.few_eigenvalues(1 << 70),
                  *(scale(repeated_spectrum(rng, k, 9), 1 << 70) for k in (1, 2, 3))]
-        monkeypatch.setattr(exactmat, "byteorder", "big")
         monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
         for m in cases:
             g = m.entries
@@ -809,12 +797,11 @@ class TestBigEndianLayout:
     def test_diagonal_steps_and_widening(self, monkeypatch):
         # a bipartite G, whose odd powers have a zero diagonal, and a Gram
         # matrix, each with entries near 2^70 and asked for G^k = G^r: the
-        # chain reads the diagonal slots of G^2, ..., G^(r/2 - 1) alone, on
-        # the patched host, and widens its rows before every product
+        # chain reads the diagonal slots of G^2, ..., G^(r/2 - 1) alone,
+        # and widens its rows before every product
         rng = random.Random(72)
         cases = [_bipartite(rng, 5, 1 << 70, (1 << 70) + (1 << 20)),
                  scale(IntMatrix(near_million_gram()), 1 << 50).entries]
-        monkeypatch.setattr(exactmat, "byteorder", "big")
         monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
         widened, widen = [], exactmat.widen
 
@@ -836,21 +823,57 @@ class TestBigEndianLayout:
             assert reads == list(range(2, r // 2))
             assert len(widened) == len(products) - 1 == k - 2
 
-    @pytest.mark.parametrize("name", ["S_13", "S_17", "S_6 <= S_11", "(S_12 <= S_16)^t"])
-    def test_reports_match_the_little_endian_host(self, monkeypatch, name):
-        # S_13 runs in word slots alone, S_17 in 9-byte slots from G^15 on,
-        # and the towers' chains widen at most steps; each matrix, its Gram
-        # included, is formed anew on each host
-        def report():
-            if name.startswith("S_6"):
-                return depth_report(tower_matrix(6, 11))
-            if name.startswith("("):
-                return depth_report(tower_matrix(12, 16).transposed())
-            return depth_report(branching_matrix(int(name[2:])))
-        monkeypatch.setattr(exactmat, "byteorder", "little")
-        want = report()
-        monkeypatch.setattr(exactmat, "byteorder", "big")
-        assert report() == want
+
+def _times(rows, v, p):
+    """A v mod p for the matrix A given by its rows."""
+    return [sum(map(mul, row, v)) % p for row in rows]
+
+
+def _symmetric_times(cells, v, p):
+    """A v mod p for the symmetric A whose flat upper triangle is cells."""
+    r, at = len(v), 0
+    out = [0] * r
+    for i in range(r):
+        row = cells[at:at + r - i]
+        at += r - i
+        out[i] += sum(map(mul, row, v[i:]))
+        out[i + 1:] = map(add, out[i + 1:], [x * v[i] for x in row[1:]])
+    return [x % p for x in out]
+
+
+class TestChainPastTheOracles:
+    """The plain-power oracles stop at 231 rows. Past them, the witness
+    pair that charpoly._hankel_rank returns is checked by Freivalds' test
+    mod charpoly.P with v = (1, ..., r): G^a v = G (G^(a-1) v) for odd
+    d = 2a - 1, and (M^t G^a) v = (M^t G^(a-1)) (G v) for even d = 2a. A
+    slot of one power read wrong changes one side alone, so the test
+    rejects it unless the error vanishes mod P at v."""
+
+    @pytest.mark.parametrize("name", ["S_19 <= S_20", "(S_17 <= S_18)^t"])
+    def test_witness_pair_mod_p(self, monkeypatch, name):
+        m = branching_matrix(20) if name == "S_19 <= S_20" else branching_matrix(18).transposed()
+        g, d = m.gram.entries, min_depth(m)
+        bits, slots = [], exactmat.slots
+
+        def slots_spy(b, count):
+            bits.append(b)
+            return slots(b, count)
+        monkeypatch.setattr(exactmat, "slots", slots_spy)
+        left = list(zip(*m.matrix.entries)) if d % 2 == 0 else None
+        _, pair = charpoly._hankel_rank(g, (d + 1) // 2, m.cols + 1, left)
+        r, p = len(g), charpoly.P
+        v = list(range(1, r + 1))
+        if left is None:
+            # the triangles of G^18 and G^19, read from byte slots
+            assert (r, d) == (490, 37) and max(bits) > 64
+            low, high = (_symmetric_times(cells, v, p) for cells in pair)
+            assert high == _times(g, low, p)
+        else:
+            # M^t G^16 and M^t G^17, 297 rows each, summed in 79-bit slots
+            assert (r, d, max(bits)) == (385, 34, 79)
+            low, high = ([cells[i:i + r] for i in range(0, len(cells), r)]
+                         for cells in map(list, pair))
+            assert _times(high, v, p) == _times(low, _times(g, v, p), p)
 
 
 class TestTowerSpectrum:

@@ -1,5 +1,4 @@
 import random
-from array import array
 from collections import Counter
 
 import pytest
@@ -549,28 +548,17 @@ class TestPackedProduct:
             2 * IntMatrix([[1, 2]])
 
 
-@pytest.fixture
-def host(request, monkeypatch):
-    """exactmat.byteorder set to the test class's byteorder, "little" or
-    "big", so that a class and its *BigEndian subclass run the same tests on
-    both hosts (test_charpoly.TestBigEndianLayout says what "big" simulates)."""
-    monkeypatch.setattr(exactmat, "byteorder", request.cls.byteorder)
-
-
-@pytest.mark.usefixtures("host")
 class TestSlots:
     """unpack reads a whole packed row, and triangle reads row i of a
     square matrix from its start slot i on, on the word path (at most 64
-    bits, on a little-endian host) and the byte path."""
-
-    byteorder = "little"
+    bits) and the byte path."""
 
     @pytest.mark.parametrize("bits", [1, 63, 64, 65, 80, 200])
     def test_unpack_from_a_start_slot(self, bits):
         rng = random.Random(bits)
         top = (1 << bits) - 1
         for count in (1, 2, 7, 33):
-            rows = [[top, *(rng.randint(0, top) for _ in range(count - 1))]
+            rows = [(top, *(rng.randint(0, top) for _ in range(count - 1)))
                     for _ in range(count)]
             width, pack, unpack = slots(bits, count)
             assert width == (8 if bits <= 64 else (bits + 7) // 8)
@@ -579,46 +567,34 @@ class TestSlots:
             assert triangle(packed, width) == upper_cells(rows)
 
 
-class TestSlotsBigEndian(TestSlots):
-    byteorder = "big"
-
-
 class TestOneLayout:
-    """The packed layout is the same on every host: slot j of a packed int
-    is bits 8 width j to 8 width (j + 1), whatever exactmat.byteorder says.
-    Only a little-endian host packs word slots with array, and only there
-    does exactmat.read, which unpack and triangle share, take the memoryview
-    cast, so a pack that never calls array comes with the byte reads."""
+    """The packed layout, pinned with no host in it: slot j of a packed int
+    is bits 8 width j to 8 width (j + 1), so the int's little-endian bytes
+    are its entries' little-endian bytes back to back, in word slots and in
+    9-, 13-, 16- and 25-byte slots, and unpack, triangle, diagonal and widen
+    read those bytes back to the plain entries."""
 
-    @pytest.mark.parametrize("bits", [1, 63, 64, 65, 72, 128, 200])
-    def test_packed_ints_match_across_hosts(self, monkeypatch, bits):
-        words = []
-
-        def array_spy(*args):
-            words.append(args)
-            return array(*args)
-        monkeypatch.setattr(exactmat, "array", array_spy)
+    @pytest.mark.parametrize("bits", [1, 63, 64, 65, 72, 100, 128, 200])
+    def test_packed_ints_match_across_hosts(self, bits):
         rng = random.Random(bits)
         top = (1 << bits) - 1
         width = 8 if bits <= 64 else (bits + 7) // 8
+        wide = width + 3
         for count in (1, 2, 7, 33):
             rows = [[top] * count, *([rng.randint(0, top) for _ in range(count)]
                                      for _ in range(count - 1))]
-            # one layout: entry j of a row at bit 8 width j of its packed int
-            layout = [sum(x << 8 * width * j for j, x in enumerate(row)) for row in rows]
-            wide, wide_pack, _ = slots(8 * (width + 3), count)
-            for byteorder in ("little", "big"):
-                monkeypatch.setattr(exactmat, "byteorder", byteorder)
-                words.clear()
-                slot, pack, unpack = slots(bits, count)
-                assert slot == width, byteorder
-                assert list(map(pack, rows)) == layout, byteorder
-                # only a little-endian host packs words with array
-                assert bool(words) == (byteorder == "little" and bits <= 64), byteorder
-                assert list(map(unpack, layout)) == rows, byteorder
-                assert triangle(layout, width) == upper_cells(rows), byteorder
-                assert diagonal(layout, width) == [row[i] for i, row in enumerate(rows)]
-                assert widen(layout, width, wide, count) == list(map(wide_pack, rows))
+            slot, pack, unpack = slots(bits, count)
+            assert slot == width
+            packed = list(map(pack, rows))
+            for x, row in zip(packed, rows):
+                assert x.to_bytes(width * count, "little") == b"".join(
+                    [e.to_bytes(width, "little") for e in row])
+            assert [list(unpack(x)) for x in packed] == rows
+            assert triangle(packed, width) == upper_cells(rows)
+            assert diagonal(packed, width) == [row[i] for i, row in enumerate(rows)]
+            for x, row in zip(widen(packed, width, wide, count), rows):
+                assert x.to_bytes(wide * count, "little") == b"".join(
+                    [e.to_bytes(wide, "little") for e in row])
 
 
 def _left_rows(rng, kind, rows, cols):
@@ -644,7 +620,6 @@ def _left_rows(rng, kind, rows, cols):
 LEFT_KINDS = ("all units", "unit-free", "mixed")
 
 
-@pytest.mark.usefixtures("host")
 class TestPlannedProduct:
     """The one product kernel: plan_rows splits each row of the left
     operand into its units, summed with no multiplication, and its larger
@@ -653,8 +628,6 @@ class TestPlannedProduct:
     row as its own mask. Against _oracles.naive_multiply, on left rows of
     every kind and right entries on either side of a word slot's largest
     value and in byte slots."""
-
-    byteorder = "little"
 
     @pytest.mark.parametrize("kind", LEFT_KINDS)
     def test_plans(self, kind):
@@ -685,7 +658,8 @@ class TestPlannedProduct:
             # product's, which takes each row as its mask
             bits = inner.bit_length() + max(map(max, a)).bit_length() + x.bit_length()
             _, pack, unpack = slots(bits, cols)
-            assert [unpack(s) for s in planned_sums(plan_rows(a), list(map(pack, b)))] == want
+            sums = planned_sums(plan_rows(a), list(map(pack, b)))
+            assert [list(unpack(s)) for s in sums] == want
             assert product(a, b) == list(map(tuple, want)), (a, b)
             assert _cells(IntMatrix(a) * IntMatrix(b)) == want, (a, b)
 
@@ -713,11 +687,8 @@ class TestPlannedProduct:
                 assert want[0] == [top - col for col in range(5)]
             slot, pack, unpack = slots(8 * width, 5)
             assert slot == width
-            assert [unpack(x) for x in planned_sums(plan_rows([row]), list(map(pack, b)))] == want
-
-
-class TestPlannedProductBigEndian(TestPlannedProduct):
-    byteorder = "big"
+            sums = planned_sums(plan_rows([row]), list(map(pack, b)))
+            assert [list(unpack(x)) for x in sums] == want
 
 
 def mixed_unit_gram():
@@ -739,15 +710,12 @@ def mixed_unit_gram():
 CHAIN_SOURCES = ["S_16 <= S_17", "near 10^6", "1x1", "units and larger", "not a Gram matrix"]
 
 
-@pytest.mark.usefixtures("host")
 class TestTriangle:
     """exactmat.triangle reads a packed square matrix as its flat upper
     triangle, row i from slot i on, by one bytes join and one read: against
     the plain powers (_oracles.naive_powers) packed in word slots and in
     9-, 13-, 16- and 25-byte slots, with a matrix of the slot's largest
     values beside them."""
-
-    byteorder = "little"
 
     @pytest.mark.parametrize("width", [8, 9, 13, 16, 25])
     def test_matches_the_plain_powers(self, width):
@@ -765,10 +733,6 @@ class TestTriangle:
             assert triangle(list(map(pack, power)), width) == upper_cells(power)
 
 
-class TestTriangleBigEndian(TestTriangle):
-    byteorder = "big"
-
-
 def _left_of(g, rng, rows):
     """Seeded rows of an L with len(g) columns, entries 0, 1 and 2, whose
     row sums are at most tr G, as symmetric_powers asks of its left: the
@@ -784,7 +748,6 @@ def _left_of(g, rng, rows):
     return cells
 
 
-@pytest.mark.usefixtures("host")
 class TestSymmetricPowers:
     """exactmat.symmetric_powers yields the diagonal and the flat upper
     triangle of G^1, G^2, ..., which must be those of the plain power
@@ -794,8 +757,6 @@ class TestSymmetricPowers:
     by one product, only when it is pulled. Below the power it is told to
     unpack from, it reads only diagonals, and sizes its slots from a bound
     that holds for any nonnegative symmetric G."""
-
-    byteorder = "little"
 
     @staticmethod
     def source(name):
@@ -977,17 +938,10 @@ class TestSymmetricPowers:
                 assert b == g_power or len(a[1]) == len(b[1]) == len(mask), exact
 
 
-class TestSymmetricPowersBigEndian(TestSymmetricPowers):
-    byteorder = "big"
-
-
-@pytest.mark.usefixtures("host")
 class TestKrylovDim:
     """The packed Krylov dimension against the list elimination it replaced
     (_oracles.krylov_dim_reference), mod P in word slots and mod 2^127 - 1
     in byte slots."""
-
-    byteorder = "little"
 
     @staticmethod
     def matrices():
@@ -1007,7 +961,3 @@ class TestKrylovDim:
     def test_matches_list_elimination(self, p):
         for m in self.matrices():
             assert exactmat.krylov_dim(m.entries, p) == krylov_dim_reference(m.entries, p), m
-
-
-class TestKrylovDimBigEndian(TestKrylovDim):
-    byteorder = "big"
