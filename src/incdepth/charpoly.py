@@ -57,7 +57,9 @@ from operator import mul
 
 from .exactmat import InclusionMatrix, krylov_dim, least_q, symmetric_powers, upper
 
-P = (1 << 27) - 79  # the prime of the Krylov certificate
+# the prime of the Krylov certificate; 2 bits(P) + bits(r) + 1 <= 64 keeps its
+# slots in 8-byte words for every r <= 2047
+P = (1 << 26) - 5
 
 
 def _frobenius(a, b) -> int:

@@ -20,8 +20,10 @@ set bits never clear, and exact big-integer powers are only computed
 afterwards to extract the minimal witness q. They read the one walk of
 supp(M) that the InclusionMatrix keeps; d(M^t) reads it the other way.
 The two chains of a d(M) search, from I and from supp(M), share one int
-per row, so one OR steps both; a report plans S = supp(M^t M) once and
-steps d(M^t) and d_H by it in separate searches.
+per row, so one OR steps both. A report plans S = supp(M^t M) once and
+reads d_H off the I half of the d(M^t) search: that half is bit for bit
+the chain I, S, S^2, ... that min_hdepth steps, from the same plan and the
+same start rows, since an OR never mixes the halves.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _plan(g):
     return [distinct[mask] for mask in g], list(map(set_bits, distinct))
 
 
-def _stabilize(plan, start=None) -> int:
+def _stabilize(plan, start=None) -> int | tuple[int, int]:
     """Step the support chain from I by g until it stabilizes; return the depth.
 
     With no start, the chain I, g, g^2, ... of a square support g with a
@@ -66,7 +68,12 @@ def _stabilize(plan, start=None) -> int:
     above it, so one OR per pick steps both and the halves never mix. Step
     n forms M^[2n] in the low halves and M^[2n+1] in the high ones: the
     depth is 2n-1 when no row's low half moved, else 2n when no row's high
-    half moved, the least n first as when the chains took turns.
+    half moved, the least n first as when the chains took turns. With a
+    start the search returns two values, that depth and the odd depth
+    2n-1 of its I half: it steps on past a settled start half until no
+    row's low half moves. The low halves are bit for bit the chain that
+    _stabilize(plan) steps, so the second value is the odd depth of g,
+    d_H for g = supp(M^t M).
 
     plan is _plan(g): the sparse g sits on the left, and the set bits of
     each distinct row of g are found once, so a step costs one OR per set
@@ -82,23 +89,24 @@ def _stabilize(plan, start=None) -> int:
         rows = [1 << i for i in range(r)]
     else:
         rows = [1 << i | row << r for i, row in enumerate(start)]
+    depth = None  # the search's depth, once the start half has settled
     # the cap is 2 * (r + bits(start or I)) + 2 levels, two levels a step
     for n in range(1, r + max(start or rows).bit_length() + 2):
         grown = list(map(_select_or(picks, rows).__getitem__, spread))
         if grown == rows:
-            return 2 * n - 1
-        if start is not None:  # the halves may settle at different steps
+            return 2 * n - 1 if start is None else (depth or 2 * n - 1, 2 * n - 1)
+        if depth is None and start is not None:  # the halves may settle apart
             if not any((a ^ b) & low for a, b in zip(grown, rows)):
-                return 2 * n - 1
+                return 2 * n - 1, 2 * n - 1
             if not any(a ^ b > low for a, b in zip(grown, rows)):
-                return 2 * n
+                depth = 2 * n  # the I half goes on alone; the start half stays
         rows = grown
     raise AssertionError("support stabilization exceeded its iteration cap")
 
 
 def min_depth(m: InclusionMatrix) -> int:
     """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
-    return _stabilize(_plan(_select_or(m.row_bits, m.supp_t)), m.support)
+    return _stabilize(_plan(_select_or(m.row_bits, m.supp_t)), m.support)[0]
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
@@ -166,12 +174,10 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     rule tying H-depth to d(M^t), are recorded as flags.
     """
     d = min_depth(m)
-    # S = supp(M^t M) and its plan are formed once, from the walk of supp(M)
-    # read the other way. d(M^t) and d_H step it in two separate chains, so
-    # the flags and checks that tie them compare independent results
-    s = _plan(_select_or(m.col_bits, m.support))
-    d_t = _stabilize(s, m.supp_t)
-    d_h = _stabilize(s)
+    # S = supp(M^t M) is formed from the walk of supp(M) read the other way.
+    # One search steps d(M^t) and, in its I half, the chain I, S, S^2, ...
+    # of d_H, so the parity flag compares the settle steps of its two halves
+    d_t, d_h = _stabilize(_plan(_select_or(m.col_bits, m.support)), m.supp_t)
     graph = bigraph.build_graph(m)
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)

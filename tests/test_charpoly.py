@@ -157,13 +157,29 @@ def _prs_squarefree_degree(p):
 
 class TestModularPath:
     """The exact power-sum Hankel rank, and the Krylov certificate mod
-    P = 2^27 - 79 that may end it right after the witness pair, against the
+    P = 2^26 - 5 that may end it right after the witness pair, against the
     Berkowitz scheme and the Z[x] remainder sequence."""
 
     def test_symmetric_matrices_match_berkowitz(self):
         for m in symmetric_corpus():
             want = _prs_squarefree_degree(berkowitz_char_poly(m))
             assert minpoly_degree(m) == want and _krylov_dim(m) <= want, m
+
+    @pytest.mark.parametrize("r", [512, 2047])
+    def test_certificate_packs_words(self, monkeypatch, r):
+        # 2 bits(P) + bits(r) + 1 <= 64 up to r = 2047, so the certificate
+        # packs G mod P, its vectors and its echelon rows in 8-byte words.
+        # G = (P - 1) J is -J mod P, whose Krylov space from v = (1, ..., r)
+        # is spanned by v and the all-ones vector
+        widths = []
+
+        def slots_spy(bits, count):
+            found = slots(bits, count)
+            widths.append(found[0])
+            return found
+        monkeypatch.setattr(exactmat, "slots", slots_spy)
+        assert exactmat.krylov_dim([[charpoly.P - 1] * r] * r, charpoly.P) == 2
+        assert widths == [8]
 
     def test_word_modulus_matches_mersenne_modulus(self, monkeypatch):
         # the certificate under a second prime gives the same counts
@@ -206,14 +222,17 @@ class TestModularPath:
         assert minpoly_degree(_diagonal(2**200, 2**200 + 1)) == 2
 
     def test_minors_that_vanish_mod_p(self):
-        # omega is a cube root of unity mod P, and x = omega + 1 mod P is
-        # wider than 2^127: diag(x, 1, 0) has det H_2 = 2(x^2 - x + 1), a
-        # nonzero multiple of P, so a Hankel count mod P would stop at 1
-        omega = pow(5, (charpoly.P - 1) // 3, charpoly.P)
-        assert omega != 1 and (omega * omega + omega + 1) % charpoly.P == 0
-        x = omega + 1 + (charpoly.P << 101)
-        assert x >= 2**127 and (x * x - x + 1) % charpoly.P == 0
-        assert minpoly_degree(_diagonal(x, 1, 0)) == 3
+        # P = 3 mod 8 makes -2 a square mod P, whose root is a power of it
+        # as P = 3 mod 4, so x = (1 + 2 sqrt(-2)) / 3 mod P is a root of
+        # 3x^2 - 2x + 3; lifted past 2^127, diag(x, 1, 0, 0) has det H_2 =
+        # 4(x^2 + 1) - (x + 1)^2 = 3x^2 - 2x + 3, a nonzero multiple of P,
+        # so a Hankel count mod P would stop at 1
+        p = charpoly.P
+        root = pow(p - 2, (p + 1) // 4, p)
+        assert p % 8 == 3 and root * root % p == p - 2
+        x = (1 + 2 * root) * pow(3, -1, p) % p + (p << 102)
+        assert x >= 2**127 and (3 * x * x - 2 * x + 3) % p == 0
+        assert minpoly_degree(_diagonal(x, 1, 0, 0)) == 3
 
     @staticmethod
     def spy(monkeypatch, count, *args):

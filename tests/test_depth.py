@@ -261,6 +261,13 @@ class TestSupportChains:
         with pytest.raises(AssertionError, match="iteration cap"):
             _stabilize(_plan((0b10, 0b01)), (0b01, 0b10))
 
+    def test_cap_raises_when_the_i_half_cycles(self):
+        # the swap maps the start rows (0b11, 0b11) to themselves, so the
+        # start half settles at step 1, but the search steps on for its I
+        # half, which cycles
+        with pytest.raises(AssertionError, match="iteration cap"):
+            _stabilize(_plan((0b10, 0b01)), (0b11, 0b11))
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_paired_halves_settle_in_either_order(self, n):
         # d(M) and d(M^t) step the chains from I and from the start in one
@@ -615,6 +622,23 @@ def test_report_shares_one_transposed_support():
         assert rep.methods_agree["graph_hdepth"] == (rep.h_depth == min_hdepth_graph(graph))
         count += 1
     assert count == 885
+
+
+@pytest.mark.parametrize("m", [S3S4, tower_matrix(5, 6), tower_matrix(5, 6).transposed()],
+                         ids=["S3S4", "S_5 <= S_6", "(S_5 <= S_6)^t"])
+def test_report_makes_two_support_searches(monkeypatch, m):
+    # one search for d(M), from supp(M), and one for d(M^t), from supp(M^t),
+    # whose I half gives d_H; the straight tower's transposed search settles
+    # its start half first, so its d_H comes from a later step
+    starts, stabilize = [], depth._stabilize
+
+    def spy(plan, start=None):
+        starts.append(start)
+        return stabilize(plan, start)
+    monkeypatch.setattr(depth, "_stabilize", spy)
+    rep = depth_report(m)
+    assert starts == [m.support, m.supp_t]
+    assert (rep.depth, rep.depth_transpose, rep.h_depth) == right_chain_depths(m)[:3]
 
 
 @pytest.mark.parametrize("m", [tower_matrix(5, 6),
