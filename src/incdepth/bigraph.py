@@ -18,20 +18,25 @@ matrix method forces on block-diagonal inputs).
 
 A graph has one constructor, which takes an inclusion matrix and reads
 the walk of its support that the matrix keeps: for each black the whites
-it touches and for each white the blacks, each ascending, and the same
-sets as the bitsets supp(M) and supp(M^t). A depth report's support chains
-read the same walk. An inclusion matrix has no zero row or column, so
+it touches and for each white the blacks, each ascending, and the black
+lists' sets as the bitsets supp(M). A depth report's support search reads
+the same walk. An inclusion matrix has no zero row or column, so
 every dot has a neighbour. The graph keeps the black lists, and its edge
 set, DOT text and repr are formed from them only when asked for. All
 three values come from each dot's eccentricity, its largest distance to
 any dot of its component, which the graph computes once when it is built
-by a breadth-first search from every dot at once. The search reads its
-first round off the two supports, and a dot whose ball holds every dot
-leaves it. The graph is bipartite, so distances between dots of one colour
-are even and those between colours odd; BFS layers are contiguous, so a
-dot of eccentricity L reaches its own colour at most L rounded down to
-even and the other colour at most L rounded up to odd, less 1 when L is
-even.
+by a breadth-first search from every dot at once. The search grows the
+balls of each colour at every other round only: whites at even rounds,
+from a white dot alone at round 0, and blacks at odd rounds, from the
+first, read off supp(M). A dot whose ball holds every dot leaves it. The
+graph is bipartite, so distances between dots of one colour are even and
+those between colours odd. So from one round of a ball to its next, two
+rounds later, the new dots of the round between are black and those of
+the later round white, for either colour, and a grown ball gives its
+dot's distance by whether it gained a white. BFS layers are contiguous,
+so a dot of eccentricity L reaches its own colour at most L rounded down
+to even and the other colour at most L rounded up to odd, less 1 when L
+is even.
 """
 
 from __future__ import annotations
@@ -49,34 +54,33 @@ class BipartiteGraph:
     def __init__(self, m: InclusionMatrix):
         """The graph of m's support, and its BFS, from the walk m keeps:
         black b joins the whites m.row_bits[b], white w the blacks
-        m.col_bits[w], and m.support and m.supp_t hold the same as bitsets.
+        m.col_bits[w], and m.support holds the black lists as bitsets.
         m has no zero row or column, so every dot has a neighbour."""
         blacks, whites = m.row_bits, m.col_bits
         r, s = self.black_count, self.white_count = len(blacks), len(whites)
         self._blacks = blacks
         # Bit-parallel BFS from every dot at once: after round k, the ball
         # of a dot is the bitset of dots within k edges of it, blacks at
-        # bits 0..r-1 and whites at r..r+s-1. Round 1 is read off the
-        # supports. Each later round ORs into a dot's ball its neighbours'
-        # balls of the round before: the blacks read the whites before
-        # these grow, and the whites read a copy of the blacks' balls from
-        # before theirs grew. A ball that stops growing is its whole
-        # component and stays so, and the last round in which it grew is
-        # the dot's eccentricity; a full ball cannot grow, so its dot
-        # leaves the BFS in the round it filled.
-        full = (1 << (r + s)) - 1
+        # bits 0..r-1 and whites at r..r+s-1. Blacks' balls start at round
+        # 1, read off the support, and whites' at round 0, the dot alone.
+        # Round 2t ORs into a white's ball the balls of its blacks from
+        # round 2t-1, and round 2t+1 into a black's the balls of its whites
+        # from round 2t, so both colours grow in place. A ball that stops
+        # growing is its whole component and stays so; a full ball cannot
+        # grow, so its dot leaves the BFS in the round it filled.
+        low, full = (1 << r) - 1, (1 << (r + s)) - 1
         black_balls = [1 << b | mask << r for b, mask in enumerate(m.support)]
-        white_balls = [1 << (r + w) | mask for w, mask in enumerate(m.supp_t)]
-        black_far, white_far = [1] * r, [1] * s
+        white_balls = [1 << (r + w) for w in range(s)]
+        black_far, white_far = [1] * r, [0] * s
         growing_b = [b for b in range(r) if black_balls[b] != full]
-        growing_w = [w for w in range(s) if white_balls[w] != full]
-        rounds = 1
+        growing_w = list(range(s))
+        rounds = 0
         while growing_b or growing_w:
-            rounds += 1
-            black_before = black_balls[:]
-            growing_b = _grow(growing_b, blacks, black_balls, white_balls, black_far, rounds, full)
-            growing_w = _grow(growing_w, whites, white_balls, black_before, white_far, rounds,
-                              full)
+            rounds += 2
+            growing_w = _grow(growing_w, whites, white_balls, black_balls, white_far,
+                              rounds - 1, low, full)
+            growing_b = _grow(growing_b, blacks, black_balls, white_balls, black_far,
+                              rounds, low, full)
         self._far = tuple(black_far + white_far)
 
     @property
@@ -100,18 +104,20 @@ class BipartiteGraph:
         return f"BipartiteGraph(InclusionMatrix({rows!r}))"
 
 
-def _grow(growing, adj, balls, other, far, rounds, full) -> list[int]:
+def _grow(growing, adj, balls, other, far, base, low, full) -> list[int]:
     """One BFS round for the growing dots of one colour, whose balls it
     grows in place from the balls other of the other colour, which adj
-    indexes; returns the dots whose ball grew and is not yet full."""
+    indexes. A grown ball's newest dots are base edges away when all are
+    black, else base + 1, since low masks the blacks. Returns the dots
+    whose ball grew and is not yet full."""
     still = []
     for v in growing:
-        ball = balls[v]
+        ball = old = balls[v]
         for u in adj[v]:
             ball |= other[u]
-        if ball != balls[v]:
+        if ball != old:
             balls[v] = ball
-            far[v] = rounds
+            far[v] = base + (ball ^ old > low)
             if ball != full:
                 still.append(v)
     return still

@@ -18,17 +18,17 @@ holds for some q exactly when the two zero patterns coincide. The
 searches below therefore run on supports, tuples of row bitsets whose
 set bits never clear, and exact big-integer powers are only computed
 afterwards to extract the minimal witness q. They read the one walk of
-supp(M) that the InclusionMatrix keeps; d(M^t) reads it the other way.
-The two chains of a d(M) search, from I and from supp(M), share one int
-per row, so one OR steps both. A report plans S = supp(M^t M) once and
-reads d_H off the I half of the d(M^t) search: that half is bit for bit
-the chain I, S, S^2, ... that min_hdepth steps, from the same plan and the
-same start rows, since an OR never mixes the halves.
+supp(M) that the InclusionMatrix keeps. The two chains of a d(M) search,
+from I and from supp(M), share one int per row, so one OR steps both.
+S^n = (M^t M)^n = M^t M^[2n-1], so the same search also forms supp(S^n),
+one OR per edge of M over the start halves it holds, and a report reads
+d, d(M^t) and d_H off the settle steps of that one search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from . import bigraph, charpoly
 from .exactmat import InclusionMatrix, IntMatrix, MatrixError, set_bits
@@ -55,25 +55,25 @@ def _plan(g):
     return [distinct[mask] for mask in g], list(map(set_bits, distinct))
 
 
-def _stabilize(plan, start=None) -> int | tuple[int, int]:
+def _stabilize(plan, start=None, cols=None) -> int | tuple[int, int, int]:
     """Step the support chain from I by g until it stabilizes; return the depth.
 
     With no start, the chain I, g, g^2, ... of a square support g with a
     full diagonal gives the least odd 2n-1 with supp(g^n) == supp(g^(n-1)).
-    With start = supp(M) and g = supp(M M^t), the chains from I and start
-    step together, since M^[n+1] = (M M^t) M^[n-1], and give d(M), the
-    least n with supp(M^[n+1]) == supp(M^[n-1]); the same walk read the
-    other way, supp(M^t) and supp(M^t M), gives d(M^t). The two chains
-    share one int per row, the I chain's row in bits 0..r-1 and start's
-    above it, so one OR per pick steps both and the halves never mix. Step
-    n forms M^[2n] in the low halves and M^[2n+1] in the high ones: the
-    depth is 2n-1 when no row's low half moved, else 2n when no row's high
-    half moved, the least n first as when the chains took turns. With a
-    start the search returns two values, that depth and the odd depth
-    2n-1 of its I half: it steps on past a settled start half until no
-    row's low half moves. The low halves are bit for bit the chain that
-    _stabilize(plan) steps, so the second value is the odd depth of g,
-    d_H for g = supp(M^t M).
+    With start = supp(M), g = supp(M M^t) and cols the column lists of M,
+    the chains from I and start step together, since M^[n+1] = (M M^t)
+    M^[n-1], and give (d(M), d(M^t), d_H). The two chains share one int per
+    row, the I chain's row in bits 0..r-1 and start's above it, so one OR
+    per pick steps both and the halves never mix. Step n forms M^[2n] in
+    the low halves and M^[2n+1] in the high ones, and before it ORs the
+    rows that each column list selects, whose high halves are then
+    supp(S^n) = supp(M^t M^[2n-1]) for S = M^t M. Each chain settles at
+    the first step where no row moves: n_G for the low halves, n_E for the
+    high ones and n_S for the S rows. Then d(M) = min(2 n_G - 1, 2 n_E); the
+    walk read the other way has M^t's bracketed powers S^n and M S^n =
+    M^[2n+1], so d(M^t) = min(2 n_S - 1, 2 n_E), and d_H = 2 n_S - 1. The
+    search stops once n_S and one of n_G, n_E are known. Once every S row
+    is full, S^(n+1) = S^n with no ORs, since supports only grow.
 
     plan is _plan(g): the sparse g sits on the left, and the set bits of
     each distinct row of g are found once, so a step costs one OR per set
@@ -89,24 +89,42 @@ def _stabilize(plan, start=None) -> int | tuple[int, int]:
         rows = [1 << i for i in range(r)]
     else:
         rows = [1 << i | row << r for i, row in enumerate(start)]
-    depth = None  # the search's depth, once the start half has settled
-    # the cap is 2 * (r + bits(start or I)) + 2 levels, two levels a step
-    for n in range(1, r + max(start or rows).bit_length() + 2):
+        powers = [1 << w << r for w in range(len(cols))]  # S^0 = I, in high halves
+        full = (1 << len(cols)) - 1 << r  # an S row is full when its int is at least this
+    n_g = n_e = n_s = inf  # the settle steps, while unknown
+    # the cap is 2 * (r + bits(start or I)) + 4 levels, two levels a step
+    for n in range(1, r + max(start or rows).bit_length() + 3):
+        if start is not None and n_s == inf:
+            if min(powers) >= full:  # full rows cannot grow
+                n_s = n
+            else:
+                derived = _select_or(cols, rows)
+                if not any(a ^ b > low for a, b in zip(derived, powers)):
+                    n_s = n
+                powers = derived
+        if n_s < inf and min(n_g, n_e) < inf:
+            return min(2 * n_g - 1, 2 * n_e), min(2 * n_s - 1, 2 * n_e), 2 * n_s - 1
         grown = list(map(_select_or(picks, rows).__getitem__, spread))
-        if grown == rows:
-            return 2 * n - 1 if start is None else (depth or 2 * n - 1, 2 * n - 1)
-        if depth is None and start is not None:  # the halves may settle apart
-            if not any((a ^ b) & low for a, b in zip(grown, rows)):
-                return 2 * n - 1, 2 * n - 1
-            if not any(a ^ b > low for a, b in zip(grown, rows)):
-                depth = 2 * n  # the I half goes on alone; the start half stays
+        if start is None:
+            if grown == rows:
+                return 2 * n - 1
+        else:
+            if n_g == inf and not any((a ^ b) & low for a, b in zip(grown, rows)):
+                n_g = n
+            if n_e == inf and not any(a ^ b > low for a, b in zip(grown, rows)):
+                n_e = n
         rows = grown
     raise AssertionError("support stabilization exceeded its iteration cap")
 
 
+def _support_depths(m: InclusionMatrix) -> tuple[int, int, int]:
+    """(d(M), d(M^t), d_H) from one search of the walk of supp(M)."""
+    return _stabilize(_plan(_select_or(m.row_bits, m.supp_t)), m.support, m.col_bits)
+
+
 def min_depth(m: InclusionMatrix) -> int:
     """Minimum depth d(M), the least n with supp(M^[n+1]) == supp(M^[n-1])."""
-    return _stabilize(_plan(_select_or(m.row_bits, m.supp_t)), m.support)[0]
+    return _support_depths(m)[0]
 
 
 def min_hdepth(m: InclusionMatrix) -> int:
@@ -173,11 +191,10 @@ def depth_report(m: InclusionMatrix) -> DepthReport:
     bad input. Agreement between the matrix and graph methods, and the parity
     rule tying H-depth to d(M^t), are recorded as flags.
     """
-    d = min_depth(m)
-    # S = supp(M^t M) is formed from the walk of supp(M) read the other way.
-    # One search steps d(M^t) and, in its I half, the chain I, S, S^2, ...
-    # of d_H, so the parity flag compares the settle steps of its two halves
-    d_t, d_h = _stabilize(_plan(_select_or(m.col_bits, m.support)), m.supp_t)
+    # One search of the walk of supp(M) steps the chains of M^[n] and, from
+    # their start halves, supp(S^n) for S = M^t M; the parity flag compares
+    # the settle steps of the start halves and the S rows
+    d, d_t, d_h = _support_depths(m)
     graph = bigraph.build_graph(m)
     odd = bigraph.min_odd_depth_graph(graph)
     even = bigraph.min_even_depth_graph(graph)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ import incdepth
 from incdepth import (BipartiteGraph, InclusionMatrix, branching_matrix, build_graph,
                       min_depth, min_even_depth_graph, min_hdepth, min_hdepth_graph,
                       min_odd_depth_graph, to_dot, tower_matrix)
+from incdepth import bigraph
 from incdepth.bigraph import black_diameter
 
 from _oracles import (all_binary_inclusions, bfs_distances, block_diagonal, dense_rows,
@@ -97,12 +99,20 @@ def small_graphs():
 
 def eccentricity_cases():
     """(name, matrix): every small inclusion, the towers S_(n-1) <= S_n for
-    n <= 16, two disconnected block-diagonal matrices, whose balls never
-    fill, and seeded dense 40 x 60 matrices, whose balls all fill by
-    round 3."""
+    n <= 16 and their transposes, S_12 <= S_13 with seeded row and column
+    orders, the towers S_k <= S_9, two disconnected block-diagonal
+    matrices, whose balls never fill, and seeded dense 40 x 60 matrices,
+    whose balls all fill by round 3."""
     for k, m in enumerate(small_inclusions()):
         yield f"small {k}", m
-    yield from ((f"S_{n - 1} <= S_{n}", tower_matrix(n - 1, n)) for n in range(2, 17))
+    for n in range(2, 17):
+        yield f"S_{n - 1} <= S_{n}", tower_matrix(n - 1, n)
+        yield f"(S_{n - 1} <= S_{n})^t", tower_matrix(n - 1, n).transposed()
+    rng, m = random.Random(31), tower_matrix(12, 13)
+    rows, cols = rng.sample(range(m.rows), m.rows), rng.sample(range(m.cols), m.cols)
+    yield "shuffled S_12 <= S_13", InclusionMatrix(
+        [[m.matrix.entries[i][j] for j in cols] for i in rows])
+    yield from ((f"S_{k} <= S_9", tower_matrix(k, 9)) for k in range(1, 9))
     yield "block diagonal 3x4", InclusionMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
     yield "block diagonal", block_diagonal(S3S4, S3S4.transposed(), C2M2)
     yield from ((f"dense {seed}", InclusionMatrix(dense_rows(random.Random(seed), 40)))
@@ -116,6 +126,24 @@ def test_each_dot_far_is_its_eccentricity():
         g = build_graph(m)
         assert g.edges == frozenset(nonzero_cells(m)), name
         assert list(g._far) == eccentricities(g), name
+
+
+def test_each_ball_grows_at_every_other_round(monkeypatch):
+    # blacks grow at odd rounds and whites at even ones, so a dot of
+    # eccentricity L joins at most ceil(L / 2) + 1 rounds of _grow: those
+    # up to the one that reaches L, and one more that finds its ball closed
+    joins, grow = Counter(), bigraph._grow
+
+    def spy(growing, adj, *rest):
+        joins.update((id(adj), v) for v in growing)
+        return grow(growing, adj, *rest)
+    monkeypatch.setattr(bigraph, "_grow", spy)
+    for name, m in eccentricity_cases():
+        joins.clear()
+        far = build_graph(m)._far
+        dots = [(id(m.row_bits), b) for b in range(m.rows)]
+        dots += [(id(m.col_bits), w) for w in range(m.cols)]
+        assert all(joins[dot] <= -(-L // 2) + 1 for dot, L in zip(dots, far)), name
 
 
 def dot_text(r, s, cells):

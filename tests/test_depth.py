@@ -257,16 +257,24 @@ class TestSupportChains:
             _stabilize(_plan((0b10, 0b01)))
 
     def test_cap_raises_with_start(self):
-        # both halves of each paired row cycle under the swap, neither settles
+        # both halves of each paired row cycle under the swap, and so do
+        # the S rows that the column lists read off the start halves
         with pytest.raises(AssertionError, match="iteration cap"):
-            _stabilize(_plan((0b10, 0b01)), (0b01, 0b10))
+            _stabilize(_plan((0b10, 0b01)), (0b01, 0b10), ((0,), (1,)))
 
     def test_cap_raises_when_the_i_half_cycles(self):
-        # the swap maps the start rows (0b11, 0b11) to themselves, so the
-        # start half settles at step 1, but the search steps on for its I
-        # half, which cycles
+        # each column list reads both start halves, so the S rows are full
+        # at step 1 and settle at step 2, but both halves of each paired
+        # row cycle under the swap, so neither d nor d(M^t) settles
         with pytest.raises(AssertionError, match="iteration cap"):
-            _stabilize(_plan((0b10, 0b01)), (0b11, 0b11))
+            _stabilize(_plan((0b10, 0b01)), (0b01, 0b10), ((0, 1), (0, 1)))
+
+    def test_settled_start_half_does_not_wait_for_the_i_half(self):
+        # the swap maps the start rows (0b11, 0b11) to themselves, so the
+        # high halves settle at step 1 (d = 2), and the S rows, full at
+        # step 1, at step 2 (d(M^t) = min(3, 2), d_H = 3); the search
+        # returns although its I half cycles
+        assert _stabilize(_plan((0b10, 0b01)), (0b11, 0b11), ((0, 1), (0, 1))) == (2, 2, 3)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_paired_halves_settle_in_either_order(self, n):
@@ -626,39 +634,48 @@ def test_report_shares_one_transposed_support():
 
 @pytest.mark.parametrize("m", [S3S4, tower_matrix(5, 6), tower_matrix(5, 6).transposed()],
                          ids=["S3S4", "S_5 <= S_6", "(S_5 <= S_6)^t"])
-def test_report_makes_two_support_searches(monkeypatch, m):
-    # one search for d(M), from supp(M), and one for d(M^t), from supp(M^t),
-    # whose I half gives d_H; the straight tower's transposed search settles
-    # its start half first, so its d_H comes from a later step
-    starts, stabilize = [], depth._stabilize
+def test_report_makes_one_support_search(monkeypatch, m):
+    # one search, from supp(M) with the column lists of M, gives d, d(M^t)
+    # and d_H; the S rows of S3S4 and of the straight tower settle one step
+    # after both halves, and the transposed tower's S rows and start halves
+    # settle together, so its search stops before its I half settles
+    calls, stabilize = [], depth._stabilize
 
-    def spy(plan, start=None):
-        starts.append(start)
-        return stabilize(plan, start)
+    def spy(plan, start=None, cols=None):
+        calls.append((start, cols))
+        return stabilize(plan, start, cols)
     monkeypatch.setattr(depth, "_stabilize", spy)
     rep = depth_report(m)
-    assert starts == [m.support, m.supp_t]
+    assert len(calls) == 1 and calls[0][0] is m.support and calls[0][1] is m.col_bits
     assert (rep.depth, rep.depth_transpose, rep.h_depth) == right_chain_depths(m)[:3]
 
 
-@pytest.mark.parametrize("m", [tower_matrix(5, 6),
+def select_kinds(monkeypatch, m):
+    """Spy on depth._select_or during depth_report(m): the report, and per
+    call which lists of m's walk it ORs by and over, "chain" for neither."""
+    names = {id(getattr(m, name)): name for name in ("row_bits", "col_bits", "support",
+                                                     "supp_t")}
+    kinds, select_or = [], depth._select_or
+
+    def spy(picks, rows):
+        kinds.append((names.get(id(picks), "chain"), names.get(id(rows), "chain")))
+        return select_or(picks, rows)
+    monkeypatch.setattr(depth, "_select_or", spy)
+    return depth_report(m), kinds
+
+
+@pytest.mark.parametrize("m", [S3S4, tower_matrix(5, 6),
                                InclusionMatrix(dense_rows(random.Random(3), 40))],
-                         ids=["S_5 <= S_6", "dense 40x60"])
+                         ids=["S3S4", "S_5 <= S_6", "dense 40x60"])
 def test_report_walks_each_support_once(monkeypatch, m):
     # building the matrix walks its entries once, in its one walk_support
     # call, which finds the set bits of each row itself, with no set_bits
     # call; a report then makes no walk and calls set_bits once per distinct
-    # row of each factor the chains step by: supp(M M^t) for d(M), and
-    # S = supp(M^t M), planned once for both d(M^t) and d_H. It forms each
-    # factor once, from the row lists and the column lists
+    # row of the one factor its search steps by, supp(M M^t), formed once
+    # from the row lists. It forms no supp(M^t M): the S rows come from the
+    # column lists ORed over the search's own rows
+    distinct = len(set(m.gram.support()))
     calls = {"set_bits": 0, "walk_support": 0}
-    factors = []
-    select_or = depth._select_or
-
-    def select_spy(picks, rows):
-        if picks is fresh.row_bits or picks is fresh.col_bits:
-            factors.append(picks is fresh.row_bits)
-        return select_or(picks, rows)
 
     def counted(name, function):
         def spy(*args):
@@ -674,15 +691,29 @@ def test_report_walks_each_support_once(monkeypatch, m):
     fresh = InclusionMatrix(m.matrix)
     built = dict(calls)
     calls.update(dict.fromkeys(calls, 0))
-    monkeypatch.setattr(depth, "_select_or", select_spy)
-    rep, counts = depth_report(fresh), dict(calls)
-    assert sorted(factors) == [False, True], factors
-    gram = m.gram.support()
-    s = (m.matrix.transpose() * m.matrix).support()
+    rep, kinds = select_kinds(monkeypatch, fresh)
     assert built == {"set_bits": 0, "walk_support": 1}, built
-    assert counts == {"set_bits": len(set(gram)) + len(set(s)),
-                      "walk_support": 0}, counts
+    assert calls == {"set_bits": distinct, "walk_support": 0}, calls
+    assert kinds[0] == ("row_bits", "supp_t") and ("col_bits", "support") not in kinds, kinds
+    assert set(kinds[1:]) <= {("col_bits", "chain"), ("chain", "chain")}, kinds
     assert rep.all_methods_agree()
+
+
+@pytest.mark.parametrize("m, depths, steps, passes", [
+    (S3S4, (5, 6, 7), 3, 3),
+    (InclusionMatrix(dense_rows(random.Random(3), 40)), (3, 3, 3), 2, 1)],
+    ids=["S3S4", "dense 40x60"])
+def test_report_ors_the_column_lists_until_s_settles(monkeypatch, m, depths, steps, passes):
+    # S3S4 has d = 5, found when its low halves settle at step 3, and d_H
+    # = 7: its S rows settle at step 4, where S^3, every row full, gives
+    # S^4 with no ORs, so the search steps 3 times and ORs the column lists
+    # for S, S^2 and S^3 only. A dense 40 x 60 matrix has S = supp(M^t M)
+    # full, so the column lists are ORed once, for S, and d = d(M^t) = d_H
+    # = 3 after two steps
+    rep, kinds = select_kinds(monkeypatch, m)
+    assert (rep.depth, rep.depth_transpose, rep.h_depth) == depths
+    assert Counter(kinds) == {("row_bits", "supp_t"): 1, ("chain", "chain"): steps,
+                              ("col_bits", "chain"): passes}, kinds
 
 
 class TestWitnessFromChain:
