@@ -13,25 +13,19 @@ most the ceiling c = min(r, cols + 1): rank G = rank M <= cols, so G has
 at most cols distinct nonzero eigenvalues, and 0 adds at most one more.
 
 The leading minors det H_N are the pivots of a fraction-free elimination
-(Bareiss, Math. Comp. 1968) over the power sums of the chain
-G^n = G G^(n-1). Up to t = min(max(exact, 1), c - 1), where exact is the
-power a depth report asks for, each s_n is a trace, read off the
-diagonal of G^n as step n forms it. s_(t+1) = tr(G^t G) = <G^t, G> is
-taken at step t over the nonzero cells of G's upper triangle alone, and
-each sum above it is a full Frobenius product, s_(2n-1) = <G^(n-1), G^n>
-and s_(2n) = <G^n, G^n>, taken at step n. Hankel row m needs s_m, ...,
-s_2m, so below step t a row waits for its sums, step t eliminates every
-row through t, and each step after it one row. t is capped at c - 1, the
-last step that adds a Hankel row (det H_(c+1) is always 0), so that
-every sum that step needs is known by its end. Chain and elimination are
-exact. The count tries a certificate
-once: the minimal polynomial of G is monic in Z[x] (Gauss's lemma), so
-its reduction mod the prime P annihilates G mod P, and the dimension of
-the Krylov space span(v, Gv, G^2 v, ...) mod P is at most k (Wiedemann,
-IEEE Trans. Inf. Theory 1986). A dimension of c proves k = c and ends the
-count; otherwise the same chain goes on exactly, and the k it finds must
-not be below that dimension. No step is probabilistic and every answer is
-exact.
+(Bareiss, Math. Comp. 1968) over the power sums s_0 = r, s_1, ...,
+s_(2c-2). exactmat forms them, lazily, along the exact chain
+G^n = G G^(n-1) (symmetric_powers, whose docstring gives the schedule),
+and hands out at each step the sums that step makes known. Hankel row m is
+eliminated once s_m, ..., s_2m are known, and step c - 1 adds the last
+row (det H_(c+1) is always 0). Chain and elimination are exact. The
+count tries a certificate once: the minimal polynomial of G is monic in
+Z[x] (Gauss's lemma), so its reduction mod the prime P annihilates G mod
+P, and the dimension of the Krylov space span(v, Gv, G^2 v, ...) mod P
+is at most k (Wiedemann, IEEE Trans. Inf. Theory 1986). A dimension of c
+proves k = c and ends the count; otherwise the same chain goes on
+exactly, and the k it finds must not be below that dimension. No step is
+probabilistic and every answer is exact.
 
 A depth report also takes the witness pair of depth 2a-1 or 2a from this
 chain at step a: the upper triangles of G^(a-1) and G^a for odd d, and
@@ -40,40 +34,19 @@ rows it holds. It tries the certificate right after that pair, at the
 end of chain step a, unless no Hankel step is left for it to save. When
 a = c the chain forms G^c after its last Hankel row. So on a tall M,
 with cols + 1 < r, the chain forms no power past G^max(a, cols), and none
-past G^a when the certificate proves k = c. A full Frobenius sum or the
-odd witness pair reads G^n only when 2n + 1 >= t + 2, so the chain reads
-the upper triangle of G^n, as one flat tuple, from n = t // 2 + 1 on;
-below that it reads each power's diagonal slots alone, for its trace,
-and bounds its largest entry for the next product's slots without
-unpacking it. This module only counts: exactmat forms the chain, lazily
-(symmetric_powers), the witness pair, and the Krylov dimension
-(krylov_dim), and alone knows the layout of the rows they pack.
+past G^a when the certificate proves k = c. This module only counts:
+exactmat forms the chain, its power sums and the witness pair
+(symmetric_powers), and the Krylov dimension (krylov_dim), and alone
+knows the layout of the rows they pack.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import mul
-
-from .exactmat import InclusionMatrix, krylov_dim, least_q, symmetric_powers, upper
+from .exactmat import InclusionMatrix, krylov_dim, least_q, symmetric_powers
 
 # the prime of the Krylov certificate; 2 bits(P) + bits(r) + 1 <= 64 keeps its
 # slots in 8-byte words for every r <= 2047
 P = (1 << 26) - 5
-
-
-def _frobenius(a, b) -> int:
-    """Frobenius product sum_ij A_ij B_ij of two symmetric matrices A and B.
-
-    a and b are (diagonal, cells): the diagonal of the matrix and the cells
-    of its upper triangle, row i from column i on, flat, in the same order
-    for both, every cell or a selection that keeps each cell where A and B
-    are both nonzero. Both matrices must be symmetric, as every power of G
-    is: the sum is then twice the sum over the upper cells less the
-    diagonal, which that sum counted once, so on other matrices the result
-    is wrong.
-    """
-    return 2 * sum(map(mul, a[1], b[1])) - sum(map(mul, a[0], b[0]))
 
 
 def _eliminate(v, pivots, rows) -> int:
@@ -103,59 +76,30 @@ def _hankel_rank(g, exact: int, ceiling: int, left=None):
 
     k is the least N with det H_(N+1) = 0, and ceiling must bound it: r for
     any G, cols + 1 for G = M M^t with M of cols columns. The count runs to
-    c = min(r, ceiling), where det H_(c+1) = 0 always. pair is the witness
-    pair of exactmat.symmetric_powers at step exact, given left: the
-    triangles of G^(exact-1) and G^exact, or L G^(exact-1) and L G^exact for
-    the rows of L in left, once the chain has formed G^exact, which it does
-    whenever 1 <= exact <= k, and None otherwise. With
-    t = min(max(exact, 1), c - 1), s_1, ..., s_t are the traces of G, ...,
-    G^t, s_(t+1) = <G^t, G> is taken at step t over the nonzero cells of
-    G's triangle alone, and only the sums above t + 1 are full Frobenius
-    products. Hankel rows below t are eliminated once their sums are known,
-    and all rows through t by the end of step t. The Krylov certificate is
-    tried once, at the end of step exact, unless that is step c - 1 or later
-    and no Hankel step is left for it to save; a dimension of c proves
-    k = c. Its dimension is at most k, and a k below it raises
-    AssertionError: the chain or the certificate is wrong. Step n pulls G^n
-    from exactmat.symmetric_powers, with its triangle from n = t // 2 + 1
-    on and as its diagonal alone before that.
+    c = min(r, ceiling), where det H_(c+1) = 0 always, and eliminates each
+    Hankel row m once the chain, exactmat.symmetric_powers(g, c, exact,
+    left), has handed out its sums s_m, ..., s_2m. pair is the chain's
+    witness pair at step exact, the triangles of G^(exact-1) and G^exact, or
+    L G^(exact-1) and L G^exact for the rows of L in left, once the chain
+    has formed G^exact, which it does whenever 1 <= exact <= k, and None
+    otherwise. The Krylov certificate is tried once, at the end of step
+    exact, unless that is step c - 1 or later and no Hankel step is left for
+    it to save; a dimension of c proves k = c. Its dimension is at most k,
+    and a k below it raises AssertionError: the chain or the certificate is
+    wrong.
     """
     r = len(g)
     c = min(r, ceiling)  # k <= c
-    top = min(max(exact, 1), c - 1)  # s_1, ..., s_top are traces
     dim = 0  # the Krylov certificate's dimension, once it is tried
-    # a full Frobenius sum s_j, j >= top + 2, reads G^n only when
-    # 2n + 1 >= top + 2, the odd witness pair no earlier power, and the
-    # traces below that only the diagonals
-    chain = symmetric_powers(g, top // 2 + 1, exact, left)
-    power = None  # (diagonal, triangle) of G^n, the triangle None below top // 2 + 1
     pair = None  # the witness pair, once formed
-    sums = [r] + [None] * (2 * c - 2)  # s_0, ..., s_(2c-2), each set once known
     pivots = [r]  # det H_1, ..., det H_(m+1) for the rows eliminated so far
     rows = [[r]]  # pivot row k after k elimination steps, from column k on
     # Steps 1..c-1 add Hankel rows; det H_(c+1) = 0 always, so step c only
     # forms G^c, when it is asked for.
-    for n in range(1, max(c, exact + 1)):
-        low = power
-        diagonal, triangle, formed = next(chain)
-        power = diagonal, triangle
-        if n == 1:
-            first = power
+    steps = range(1, c + (exact >= c))
+    for n, (sums, known, formed) in zip(steps, symmetric_powers(g, c, exact, left)):
         if n == exact:
             pair = formed
-        if n == c:
-            break
-        if n <= top:
-            sums[n] = sum(diagonal)
-        if n == top:  # <G^t, G> over the nonzero cells of G's triangle
-            cells = first[1] if first[1] is not None else upper(g)
-            sums[n + 1] = _frobenius((diagonal, compress(triangle, cells)),
-                                     (first[0], compress(cells, cells)))
-        if 2 * n - 1 > top + 1:
-            sums[2 * n - 1] = _frobenius(low, power)
-        if 2 * n > top + 1:
-            sums[2 * n] = _frobenius(power, power)
-        known = 2 * n if n >= top else n  # s_0, ..., s_known are all set
         while 2 * len(pivots) <= known:
             m = len(pivots)
             if not _eliminate(sums[m:2 * m + 1], pivots, rows):

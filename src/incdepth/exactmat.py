@@ -9,15 +9,17 @@ Products pack a row into one int, one slot per entry, little-endian on
 every host: slot j is the j-th from the int's low end, and the slot width
 alone picks how slots are packed and read, struct words or whole bytes.
 Only this module knows that layout (slots, read, diagonal, triangle and
-widen), and so it runs the loops that carry packed rows: symmetric_powers,
-the chain G^n, which hands out each power it reads as one flat upper
-triangle and forms the even-depth witness pair from the packed rows it
-holds, and krylov_dim. Every product sums packed rows by one kernel,
-planned_sums, from a plan of its left operand (plan_rows): per row, the
-columns of its units, whose packed rows are added with no multiplication,
-and its larger entries, each multiplied by its packed row. The chain
-plans G once and reuses that plan at every step; a one-shot product, and
-each Krylov step, takes each row of its left operand as its own mask, the
+widen), and so it runs the loops that carry packed rows:
+symmetric_powers, the chain G^n, which reads each power it needs as one
+flat upper triangle and hands out the power sums s_j = tr G^j, traces
+and Frobenius products of those triangles, for the count to eliminate,
+and forms the even-depth witness pair from the packed rows it holds, and
+krylov_dim. Every product sums packed rows by one kernel, planned_sums,
+from a plan of its left operand (plan_rows): per row, the columns of its
+units, whose packed rows are added with no multiplication, and its
+larger entries, each multiplied by its packed row. The chain plans G
+once and reuses that plan at every step; a one-shot product, and each
+Krylov step, takes each row of its left operand as its own mask, the
 plan of a row with no unit, since one product does not repay the split.
 
 Everything runs on Python's arbitrary-precision integers: entries of
@@ -243,41 +245,70 @@ def upper(rows) -> tuple:
     return tuple(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
 
 
-def symmetric_powers(g, whole: int, exact: int = 0, left=None):
-    """(diagonal, triangle, pair) of G^1, G^2, ... for nonnegative symmetric
-    rows g: the diagonal of G^n; its upper triangle as one flat tuple (upper)
-    for n >= whole, and for n = 1 when the pair reads it, else None; and
-    pair, None but at step n = exact.
+def _frobenius(a, b) -> int:
+    """Frobenius product sum_ij A_ij B_ij of two symmetric matrices A and B.
 
-    Lazy: G^n = G G^(n-1) is formed only when pulled, by planned_sums from
-    the plan of G, which plan_rows forms once, at the first product. The
-    packed sums that formed G^(n-1) are the next product's packed rows,
-    widened byte by byte when the slots grow. A step from whole on reads
+    a and b are (diagonal, cells): the diagonal of the matrix and the cells
+    of its upper triangle, row i from column i on, flat, in the same order
+    for both, every cell or a selection that keeps each cell where A and B
+    are both nonzero. Both matrices must be symmetric, as every power of G
+    is: the sum is then twice the sum over the upper cells less the
+    diagonal, which that sum counted once, so on other matrices the result
+    is wrong.
+    """
+    return 2 * sum(map(mul, a[1], b[1])) - sum(map(mul, a[0], b[0]))
+
+
+def symmetric_powers(g, c: int, exact: int = 0, left=None):
+    """(sums, known, pair) at each step n = 1, 2, ... of the chain
+    G^n = G G^(n-1), for nonnegative symmetric rows g and the ceiling c >= 1
+    of a count of G's distinct eigenvalues, which eliminates the power sums
+    s_j = tr G^j (charpoly._hankel_rank).
+
+    sums is one list, the same at every step, of s_0 = r, s_1, ..., s_(2c-2),
+    each set once known, and s_0, ..., s_known are all set. With
+    t = min(max(exact, 1), c - 1), step n <= t sets the trace s_n, read off
+    the diagonal of G^n; step t sets s_(t+1) = tr(G^t G) = <G^t, G> over the
+    nonzero cells of G's upper triangle alone; and each step n < c sets
+    those of s_(2n-1) = <G^(n-1), G^n> and s_(2n) = <G^n, G^n> past s_(t+1),
+    full Frobenius products (_frobenius) of the triangles of two powers. So
+    known is n below step t and 2n from step t to step c - 1, and no sum
+    past s_(2c-2) is formed: a step from c on reads no sum, and only forms
+    its power for the pair. pair is None but at step n = exact.
+
+    Lazy: G^n is formed only when pulled, by planned_sums from the plan of
+    G, which plan_rows forms once, at the first product. The packed sums
+    that formed G^(n-1) are the next product's packed rows, widened byte by
+    byte when the slots grow. A full sum or the odd witness pair reads G^n
+    only when 2n + 1 >= t + 2, so from step t // 2 + 1 on the chain reads
     the triangle of G^n (triangle), which holds every entry, as G^n is
-    symmetric, and its diagonal off that; a step below whole reads only the
-    diagonal slots. The largest entry of G^n sizes the next product's
-    slots: an even power G^(2m) = (G^m)^t G^m has it on its diagonal
-    (Cauchy-Schwarz), so every even step reads it there. An odd step from
-    whole on takes it from the triangle, and one below whole bounds it
-    without unpacking: G^n = G G^(n-1) has no entry above the largest of
-    G^(n-1) times the largest row sum of G. Both rules hold for every
-    nonnegative symmetric G.
+    symmetric, as one flat tuple (upper), and its diagonal off that; a step
+    below it reads only the diagonal slots (diagonal). G^1's triangle is
+    G's own rows, taken when a sum or the pair reads it. The largest entry
+    of G^n sizes the next product's slots: an even power G^(2m) =
+    (G^m)^t G^m has it on its diagonal (Cauchy-Schwarz), so every even step
+    reads it there. An odd step that reads its triangle takes it from
+    there, and one that does not bounds it without unpacking:
+    G^n = G G^(n-1) has no entry above the largest of G^(n-1) times the
+    largest row sum of G. Both rules hold for every nonnegative symmetric G.
 
     pair is the witness pair of step exact >= 1. With left None it is the
-    triangles of G^(exact-1) and G^exact, so whole must be at most
-    max(2, exact - 1). With left the rows of a nonnegative L whose row sums
-    are at most tr G, such as M^t for G = M M^t, it is the entries of
-    L G^(exact-1) and of L G^exact, row after row, each row read as it is
-    pulled, from sums of the packed rows the chain holds by the plan of L.
-    The chain keeps the packed rows of G^(exact-1) one step longer and
-    widens both powers to the slots it gives G^(exact+1), which hold them:
-    an entry of L G^n is at most a row sum of L times max G^n, a row sum of
-    L is at most tr G <= r max G, and max G^(n-1) <= max G^n on a nonzero
-    G, for row k of G^(n-1) is 0 when row k of G is, and else some G_ik >= 1.
+    triangles of G^(exact-1) and G^exact. With left the rows of a
+    nonnegative L whose row sums are at most tr G, such as M^t for
+    G = M M^t, it is the entries of L G^(exact-1) and of L G^exact, row
+    after row, each row read as it is pulled, from sums of the packed rows
+    the chain holds by the plan of L. The chain keeps the packed rows of
+    G^(exact-1) one step longer and widens both powers to the slots it gives
+    G^(exact+1), which hold them: an entry of L G^n is at most a row sum of
+    L times max G^n, a row sum of L is at most tr G <= r max G, and
+    max G^(n-1) <= max G^n on a nonzero G, for row k of G^(n-1) is 0 when
+    row k of G is, and else some G_ik >= 1.
     """
     r = len(g)
-    diag = [row[i] for i, row in enumerate(g)]
-    tri = upper(g) if whole <= 1 or left is None and exact in (1, 2) else None
+    t = min(max(exact, 1), c - 1)  # s_1, ..., s_t are traces
+    whole = t // 2 + 1  # the first power whose triangle is read
+    diag = first = [row[i] for i, row in enumerate(g)]
+    tri = cells = upper(g) if whole == 1 or left is None and exact in (1, 2) else None
     high = max(map(max, g))  # the largest entry of G^n, or a bound on it
     head = r.bit_length() + high.bit_length()  # G's share of product's bound
     widest = max(map(sum, g))  # the largest row sum of G, the odd steps' factor
@@ -290,15 +321,31 @@ def symmetric_powers(g, whole: int, exact: int = 0, left=None):
             return max(diag)
         return max(tri) if tri is not None else high * widest
 
+    sums = [r] + [None] * (2 * c - 2)
+    known = 0
     # the slot width, the packed rows of G^n and those of G^(n-1) the even
-    # witness keeps, and the triangle of G^(n-1)
+    # witness keeps, and the (diagonal, triangle) of G^(n-1)
     width, packed, low, last = 0, None, None, None
     plans = offsets = None  # formed once, when first needed
     n = 1
     while True:
+        power = diag, tri
+        if n < c:
+            if n <= t:
+                sums[n] = sum(diag)
+            if n == t:  # <G^t, G> over the nonzero cells of G's triangle
+                if cells is None:
+                    cells = upper(g)
+                sums[n + 1] = _frobenius((diag, compress(tri, cells)),
+                                         (first, compress(cells, cells)))
+            if 2 * n - 1 > t + 1:
+                sums[2 * n - 1] = _frobenius(last, power)
+            if 2 * n > t + 1:
+                sums[2 * n] = _frobenius(power, power)
+            known = 2 * n if n >= t else n
         pair, bounded = None, n == exact and left is not None
         if n == exact and left is None:
-            pair = [last if n > 1 else tuple(int(i == j) for i in range(r) for j in range(i, r)),
+            pair = [last[1] if n > 1 else tuple(int(i == j) for i in range(r) for j in range(i, r)),
                     tri]
         elif bounded:  # G^(n+1)'s slots, and the bound on G^n that sizes them
             high = bound()
@@ -310,8 +357,8 @@ def symmetric_powers(g, whole: int, exact: int = 0, left=None):
             width, by = step, plan_rows(left)
             pair = [chain.from_iterable(map(unpack, planned_sums(by, x))) for x in (low, packed)]
             low = None
-        yield diag, tri, pair
-        last = tri
+        yield sums, known, pair
+        last = power
         if not bounded:  # the bound is formed only when the next power is pulled
             high = bound()
         n += 1

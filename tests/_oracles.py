@@ -110,8 +110,9 @@ def naive_powers(g, top: int) -> list[list[list[int]]]:
 
 def chain_widths(g, powers, whole: int) -> list[int]:
     """The slot width in bytes of each product G^n = G G^(n-1), n >= 2, that
-    exactmat.symmetric_powers(g, whole) takes to form powers[2:], read off
-    the plain powers I, G, G^2, ...: bits(r) + bits(max G) + bits(h), where
+    exactmat.symmetric_powers takes to form powers[2:] when it reads the
+    triangles of its powers from step whole = t // 2 + 1 on, read off the
+    plain powers I, G, G^2, ...: bits(r) + bits(max G) + bits(h), where
     h is max G^(n-1) when the chain unpacks G^(n-1) (n - 1 < 2 or
     n - 1 >= whole) or n - 1 is even, and else h for G^(n-2) times the
     largest row sum of G. Word slots up to 64 bits, whole bytes past that,

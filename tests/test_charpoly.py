@@ -332,7 +332,7 @@ def _spy_chain(monkeypatch):
     not recorded."""
     pairs, sums, products, triangles, reads = [], [], [], [], []
     frobenius_sum, eliminate, planned_sums, triangle, diagonal = (
-        charpoly._frobenius, charpoly._eliminate, exactmat.planned_sums, exactmat.triangle,
+        exactmat._frobenius, charpoly._eliminate, exactmat.planned_sums, exactmat.triangle,
         exactmat.diagonal)
 
     def frobenius_spy(a, b):
@@ -358,7 +358,7 @@ def _spy_chain(monkeypatch):
         reads.append(len(products) + 1)
         return diagonal(packed, width)
 
-    for module, name, spy in ((charpoly, "_frobenius", frobenius_spy),
+    for module, name, spy in ((exactmat, "_frobenius", frobenius_spy),
                               (charpoly, "_eliminate", eliminate_spy),
                               (exactmat, "planned_sums", planned_spy),
                               (exactmat, "triangle", triangle_spy),
@@ -418,7 +418,7 @@ def _same_pair(witness, want, exact):
 
 class TestFrobeniusSums:
     """Up to t = min(max(exact, 1), r - 1) the chain reads each power sum off
-    the diagonal of a power it forms; charpoly._frobenius takes s_(t+1) from
+    the diagonal of a power it forms; exactmat._frobenius takes s_(t+1) from
     G^t over the nonzero cells of G's triangle, and each sum above it from
     the triangles of two powers, which is exact on symmetric pairs. With
     the Krylov certificate made to miss, the chain runs its Hankel steps
@@ -465,7 +465,7 @@ class TestFrobeniusSums:
     def test_s13_reads_the_triangles_of_g7_to_g12(self, monkeypatch):
         # S_12 <= S_13 asks for a = t = 12: s_13 = <G^12, G> is taken over
         # the 330 nonzero cells of G's 3,003-cell triangle, so no full sum
-        # reads G^6, and the count reads the triangles of G^7, ..., G^12
+        # reads G^6, and the chain reads the triangles of G^7, ..., G^12
         # alone and the diagonals of G^2, ..., G^6
         m = branching_matrix(13)
         g = m.gram.entries

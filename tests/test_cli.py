@@ -9,7 +9,7 @@ import pytest
 
 import incdepth
 from incdepth import (InclusionMatrix, MatrixParseError, fixture_path,
-                      parse_int_matrix, parse_matrix, render_matrix)
+                      parse_int_matrix, parse_matrix, render_matrix, tower_matrix)
 from incdepth import cli
 from incdepth.cli import main
 
@@ -233,22 +233,28 @@ class TestComputeCommand:
 
     def test_invariant_checks_survive_optimize_flag(self):
         # python -O strips assert statements; the report's checks must stay:
-        # a missing witness, and a depth past the spectral bound, each exit 3
+        # a missing witness, a depth past the spectral bound, and on
+        # S_12 <= S_18 a Krylov dimension above the k the count finds, each
+        # exit 3
         import subprocess
         import sys
-        for patch, message in (
-                ("incdepth.charpoly.least_q = lambda a, b: None",
+        tower = render_matrix(tower_matrix(12, 18))
+        for patch, text, message in (
+                ("incdepth.charpoly.least_q = lambda a, b: None", None,
                  "internal error: no dominance witness"),
-                ("incdepth.charpoly.bound_and_witness = lambda m, d: (1, 7)",
-                 "internal error: d <= spectral bound fails (d=5 bound=1)\n")):
+                ("incdepth.charpoly.bound_and_witness = lambda m, d: (1, 7)", None,
+                 "internal error: d <= spectral bound fails (d=5 bound=1)\n"),
+                ("incdepth.charpoly.krylov_dim = lambda g, p: 13", tower,
+                 "internal error: Krylov dimension 13 exceeds k = 12\n")):
+            path = "'-'" if text else "str(fixture_path('s3s4.mat'))"
             script = (
                 "import sys\n"
                 "import incdepth.charpoly\n"
                 "from incdepth import fixture_path\n"
                 "from incdepth.cli import main\n"
                 f"{patch}\n"
-                "sys.exit(main(['compute', '--matrix', str(fixture_path('s3s4.mat'))]))\n")
-            proc = subprocess.run([sys.executable, "-O", "-c", script],
+                f"sys.exit(main(['compute', '--matrix', {path}]))\n")
+            proc = subprocess.run([sys.executable, "-O", "-c", script], input=text,
                                   capture_output=True, text=True,
                                   env=_subprocess_env())
             assert proc.returncode == 3, (patch, proc.stderr)

@@ -439,9 +439,9 @@ class TestSmallDepths:
         p = berkowitz_char_poly(block.gram)
         k = p.degree - poly_gcd(p, p.derivative()).degree
         assert k == 8
-        dims, powers, widened = [], [], []
-        krylov_dim, symmetric_powers, widen = (charpoly.krylov_dim, charpoly.symmetric_powers,
-                                               exactmat.widen)
+        dims, powers, widened, triangles = [], [], [], []
+        krylov_dim, symmetric_powers, widen, triangle = (
+            charpoly.krylov_dim, charpoly.symmetric_powers, exactmat.widen, exactmat.triangle)
 
         def krylov_spy(g, p):
             dims.append(krylov_dim(g, p))
@@ -455,18 +455,25 @@ class TestSmallDepths:
         def widen_spy(packed, old, new, count):
             widened.append((old, new))
             return widen(packed, old, new, count)
+
+        def triangle_spy(packed, width):
+            triangles.append((width, triangle(packed, width)))
+            return triangles[-1][1]
         monkeypatch.setattr(charpoly, "krylov_dim", krylov_spy)
         monkeypatch.setattr(charpoly, "symmetric_powers", powers_spy)
         monkeypatch.setattr(exactmat, "widen", widen_spy)
+        monkeypatch.setattr(exactmat, "triangle", triangle_spy)
         rep = depth_report(m)
         assert (rep.rows, rep.cols, rep.depth, rep.h_depth) == (40, 50, 2, 3)
         assert rep.spectral_bound == 2 * k - 1 and rep.all_methods_agree()
         assert rep.q_witness == has_depth(m, 2)
         assert len(dims) == 1 and dims[0] < m.rows
-        # the chain pulled G, ..., G^k, in byte slots from G^2 on, and
-        # widened them before each product after the first
-        _, cells, _ = powers[-1]
-        assert len(powers) == k and max(cells).bit_length() > 64
+        # the chain pulled G, ..., G^k, read the triangle of each power past
+        # G, in byte slots from G^2 on, and widened them before each product
+        # after the first
+        width, cells = triangles[-1]
+        assert len(powers) == k and len(triangles) == k - 1
+        assert width > 8 and max(cells).bit_length() > 64
         assert len(widened) == k - 2 and widened[0][0] > 8
 
     @pytest.mark.parametrize("density, want", [(0.8, (3, 3, 3)), (0.03, (7, 7, 7))],

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -10,11 +11,11 @@ from incdepth.depth import _select_or
 from incdepth.exactmat import (diagonal, plan_rows, planned_sums, product, set_bits, slots,
                                triangle, walk_support, widen)
 
-from _oracles import (chain_widths, dense_gram, dense_rows, dominance_brute, entrywise_le,
-                      frobenius, identity, inclusion_rejection, krylov_dim_reference,
-                      naive_multiply,
+from _oracles import (berkowitz_char_poly, chain_widths, dense_gram, dense_rows,
+                      dominance_brute, entrywise_le, frobenius, identity,
+                      inclusion_rejection, krylov_dim_reference, naive_multiply,
                       naive_powers, near_million_gram, naive_support_product,
-                      naive_support_transpose, random_inclusion, repeated_rows_gram,
+                      naive_support_transpose, poly_gcd, random_inclusion, repeated_rows_gram,
                       repeated_spectrum, scale, support_as_int_matrix, support_bits,
                       support_walk, symmetric_corpus, symmetric_matrix, upper_cells,
                       zero_count)
@@ -749,14 +750,16 @@ def _left_of(g, rng, rows):
 
 
 class TestSymmetricPowers:
-    """exactmat.symmetric_powers yields the diagonal and the flat upper
-    triangle of G^1, G^2, ..., which must be those of the plain power
-    (_oracles.naive_powers), and the witness pair at the step asked for.
-    The chain forms the plan of G once, carries its packed rows from product
-    to product, widened when the slots grow, and forms each power past G^1
-    by one product, only when it is pulled. Below the power it is told to
-    unpack from, it reads only diagonals, and sizes its slots from a bound
-    that holds for any nonnegative symmetric G."""
+    """exactmat.symmetric_powers(g, c, exact, left) forms G^1, G^2, ...,
+    and hands out at each step the power sums s_j = tr G^j it has taken,
+    which must be the plain ones (_oracles.naive_powers), and the witness
+    pair at the step asked for. The chain forms the plan of G once, carries
+    its packed rows from product to product, widened when the slots grow,
+    and forms each power past G^1 by one product, only when it is pulled.
+    Below the power a sum or the odd pair reads, t // 2 + 1 for
+    t = min(max(exact, 1), c - 1), it reads only diagonals, and sizes its
+    slots from a bound that holds for any nonnegative symmetric G. Spies on
+    exactmat's diagonal, triangle and _frobenius see every power it reads."""
 
     @staticmethod
     def source(name):
@@ -780,78 +783,157 @@ class TestSymmetricPowers:
         assert any(map(any, g))
         return g, 8
 
+    @staticmethod
+    def spy(monkeypatch):
+        """Lists that fill as a chain runs: the length of each plan formed and
+        of each product's plan; (products before it, old, new) for each
+        widening; (step, diagonal) for each diagonal read alone; (step,
+        triangle) for each triangle read; the step of each call of upper;
+        and (step, a, b) for each Frobenius product, a and b as (diagonal,
+        cells) lists. Every step n >= 2 reads G^n once, on its diagonal or
+        as its triangle, so the step that reads no power yet is one past
+        those reads."""
+        seen = {key: [] for key in ("plans", "products", "widened", "reads", "triangles",
+                                    "upper", "frobenius")}
+        plan_rows, planned_sums, widen, diagonal, read_triangle, upper, frobenius_sum = (
+            exactmat.plan_rows, exactmat.planned_sums, exactmat.widen, exactmat.diagonal,
+            exactmat.triangle, exactmat.upper, exactmat._frobenius)
+
+        def step():
+            return 1 + len(seen["reads"]) + len(seen["triangles"])
+
+        def plan_spy(a):
+            seen["plans"].append(len(a))
+            return plan_rows(a)
+
+        def planned_spy(plan, packed):
+            seen["products"].append(len(plan))
+            return planned_sums(plan, packed)
+
+        def widen_spy(packed, old, new, count):
+            seen["widened"].append((len(seen["products"]), old, new))
+            return widen(packed, old, new, count)
+
+        def diagonal_spy(packed, width):
+            seen["reads"].append((step() + 1, diagonal(packed, width)))
+            return seen["reads"][-1][1]
+
+        def triangle_spy(packed, width):
+            seen["triangles"].append((step() + 1, read_triangle(packed, width)))
+            return seen["triangles"][-1][1]
+
+        def upper_spy(rows):
+            seen["upper"].append(step())
+            return upper(rows)
+
+        def frobenius_spy(a, b):
+            a, b = [(list(diag), list(cells)) for diag, cells in (a, b)]
+            seen["frobenius"].append((step(), a, b))
+            return frobenius_sum(a, b)
+        for attr, spy in (("plan_rows", plan_spy), ("planned_sums", planned_spy),
+                          ("widen", widen_spy), ("diagonal", diagonal_spy),
+                          ("triangle", triangle_spy), ("upper", upper_spy),
+                          ("_frobenius", frobenius_spy)):
+            monkeypatch.setattr(exactmat, attr, spy)
+        return seen
+
+    @staticmethod
+    def check_sums(g, want, traces, c, exact, steps, seen, sums, known):
+        """The sums a chain asked for exact with ceiling c handed out after
+        steps steps, against want = naive_powers(g, top), top >= steps, and
+        traces = traces_of(want): each sum set, and every known one, must
+        be tr G^j, and none past s_(2 steps) or s_(2c-2) is set. The
+        Frobenius products are those of s_(t+1) at step t, over the nonzero
+        cells of G's triangle, and at each step n < c of s_(2n-1) and s_2n
+        past s_(t+1), of the full triangles of G^(j // 2) and
+        G^((j + 1) // 2)."""
+        r, t = len(g), min(max(exact, 1), c - 1)
+        formed = min(2 * steps, 2 * c - 2)
+        assert known == min(2 * steps if steps >= t else steps, formed)
+        assert len(sums) == 2 * c - 1 and set(sums[formed + 1:]) <= {None}
+        traces = traces[:formed + 1]
+        assert sums[:known + 1] == traces[:known + 1]
+        assert all(x is None or x == s for x, s in zip(sums, traces))
+        order = []
+        for n in range(1, min(steps, c - 1) + 1):
+            order += [(n, t + 1)] * (n == t) + [(n, j) for j in (2 * n - 1, 2 * n) if j > t + 1]
+        assert [n for n, _, _ in seen["frobenius"]] == [n for n, _ in order]
+        mask = upper_cells(g)
+        for (n, j), (_, a, b) in zip(order, seen["frobenius"]):
+            low, high = want[j // 2], want[(j + 1) // 2]
+            if j == t + 1:
+                low, high = want[t], g
+                cells = ([x for x, y in zip(upper_cells(low), mask) if y], [x for x in mask if x])
+            else:
+                cells = list(upper_cells(low)), list(upper_cells(high))
+            assert a == ([low[i][i] for i in range(r)], cells[0]), (exact, j)
+            assert b == ([high[i][i] for i in range(r)], cells[1]), (exact, j)
+
+    @staticmethod
+    def traces_of(want):
+        """tr G^j for j <= 2 top, from want = naive_powers(g, top): s_j is
+        <G^(j // 2), G^((j + 1) // 2)> over every cell, as G is symmetric."""
+        return [frobenius(want[j // 2], want[(j + 1) // 2]) for j in range(2 * len(want) - 1)]
+
+    @staticmethod
+    def check_reads(g, want, whole, last, seen):
+        """G^2, ..., G^(whole - 1) read on their diagonals alone, and each
+        power from G^whole through G^last by one triangle read."""
+        r = len(g)
+        assert seen["reads"] == [(n, [want[n][i][i] for i in range(r)])
+                                 for n in range(2, min(whole, last + 1))]
+        assert seen["triangles"] == [(n, upper_cells(want[n]))
+                                     for n in range(max(whole, 2), last + 1)]
+
     @pytest.mark.parametrize("name", CHAIN_SOURCES)
     def test_every_power_matches_the_oracle(self, monkeypatch, name):
+        # exact 0 makes t = 1, so the chain reads every triangle, and with
+        # c = top + 1 it takes both Frobenius sums of every step but the first
         self.check(monkeypatch, name, False)
 
     @pytest.mark.parametrize("name", CHAIN_SOURCES)
     def test_diagonals_below_the_last_power(self, monkeypatch, name):
-        # G^2, ..., G^(top - 1) read on their diagonals alone
+        # exact = c - 1 = 2 top - 2 makes t = 2 top - 2, so the chain reads
+        # G^2, ..., G^(top - 1) on their diagonals alone and G^top as its
+        # triangle, for s_(2 top) = <G^top, G^top>
         self.check(monkeypatch, name, True)
 
     def check(self, monkeypatch, name, diagonals):
-        """Pull G^1, ..., G^top, reading every triangle, or with diagonals
-        only G^top's, and check each against the oracle."""
+        """Pull G^1, ..., G^top and check each read, each sum and each
+        widening against the oracle."""
         g, top = self.source(name)
-        whole = top if diagonals else 0
+        exact, c = (2 * top - 2, 2 * top - 1) if diagonals else (0, top + 1)
+        whole = min(max(exact, 1), c - 1) // 2 + 1
+        assert whole == (top if diagonals else 1)
         r, want = len(g), naive_powers(g, top)
-        plans, products, widened, reads, triangles = [], [], [], [], []
-        plan_rows, planned_sums, widen, diagonal, read_triangle = (
-            exactmat.plan_rows, exactmat.planned_sums, exactmat.widen, exactmat.diagonal,
-            exactmat.triangle)
-
-        def plan_spy(a):
-            plans.append(len(a))
-            return plan_rows(a)
-
-        def planned_spy(plan, packed):
-            products.append(len(plan))
-            return planned_sums(plan, packed)
-
-        def widen_spy(packed, old, new, count):
-            widened.append((len(products), old, new))
-            return widen(packed, old, new, count)
-
-        def diagonal_spy(packed, width):
-            reads.append(len(products) + 1)
-            return diagonal(packed, width)
-
-        def triangle_spy(packed, width):
-            triangles.append(len(products) + 1)
-            return read_triangle(packed, width)
-        for attr, spy in (("plan_rows", plan_spy), ("planned_sums", planned_spy),
-                          ("widen", widen_spy), ("diagonal", diagonal_spy),
-                          ("triangle", triangle_spy)):
-            monkeypatch.setattr(exactmat, attr, spy)
-        chain = exactmat.symmetric_powers(g, whole)
-        assert products == plans == []
-        for n, (power, (diag, cells, pair)) in enumerate(zip(want[1:], chain), 1):
-            assert diag == [power[i][i] for i in range(r)], n
-            if n >= whole:
-                assert cells == upper_cells(power), n
-            else:
-                assert cells is None, n
+        traces, seen = self.traces_of(want), self.spy(monkeypatch)
+        chain = exactmat.symmetric_powers(g, c, exact)
+        assert seen["products"] == seen["plans"] == []
+        for n, (sums, known, pair) in zip(range(1, top + 1), chain):
             assert pair is None, n
+            self.check_sums(g, want, traces, c, exact, n, seen, sums, known)
             # pulling G^1, ..., G^n makes n - 1 products, each of all r rows,
             # from the one plan of G formed at the first of them
-            assert products == [r] * (n - 1), n
-            assert plans == [r] * (n > 1), n
-        # G^2, ..., G^(whole - 1) are read only on their diagonals, and each
-        # power from G^whole on by one triangle read; G^1's triangle is
-        # formed from G's own rows, with no unpacking
-        assert reads == list(range(2, whole))
-        assert triangles == list(range(max(whole, 2), top + 1))
+            assert seen["products"] == [r] * (n - 1), n
+            assert seen["plans"] == [r] * (n > 1), n
+        self.check_reads(g, want, whole, top, seen)
+        # G's own triangle is formed from its rows, with no unpacking, once:
+        # at step 1 when the chain reads every triangle, and never when its
+        # s_(t+1) and odd pair are past the steps pulled
+        assert seen["upper"] == ([] if diagonals else [1])
+        if diagonals:
+            assert [n for n, _, _ in seen["frobenius"]] == [top]
         # the product forming G^n has slots of r max(G) max(G^(n-1)), or a
         # bound on max G^(n-1) where only its diagonal was read, which never
         # narrow; the rows are widened just before the product that first
         # needs a wider slot, after the n - 2 products G^2, ..., G^(n-1)
         widths = chain_widths(g, want, whole)
-        assert widened == [(n - 2, old, new) for n, old, new
-                           in zip(range(3, top + 1), widths, widths[1:]) if new > old]
+        assert seen["widened"] == [(n - 2, old, new) for n, old, new
+                                   in zip(range(3, top + 1), widths, widths[1:]) if new > old]
         if name == "S_16 <= S_17":  # words through G^14, 9-byte slots from G^15
-            assert widened == [(13, 8, 9)]
+            assert seen["widened"] == [(13, 8, 9)]
         elif name == "near 10^6":  # every power needs wider slots than the one before
-            assert len(widened) == top - 2
+            assert len(seen["widened"]) == top - 2
         elif name == "units and larger":  # words through G^9, 9-byte slots for G^10
             assert widths.index(9) == 8
 
@@ -861,29 +943,23 @@ class TestSymmetricPowers:
         # nowhere else: the triangles of G^(exact-1) and G^exact, or with a
         # left L the cells of L G^(exact-1) and L G^exact, row after row,
         # which it sums from the packed rows of both powers widened to the
-        # slots of G^(exact+1). Each chain goes on to exact + 2 past the
-        # pair with every power right and the same slot widths.
+        # slots of G^(exact+1). With c = exact + 1 its last sums come at
+        # step exact, and with c = exact step exact takes none. Each chain
+        # goes on to exact + 2 past the pair with every power and sum right
+        # and the same slot widths.
         g, top = self.source(name)
         r, want = len(g), naive_powers(g, top)
         left = _left_of(g, random.Random(r), 5)
-        widened, widen = [], exactmat.widen
-
-        def widen_spy(packed, old, new, count):
-            widened.append((old, new))
-            return widen(packed, old, new, count)
-        monkeypatch.setattr(exactmat, "widen", widen_spy)
+        traces, seen = self.traces_of(want), self.spy(monkeypatch)
         for exact in sorted({1, 2, 3, 4, top - 3, top - 2}):
-            whole = max(exact - 1, 2)  # the latest the odd pair allows
-            for rows in (None, left):
-                widened.clear()
-                chain = exactmat.symmetric_powers(g, whole, exact, rows)
-                for n, (power, (diag, cells, pair)) in enumerate(zip(want[1:exact + 3], chain), 1):
-                    assert diag == [power[i][i] for i in range(r)], (exact, n)
-                    # G's own triangle only where the odd pair reads it
-                    if n >= whole or n == 1 and rows is None and exact <= 2:
-                        assert cells == upper_cells(power), (exact, n)
-                    else:
-                        assert cells is None, (exact, n)
+            for c, rows in itertools.product((exact, exact + 1), (None, left)):
+                for found in seen.values():
+                    found.clear()
+                t = min(exact, c - 1)
+                whole = t // 2 + 1
+                chain = exactmat.symmetric_powers(g, c, exact, rows)
+                for n, (sums, known, pair) in zip(range(1, exact + 3), chain):
+                    self.check_sums(g, want, traces, c, exact, n, seen, sums, known)
                     if n != exact:
                         assert pair is None, (exact, n)
                     elif rows is None:
@@ -892,6 +968,12 @@ class TestSymmetricPowers:
                         assert [list(cells) for cells in pair] == [
                             [x for row in naive_multiply(rows, p) for x in row]
                             for p in want[n - 1:n + 1]], n
+                self.check_reads(g, want, whole, exact + 2, seen)
+                # G's own triangle once: at step 1 where the chain reads
+                # every triangle or the odd pair reads it, else at step t
+                # for s_(t+1)
+                early = whole == 1 or rows is None and exact <= 2
+                assert seen["upper"] == [1 if early else t], (exact, c)
                 # the slots grow as the chain alone would grow them; the
                 # even witness widens G^(exact-1) and G^exact to G^(exact+1)'s
                 # slots at its own step, two widenings for the product's one
@@ -900,24 +982,64 @@ class TestSymmetricPowers:
                 for i, (old, new) in enumerate(zip(widths, widths[1:])):
                     if new > old:
                         expect += [(old, new)] * (2 if rows and i == exact - 2 else 1)
-                assert widened == expect, exact
+                assert [w[1:] for w in seen["widened"]] == expect, (exact, c)
+
+    @pytest.mark.parametrize("name", ["s3s4.mat", "S_2 <= S_3", "7", "dense 12 rows",
+                                      "tall 6x2"])
+    def test_sums_through_the_ceiling(self, monkeypatch, name):
+        # asked for any exact, every sum the chain hands out is tr G^j, and
+        # by step c it has formed each s_j, j <= 2c - 2, and no other: a
+        # trace for j <= t and one Frobenius product for each of s_(t+1),
+        # ..., s_(2c-2), none of them at step c
+        if name == "7":
+            g, c = [[7]], 1
+        else:
+            m = InclusionMatrix({"s3s4.mat": S3S4, "S_2 <= S_3": branching_matrix(3).matrix,
+                                 "dense 12 rows": dense_rows(random.Random(0), 12),
+                                 "tall 6x2": [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1], [3, 1]],
+                                 }[name])
+            g, c = m.gram.entries, min(m.rows, m.cols + 1)
+        p = berkowitz_char_poly(IntMatrix(g))
+        k = p.degree - poly_gcd(p, p.derivative()).degree
+        assert (len(g), c, k) == {"s3s4.mat": (3, 3, 3), "S_2 <= S_3": (2, 2, 2), "7": (1, 1, 1),
+                                  "dense 12 rows": (12, 12, 12), "tall 6x2": (6, 3, 3)}[name]
+        want = naive_powers(g, 2 * c - 2)
+        traces = [sum(power[i][i] for i in range(len(g))) for power in want]
+        calls, frobenius_sum = [], exactmat._frobenius
+
+        def frobenius_spy(a, b):
+            calls.append(frobenius_sum(a, b))
+            return calls[-1]
+        monkeypatch.setattr(exactmat, "_frobenius", frobenius_spy)
+        for exact in sorted({0, 1, k // 2, k, c}):
+            calls.clear()
+            t = min(max(exact, 1), c - 1)
+            chain = exactmat.symmetric_powers(g, c, exact)
+            for n in range(1, c + 1):
+                before = len(calls)
+                sums, known, _ = next(chain)
+                assert len(sums) == 2 * c - 1, (exact, n)
+                assert all(x is None or x == s for x, s in zip(sums, traces)), (exact, n)
+                assert sums[:known + 1] == traces[:known + 1], (exact, n)
+            assert (known, len(calls), before) == (2 * c - 2, 2 * c - 2 - t, 2 * c - 2 - t), exact
+            assert sorted(calls) == sorted(traces[t + 1:]), exact
 
     @pytest.mark.parametrize("name", CHAIN_SOURCES)
     def test_next_sum_over_the_nonzero_cells_of_g(self, monkeypatch, name):
-        # the count takes s_(t+1) = <G^t, G> at step t over the nonzero
+        # the chain takes s_(t+1) = <G^t, G> at step t over the nonzero
         # cells of G's triangle alone, and every other Frobenius sum over
         # every cell: each must be the plain Frobenius product, and a 1x1 G
         # takes none, as its count ends at c = 1
         g, top = self.source(name)
         r = len(g)
         mask = upper_cells(g)
-        calls, frobenius_sum = [], charpoly._frobenius
+        calls, frobenius_sum = [], exactmat._frobenius
 
         def frobenius_spy(a, b):
             a, b = [(list(diag), list(cells)) for diag, cells in (a, b)]
             calls.append((a, b))
             return frobenius_sum(a, b)
-        monkeypatch.setattr(charpoly, "_frobenius", frobenius_spy)
+        monkeypatch.setattr(exactmat, "_frobenius", frobenius_spy)
         monkeypatch.setattr(charpoly, "krylov_dim", lambda g, p: 0)
         want = naive_powers(g, top)
         for exact in sorted({1, 2, 3, top}):
